@@ -8,12 +8,14 @@ input), 2 enumeration-size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .assignment import Objective
 from .commands import Side, cmd_assign, cmd_bargain, cmd_game, cmd_pipeline
-from .core import MatchGamesError, SizeTooLarge
+from .core import MatchGamesError, SizeTooLarge, as_rational
 from .formats import (
     BimatrixFile,
     MarketFile,
@@ -34,10 +36,23 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads "-3" and "-0.5" as values but "-1/4" as an option;
+        # widen its negative-number pattern to the "-p/q" form.
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     # argparse exits with status 2 on bad usage; the CLI contract reserves
     # 2 for size-cap errors, so reroute usage problems through exit code 1.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+
+def _rational_arg(text: str) -> Fraction:
+    try:
+        return as_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _build_parser() -> _Parser:
@@ -66,6 +81,7 @@ def _build_parser() -> _Parser:
     bargain.add_argument(
         "--disagreement",
         nargs=2,
+        type=_rational_arg,
         metavar=("V1", "V2"),
         help="skip the maximin step and use this disagreement point",
     )
@@ -110,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        report = _run(args)
+        rendered = render_report(_run(args), RenderMode(args.output))
     except _UsageError as exc:
         print(f"matchgames: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -120,7 +136,6 @@ def main(argv: list[str] | None = None) -> int:
     except MatchGamesError as exc:
         print(f"matchgames: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    rendered = render_report(report, RenderMode(args.output))
     if args.out:
         try:
             Path(args.out).write_text(rendered)

@@ -22,6 +22,12 @@ RationalLike = Union[int, float, str, Fraction]
 # is the ceiling for desk-scale tables and brute-force oracles).
 ENUMERATION_CAP = 8
 
+# Bounds on a numeric string read from input.  Fraction("1e<K>") builds
+# 10**K at a cost superlinear in K, and digit strings convert in quadratic
+# time, so without them a small input file could stall parsing.
+MAX_LITERAL_LENGTH = 1000
+MAX_LITERAL_EXPONENT = 1000
+
 
 class MatchGamesError(Exception):
     """Base class for all errors raised by this package."""
@@ -44,7 +50,9 @@ def as_rational(value: RationalLike) -> Fraction:
 
     Accepts ints, Fractions, and strings in ``"p/q"``, integer, or decimal
     form ("3/2", "7", "0.25").  Floats are converted through their shortest
-    decimal repr, so 0.1 becomes exactly 1/10.
+    decimal repr, so 0.1 becomes exactly 1/10.  A string longer than
+    MAX_LITERAL_LENGTH or with an exponent beyond MAX_LITERAL_EXPONENT is
+    rejected with ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -55,11 +63,23 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
+        text = value.strip()
+        if len(text) > MAX_LITERAL_LENGTH:
+            raise ValueError(f"numeric literal of {len(text)} characters is longer than {MAX_LITERAL_LENGTH}")
+        if ("e" in text or "E" in text) and _exponent_too_large(text):
+            raise ValueError(f"exponent of {text!r} is beyond ±{MAX_LITERAL_EXPONENT}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot interpret {value!r} as a rational") from exc
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def _exponent_too_large(text: str) -> bool:
+    try:
+        return abs(int(text.lower().rpartition("e")[2])) > MAX_LITERAL_EXPONENT
+    except ValueError:
+        return False  # not an exponent; Fraction decides
 
 
 def format_rational(value: Fraction) -> str:

@@ -34,6 +34,10 @@ class SchemaError(MatchGamesError):
     """The input parses but violates the file schema."""
 
 
+class ReportTooLarge(MatchGamesError):
+    """A number in the report is too long to print as decimal digits."""
+
+
 @dataclass(frozen=True)
 class MarketFile:
     """A bilateral market file: labels plus the two utility grids.
@@ -75,9 +79,13 @@ def _load_json(data: str | bytes) -> Any:
             raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     try:
         # parse_float receives the literal text, so decimals stay exact.
-        return json.loads(data, parse_float=Fraction)
+        return json.loads(data, parse_float=as_rational)
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # A decimal past as_rational's bounds, or an integer past the
+        # interpreter's int-digit limit.
+        raise ParseError(f"input has an oversize number: {exc}") from exc
 
 
 def _require(obj: dict, key: str, kind: type, where: str) -> Any:
@@ -95,6 +103,16 @@ def _string_list(values: Any, where: str) -> tuple[str, ...]:
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise SchemaError(f"{where}: expected an array of strings")
     return tuple(values)
+
+
+def _label_list(values: Any, where: str) -> tuple[str, ...]:
+    labels = _string_list(values, where)
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise SchemaError(f"{where}: label {label!r} appears more than once")
+        seen.add(label)
+    return labels
 
 
 def _rational_cell(value: Any, where: str) -> Fraction:
@@ -120,8 +138,8 @@ def _rational_grid(values: Any, n: int, where: str) -> tuple[tuple[Fraction, ...
 def parse_market(data: str | bytes) -> MarketFile:
     """Parse and validate a market file; ParseError / SchemaError on bad input."""
     doc = _load_json(data)
-    workers = _string_list(_require(doc, "workers", list, "market"), "market.workers")
-    enterprises = _string_list(_require(doc, "enterprises", list, "market"), "market.enterprises")
+    workers = _label_list(_require(doc, "workers", list, "market"), "market.workers")
+    enterprises = _label_list(_require(doc, "enterprises", list, "market"), "market.enterprises")
     n = len(workers)
     if n == 0:
         raise SchemaError("market: empty worker list")
@@ -140,8 +158,8 @@ def parse_market(data: str | bytes) -> MarketFile:
 def parse_bimatrix(data: str | bytes) -> BimatrixFile:
     """Parse and validate a bimatrix-game file."""
     doc = _load_json(data)
-    row_labels = _string_list(_require(doc, "row_labels", list, "bimatrix"), "bimatrix.row_labels")
-    col_labels = _string_list(_require(doc, "col_labels", list, "bimatrix"), "bimatrix.col_labels")
+    row_labels = _label_list(_require(doc, "row_labels", list, "bimatrix"), "bimatrix.row_labels")
+    col_labels = _label_list(_require(doc, "col_labels", list, "bimatrix"), "bimatrix.col_labels")
     payoffs = _require(doc, "payoffs", list, "bimatrix")
     if len(row_labels) == 0 or len(col_labels) == 0:
         raise SchemaError("bimatrix: empty label list")
@@ -201,6 +219,9 @@ class Report:
 
 _RATIONAL_RE = re.compile(r"^-?\d+/[1-9]\d*$")
 
+# Payload keys that hold labels; their strings are never decoded.
+_LABEL_KEYS = frozenset({"workers", "enterprises", "row_labels", "col_labels"})
+
 
 def encode_values(value: Any) -> Any:
     """Recursively convert rationals to ints / "p/q" strings for JSON output."""
@@ -217,28 +238,35 @@ def decode_values(value: Any) -> Any:
     """Inverse of encode_values: "p/q" strings become Fractions, ints stay ints.
 
     Plain ints compare equal to the Fractions they encode, so decoded payloads
-    compare equal to the originals.  Free-form strings are left alone unless
-    they match the exact "p/q" form, so labels should not look like fractions.
+    compare equal to the originals.  Values under the label keys stay as
+    they are.
     """
     if isinstance(value, str) and _RATIONAL_RE.match(value):
         return Fraction(value)
     if isinstance(value, dict):
-        return {k: decode_values(v) for k, v in value.items()}
+        return {k: v if k in _LABEL_KEYS else decode_values(v) for k, v in value.items()}
     if isinstance(value, list):
         return [decode_values(v) for v in value]
     return value
 
 
 def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
-    """Render a report; machine mode is canonical JSON and round-trips."""
-    if mode is RenderMode.MACHINE:
-        doc = {
-            "command": report.command,
-            "payload": encode_values(report.payload),
-            "notes": list(report.notes),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    return _render_text(report)
+    """Render a report; machine mode is canonical JSON and round-trips.
+
+    Raises ReportTooLarge when a number has more digits than the
+    interpreter's int-to-str limit allows.
+    """
+    try:
+        if mode is RenderMode.MACHINE:
+            doc = {
+                "command": report.command,
+                "payload": encode_values(report.payload),
+                "notes": list(report.notes),
+            }
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _render_text(report)
+    except ValueError as exc:
+        raise ReportTooLarge(f"cannot render the {report.command} report: {exc}") from exc
 
 
 def parse_report(data: str | bytes) -> Report:

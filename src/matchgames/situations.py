@@ -21,8 +21,9 @@ from .core import (
     all_matchings,
 )
 
-# Equilibrium enumeration walks every situation and every unilateral
-# deviation; 5! situations is the supported ceiling.
+# Equilibria are reported for at most 5! situations.  The sign rule makes
+# them cheap at any table size; the cap stays because the game report's
+# contract ("enumerated": false above n = 5) is built on it.
 EQUILIBRIUM_ENUMERATION_CAP = 5
 
 
@@ -59,10 +60,11 @@ class SituationTable:
         return 2 * self.instance.n
 
     def profile_for(self, matching: Matching) -> tuple[Fraction, ...]:
-        for row_matching, profile in self.rows:
-            if row_matching == matching:
-                return profile
-        raise MatchingNotInTable(f"matching {matching.image} is not a row of this table")
+        # Every matching of size n is a row, so its profile is computed
+        # directly; only a matching of another size is missing.
+        if matching.n != self.n:
+            raise MatchingNotInTable(f"matching {matching.image} is not a row of this table")
+        return situation_payoffs(self.instance, matching)
 
 
 def build_table(instance: GameInstance) -> SituationTable:
@@ -82,10 +84,15 @@ class IdealPoint:
 
 
 def ideal_point(table: SituationTable) -> IdealPoint:
-    """Coordinatewise maximum of the payoff table."""
-    profiles = [profile for _, profile in table.rows]
-    values = tuple(max(profile[i] for profile in profiles) for i in range(table.player_count))
-    return IdealPoint(values=values)
+    """Coordinatewise maximum of the payoff table.
+
+    Every pair (i, j) lies in some perfect matching, so the maxima are the
+    row maxima of A (workers) followed by the column maxima of B (the
+    enterprise matched to worker k earns B[e][k]).
+    """
+    rows = table.instance.worker_utilities.entries
+    columns = zip(*table.instance.enterprise_utilities.entries)
+    return IdealPoint(values=tuple(max(line) for line in (*rows, *columns)))
 
 
 @dataclass(frozen=True)
@@ -238,7 +245,7 @@ def verify_nash(instance: GameInstance, profile: StrategyProfile) -> NashVerdict
 
 
 def enumerate_equilibria(instance: GameInstance) -> tuple[StrategyProfile, ...]:
-    """All consistent profiles that survive the unilateral-deviation scan.
+    """All consistent profiles that no single player can improve on.
 
     Only the n! consistent profiles are candidates (inconsistent profiles pay
     zero and are not situations).  For nonnegative utilities this returns all
@@ -248,9 +255,11 @@ def enumerate_equilibria(instance: GameInstance) -> tuple[StrategyProfile, ...]:
         raise SizeTooLarge(
             f"equilibrium enumeration refuses n={instance.n} (cap is {EQUILIBRIUM_ENUMERATION_CAP})"
         )
-    found = []
-    for matching in all_matchings(instance.n):
-        profile = StrategyProfile.from_matching(matching)
-        if verify_nash(instance, profile).equilibrium:
-            found.append(profile)
-    return tuple(found)
+    # Sign rule: any unilateral deviation breaks consistency and pays the
+    # deviator 0, so a situation is an equilibrium iff none of its 2n
+    # payoffs is below 0, or n = 1 and nobody has a choice to change.
+    return tuple(
+        StrategyProfile.from_matching(matching)
+        for matching in all_matchings(instance.n)
+        if instance.n == 1 or min(situation_payoffs(instance, matching)) >= 0
+    )

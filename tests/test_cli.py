@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from matchgames import parse_report
+from matchgames import DisagreementPoint, nash_solution, parse_bimatrix, parse_report
 from matchgames.cli import EXIT_INPUT, EXIT_OK, EXIT_SIZE, main
 
 
@@ -122,6 +124,25 @@ class TestSubcommands:
         assert capsys.readouterr().out == ""
         assert parse_report(out_file.read_text()).payload["solution"] == [4, 4]
 
+    def test_bargain_negative_fraction_disagreement(self, tmp_path, capsys):
+        doc = {
+            "row_labels": ["r1", "r2"],
+            "col_labels": ["c1", "c2"],
+            "payoffs": [[[6, 2], [0, -1]], [[-1, 0], [2, 6]]],
+        }
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_machine(
+            ["bargain", "--game", str(path), "--disagreement", "1", "-1/4"], capsys
+        )
+        assert code == EXIT_OK
+        report = parse_report(out)
+        assert report.payload["disagreement"] == [1, Fraction(-1, 4)]
+        expected = nash_solution(
+            parse_bimatrix(json.dumps(doc)).game, DisagreementPoint(v1=Fraction(1), v2=Fraction(-1, 4))
+        )
+        assert report.payload["solution"] == list(expected.solution)
+
     def test_text_output_default(self, union_path, capsys):
         code = main(["bargain", "--game", union_path])
         out = capsys.readouterr().out
@@ -165,6 +186,68 @@ class TestExitCodes:
         path = tmp_path / "bad-union.json"
         path.write_text("[1, 2]")
         assert main(["pipeline", "--market", job_market_path, "--union-game", str(path)]) == EXIT_INPUT
+
+
+def write_market(tmp_path, a):
+    n = len(a)
+    doc = {
+        "workers": [f"w{i}" for i in range(n)],
+        "enterprises": [f"e{i}" for i in range(n)],
+        "A": a,
+        "B": [[1] * n for _ in range(n)],
+    }
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestOversizeNumbers:
+    """Numbers too large to parse or print end in exit 1, never a traceback."""
+
+    def assert_input_error(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("matchgames: error: ")
+        assert captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assign", "--side", "workers", "--output", "machine"],
+            ["game", "--output", "text"],
+        ],
+    )
+    def test_exponent_cell(self, tmp_path, argv, capsys):
+        path = write_market(tmp_path, [["1e5000", 1], [2, 3]])
+        self.assert_input_error(argv + ["--market", path], capsys)
+
+    def test_huge_exponent_cell(self, tmp_path, capsys):
+        # Fraction("1e1000000") would build a million-digit integer first.
+        path = write_market(tmp_path, [["1e1000000", 1], [2, 3]])
+        self.assert_input_error(["assign", "--market", path, "--side", "workers"], capsys)
+
+    def test_long_json_integer(self, tmp_path, capsys):
+        path = tmp_path / "market.json"
+        path.write_text('{"workers": ["w"], "enterprises": ["e"], "A": [[' + "9" * 5000 + ']], "B": [[1]]}')
+        self.assert_input_error(["assign", "--market", str(path), "--side", "workers"], capsys)
+
+    @pytest.mark.parametrize("value", ["1e5000", "abc"])
+    def test_bad_disagreement(self, union_path, value, capsys):
+        self.assert_input_error(["bargain", "--game", union_path, "--disagreement", value, "0"], capsys)
+
+    def test_total_past_print_limit(self, tmp_path, capsys):
+        # Each 1/q fits the literal bound; the total's denominator, their
+        # product, has about 4950 digits, past the 4300-digit print limit.
+        qs = [10**990 + k for k in (1, 3, 7, 9, 13)]
+        assert all(math.gcd(q, r) == 1 for i, q in enumerate(qs) for r in qs[i + 1 :])
+        grid = [[f"1/{q}" if i == j else 0 for j in range(5)] for i, q in enumerate(qs)]
+        path = write_market(tmp_path, grid)
+        for mode in ("machine", "text"):
+            self.assert_input_error(
+                ["assign", "--market", path, "--side", "workers", "--output", mode], capsys
+            )
 
 
 def test_module_entry_point(demo_data_dir):

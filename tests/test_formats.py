@@ -106,6 +106,27 @@ class TestParseMarket:
         with pytest.raises(SchemaError):
             parse_market('{"workers": ["w"], "enterprises": ["e"], "A": [[1]]}')
 
+    def test_duplicate_labels_rejected(self):
+        for key, labels, repeated in [
+            ("workers", ["a", "a", "b"], "a"),
+            ("enterprises", ["x", "y", "x"], "x"),
+        ]:
+            doc = json.loads(MARKET_DOC)
+            doc[key] = labels
+            with pytest.raises(SchemaError, match=f"market.{key}: label '{repeated}'"):
+                parse_market(json.dumps(doc))
+
+    def test_oversize_numbers_rejected(self):
+        for cell, error in [
+            ('"1e5000"', SchemaError),
+            ('"' + "1" * 1001 + '"', SchemaError),
+            ("1e5000", ParseError),
+            ("1." + "0" * 1000, ParseError),
+            ("9" * 5000, ParseError),
+        ]:
+            with pytest.raises(error):
+                parse_market('{"workers": ["w"], "enterprises": ["e"], "A": [[' + cell + ']], "B": [[1]]}')
+
     def test_malformed_json_rejected(self):
         with pytest.raises(ParseError):
             parse_market("{not json")
@@ -135,6 +156,13 @@ class TestParseBimatrix:
                 '{"row_labels": ["r"], "col_labels": ["c"], "payoffs": [[[1]]]}'
             )
 
+    def test_duplicate_labels_rejected(self):
+        for key in ("row_labels", "col_labels"):
+            doc = json.loads(UNION_DOC)
+            doc[key] = ["r", "r"]
+            with pytest.raises(SchemaError, match=f"bimatrix.{key}: label 'r'"):
+                parse_bimatrix(json.dumps(doc))
+
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(SchemaError):
             parse_bimatrix(
@@ -159,6 +187,19 @@ class TestReports:
         for report in self._all_reports():
             rendered = render_report(report, RenderMode.MACHINE)
             assert parse_report(rendered) == report, report.command
+
+    def test_machine_round_trip_fraction_like_labels(self):
+        doc = json.loads(MARKET_DOC)
+        doc["workers"] = ["1/2", "-4/7", "w"]
+        doc["enterprises"] = ["-4/7", "e", "1/2"]
+        market = parse_market(json.dumps(doc))
+        union = json.loads(UNION_DOC)
+        union["row_labels"] = ["1/2", "-4/7"]
+        union["col_labels"] = ["-4/7", "1/2"]
+        union_game = parse_bimatrix(json.dumps(union))
+        for report in (cmd_game(market), cmd_pipeline(market, union_game)):
+            decoded = parse_report(render_report(report, RenderMode.MACHINE))
+            assert decoded == report, report.command
 
     def test_machine_rendering_deterministic(self):
         market = parse_market(MARKET_DOC)

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchgames import (
     GameInstance,
@@ -12,6 +14,7 @@ from matchgames import (
     SizeTooLarge,
     StrategyProfile,
     UtilityMatrix,
+    all_matchings,
     build_table,
     compromise_set,
     enumerate_equilibria,
@@ -313,3 +316,49 @@ class TestEnumerateEquilibria:
         rng = random.Random(8)
         with pytest.raises(SizeTooLarge):
             enumerate_equilibria(random_instance(rng, 6))
+
+
+# Small numerators over small denominators: negatives, zeros, "p/q" values
+# and frequent ties.
+entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def instances(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    grid = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    return GameInstance(
+        worker_utilities=UtilityMatrix.from_rows(draw(grid)),
+        enterprise_utilities=UtilityMatrix.from_rows(draw(grid)),
+    )
+
+
+class TestClosedFormsAgainstTable:
+    """Each closed form against the table enumeration it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_n=6))
+    def test_ideal_point_is_coordinatewise_table_max(self, instance):
+        table = build_table(instance)
+        profiles = [profile for _, profile in table.rows]
+        assert ideal_point(table).values == tuple(max(column) for column in zip(*profiles))
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_n=5))
+    def test_profile_for_is_the_row_of_the_matching(self, instance):
+        table = build_table(instance)
+        for position, matching in enumerate(all_matchings(instance.n)):
+            assert table.profile_for(matching) == table.rows[position][1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances(max_n=4))
+    @example(
+        GameInstance(
+            worker_utilities=UtilityMatrix.from_rows([[-1]]),
+            enterprise_utilities=UtilityMatrix.from_rows([["2/3"]]),
+        )
+    )
+    def test_equilibria_are_the_profiles_passing_the_deviation_scan(self, instance):
+        consistent = [StrategyProfile.from_matching(m) for m in all_matchings(instance.n)]
+        expected = tuple(p for p in consistent if verify_nash(instance, p).equilibrium)
+        assert enumerate_equilibria(instance) == expected
