@@ -45,13 +45,11 @@ from .core import (
     MatchGamesError,
     Matching,
     NotAPermutation,
-    Rational,
     SizeTooLarge,
     UtilityMatrix,
     all_matchings,
     as_rational,
     format_rational,
-    matching_from_image,
 )
 from .formats import (
     BimatrixFile,
@@ -87,72 +85,3 @@ from .situations import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssignmentResult",
-    "BargainingOutcome",
-    "BimatrixFile",
-    "BimatrixGame",
-    "CompromiseResult",
-    "DimensionMismatch",
-    "DisagreementOutsideHull",
-    "DisagreementPoint",
-    "EmptyIndividuallyRationalRegion",
-    "ENUMERATION_CAP",
-    "EQUILIBRIUM_ENUMERATION_CAP",
-    "GameInstance",
-    "IdealPoint",
-    "MalformedProfile",
-    "MarketFile",
-    "MatchGamesError",
-    "Matching",
-    "MatchingNotInTable",
-    "MixedStrategy",
-    "NashVerdict",
-    "NotAPermutation",
-    "NotTwoByTwo",
-    "Objective",
-    "ParseError",
-    "Player",
-    "Rational",
-    "RenderMode",
-    "Report",
-    "SchemaError",
-    "Side",
-    "SituationTable",
-    "SizeTooLarge",
-    "StrategyProfile",
-    "UtilityMatrix",
-    "all_matchings",
-    "as_rational",
-    "bargain",
-    "build_table",
-    "cmd_assign",
-    "cmd_bargain",
-    "cmd_game",
-    "cmd_pipeline",
-    "compare_assignments",
-    "compromise_set",
-    "enumerate_equilibria",
-    "feasible_hull",
-    "format_rational",
-    "hull_contains",
-    "ideal_point",
-    "least_satisfied",
-    "matching_from_image",
-    "matching_total",
-    "maximin_2x2",
-    "nash_solution",
-    "pareto_frontier",
-    "parse_bimatrix",
-    "parse_market",
-    "parse_report",
-    "profile_payoffs",
-    "render_bimatrix",
-    "render_market",
-    "render_report",
-    "situation_payoffs",
-    "solve_bruteforce",
-    "solve_hungarian",
-    "verify_nash",
-]

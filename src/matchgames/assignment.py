@@ -143,28 +143,19 @@ def solve_hungarian(matrix: UtilityMatrix, objective: Objective = Objective.MAXI
 def solve_bruteforce(matrix: UtilityMatrix, objective: Objective = Objective.MAXIMIZE) -> AssignmentResult:
     """Exact optimum by exhaustive enumeration; oracle for the Hungarian solver.
 
-    Scans all n! images in lexicographic order, keeping a candidate only on
-    strict improvement, which yields the same lex-smallest tie-break as
-    solve_hungarian without sharing its mechanism.
+    Scans all n! images of the same integer costs in lexicographic order,
+    keeping a candidate only on strict improvement, which yields the same
+    lex-smallest tie-break as solve_hungarian without its perturbation.
     """
     n = matrix.n
     if n > ENUMERATION_CAP:
         raise SizeTooLarge(f"brute force refuses n={n} (cap is {ENUMERATION_CAP})")
-    den = matrix.common_denominator()
-    scaled = [[int(v * den) for v in row] for row in matrix.entries]
-    maximizing = objective is Objective.MAXIMIZE
-    best_image: tuple[int, ...] | None = None
-    best_total = 0
+    costs = _integer_costs(matrix, objective)
+    best_image, best_cost = None, None
     for image in permutations(range(n)):
-        total = sum(scaled[i][j] for i, j in enumerate(image))
-        if (
-            best_image is None
-            or (maximizing and total > best_total)
-            or (not maximizing and total < best_total)
-        ):
-            best_image = image
-            best_total = total
-    assert best_image is not None
+        cost = sum(costs[i][j] for i, j in enumerate(image))
+        if best_cost is None or cost < best_cost:
+            best_image, best_cost = image, cost
     matching = Matching(best_image)
     return AssignmentResult(matching, matching_total(matrix, matching), objective)
 

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .core import MatchGamesError, RationalLike, as_rational
+from .core import MatchGamesError, RationalLike, as_rational, format_rational
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
@@ -265,7 +265,8 @@ def nash_solution(game: BimatrixGame, disagreement: DisagreementPoint) -> Bargai
     hull = feasible_hull(game)
     if not hull_contains(hull, disagreement.point):
         raise DisagreementOutsideHull(
-            f"disagreement {disagreement.point} is not a feasible payoff vector"
+            f"disagreement ({', '.join(map(format_rational, disagreement.point))}) "
+            "is not a feasible payoff vector"
         )
     frontier = pareto_frontier(hull)
     best: tuple[Fraction, Point] | None = None
@@ -275,7 +276,8 @@ def nash_solution(game: BimatrixGame, disagreement: DisagreementPoint) -> Bargai
             best = candidate
     if best is None:
         raise EmptyIndividuallyRationalRegion(
-            f"no Pareto-optimal point dominates the disagreement point {disagreement.point}"
+            "no Pareto-optimal point dominates the disagreement point "
+            f"({', '.join(map(format_rational, disagreement.point))})"
         )
     product, solution = best
     return BargainingOutcome(

@@ -17,8 +17,6 @@ from .assignment import Objective
 from .commands import Side, cmd_assign, cmd_bargain, cmd_game, cmd_pipeline
 from .core import MatchGamesError, SizeTooLarge, as_rational
 from .formats import (
-    BimatrixFile,
-    MarketFile,
     RenderMode,
     Report,
     parse_bimatrix,
@@ -100,25 +98,17 @@ def _read(path: str) -> bytes:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_market(path: str) -> MarketFile:
-    return parse_market(_read(path))
-
-
-def _load_bimatrix(path: str) -> BimatrixFile:
-    return parse_bimatrix(_read(path))
-
-
 def _run(args: argparse.Namespace) -> Report:
     if args.subcommand == "assign":
         objective = Objective.MINIMIZE if args.minimize else Objective.MAXIMIZE
-        return cmd_assign(_load_market(args.market), Side(args.side), objective)
+        return cmd_assign(parse_market(_read(args.market)), Side(args.side), objective)
     if args.subcommand == "game":
-        return cmd_game(_load_market(args.market))
+        return cmd_game(parse_market(_read(args.market)))
     if args.subcommand == "bargain":
         override = tuple(args.disagreement) if args.disagreement else None
-        return cmd_bargain(_load_bimatrix(args.game), override)
+        return cmd_bargain(parse_bimatrix(_read(args.game)), override)
     if args.subcommand == "pipeline":
-        return cmd_pipeline(_load_market(args.market), _load_bimatrix(args.union_game))
+        return cmd_pipeline(parse_market(_read(args.market)), parse_bimatrix(_read(args.union_game)))
     raise _UsageError(f"unknown subcommand {args.subcommand!r}")
 
 

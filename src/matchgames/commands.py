@@ -8,7 +8,6 @@ output stays self-documenting.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from . import datasets
 from .assignment import (
@@ -19,11 +18,8 @@ from .assignment import (
 )
 from .bargaining import (
     BargainingOutcome,
-    BimatrixGame,
     DisagreementPoint,
-    Player,
     bargain,
-    maximin_2x2,
     nash_solution,
 )
 from .core import GameInstance, Matching, RationalLike, as_rational
@@ -50,11 +46,17 @@ def _same_market(market: MarketFile, instance: GameInstance) -> bool:
     )
 
 
+# Built once: each report compares its market against both bundled ones.
+_BUNDLED_NOTES = (
+    (datasets.labor_market(), datasets.LABOR_MARKET_NOTES),
+    (datasets.job_market(), datasets.JOB_MARKET_NOTES),
+)
+
+
 def _dataset_notes(market: MarketFile) -> tuple[str, ...]:
-    if _same_market(market, datasets.labor_market()):
-        return datasets.LABOR_MARKET_NOTES
-    if _same_market(market, datasets.job_market()):
-        return datasets.JOB_MARKET_NOTES
+    for instance, notes in _BUNDLED_NOTES:
+        if _same_market(market, instance):
+            return notes
     return ()
 
 
@@ -196,8 +198,5 @@ def cmd_pipeline(market: MarketFile, union_game: BimatrixFile) -> Report:
         },
         "bargaining": bargain_report.payload,
     }
-    notes = []
-    for note in workers_report.notes + enterprises_report.notes + bargain_report.notes:
-        if note not in notes:
-            notes.append(note)
-    return Report(command="pipeline", payload=payload, notes=tuple(notes))
+    # Both assignments are on one market and bargaining adds no notes.
+    return Report(command="pipeline", payload=payload, notes=workers_report.notes)

@@ -13,9 +13,6 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence, Union
 
-# Exact rational scalar used throughout the package.
-Rational = Fraction
-
 RationalLike = Union[int, float, str, Fraction]
 
 # Full enumeration of matchings is refused above this size (8! = 40320 rows
@@ -131,11 +128,6 @@ class Matching:
     @staticmethod
     def identity(n: int) -> Matching:
         return Matching(tuple(range(n)))
-
-
-def matching_from_image(image: Sequence[int]) -> Matching:
-    """Build a Matching from an index sequence, validating bijectivity."""
-    return Matching(tuple(image))
 
 
 def all_matchings(n: int) -> tuple[Matching, ...]:

@@ -82,6 +82,8 @@ def _load_json(data: str | bytes) -> Any:
         return json.loads(data, parse_float=as_rational)
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("input is nested too deeply") from exc
     except ValueError as exc:
         # A decimal past as_rational's bounds, or an integer past the
         # interpreter's int-digit limit.
@@ -275,7 +277,11 @@ def parse_report(data: str | bytes) -> Report:
     command = _require(doc, "command", str, "report")
     payload = _require(doc, "payload", dict, "report")
     notes = _string_list(_require(doc, "notes", list, "report"), "report.notes")
-    return Report(command=command, payload=decode_values(payload), notes=notes)
+    try:
+        payload = decode_values(payload)
+    except RecursionError as exc:
+        raise ParseError("report payload is nested too deeply") from exc
+    return Report(command=command, payload=payload, notes=notes)
 
 
 def _format_scalar(value: Any) -> str:
@@ -308,16 +314,8 @@ def _render_block(lines: list[str], key: str, value: Any, indent: str) -> None:
     elif isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
         lines.append(f"{indent}{key}:")
         for item in value:
-            if all(not isinstance(v, dict) and not _is_grid(v) for v in item.values()):
-                parts = [
-                    f"{k}: {_format_inline(v) if isinstance(v, (list, tuple)) else _format_scalar(v)}"
-                    for k, v in item.items()
-                ]
-                lines.append(indent + "  - " + "; ".join(parts))
-            else:
-                lines.append(indent + "  -")
-                for k, v in item.items():
-                    _render_block(lines, k, v, indent + "    ")
+            parts = [f"{k}: {_format_inline(v)}" for k, v in item.items()]
+            lines.append(indent + "  - " + "; ".join(parts))
     elif _is_grid(value) and all(
         not isinstance(cell, (list, tuple, dict)) for row in value for cell in row
     ):

@@ -187,6 +187,12 @@ class TestExitCodes:
         path.write_text("[1, 2]")
         assert main(["pipeline", "--market", job_market_path, "--union-game", str(path)]) == EXIT_INPUT
 
+    def test_infeasible_disagreement_prints_rationals(self, union_path, capsys):
+        assert main(["bargain", "--game", union_path, "--disagreement", "3/2", "-1/4"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "matchgames: error: disagreement (3/2, -1/4) is not a feasible payoff vector\n"
+        assert "Fraction(" not in err
+
 
 def write_market(tmp_path, a):
     n = len(a)
@@ -202,7 +208,8 @@ def write_market(tmp_path, a):
 
 
 class TestOversizeNumbers:
-    """Numbers too large to parse or print end in exit 1, never a traceback."""
+    """Numbers too large to parse or print, and input nested too deep, end in
+    exit 1, never a traceback."""
 
     def assert_input_error(self, argv, capsys):
         code = main(argv)
@@ -236,6 +243,18 @@ class TestOversizeNumbers:
     @pytest.mark.parametrize("value", ["1e5000", "abc"])
     def test_bad_disagreement(self, union_path, value, capsys):
         self.assert_input_error(["bargain", "--game", union_path, "--disagreement", value, "0"], capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assign", "--side", "workers", "--market"],
+            ["bargain", "--game"],
+        ],
+    )
+    def test_deeply_nested_json(self, tmp_path, argv, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        self.assert_input_error(argv + [str(path)], capsys)
 
     def test_total_past_print_limit(self, tmp_path, capsys):
         # Each 1/q fits the literal bound; the total's denominator, their

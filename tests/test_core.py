@@ -13,7 +13,6 @@ from matchgames import (
     all_matchings,
     as_rational,
     format_rational,
-    matching_from_image,
 )
 
 
@@ -69,34 +68,34 @@ class TestRationalArithmetic:
 
 class TestMatching:
     def test_identity(self):
-        assert matching_from_image([0, 1, 2]) == Matching.identity(3)
+        assert Matching(tuple([0, 1, 2])) == Matching.identity(3)
 
     def test_known_image(self):
-        m = matching_from_image([0, 2, 1])
+        m = Matching(tuple([0, 2, 1]))
         assert m[1] == 2 and m[2] == 1
 
     def test_duplicate_rejected(self):
         with pytest.raises(NotAPermutation):
-            matching_from_image([0, 0, 1])
+            Matching(tuple([0, 0, 1]))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(NotAPermutation):
-            matching_from_image([0, 3, 1])
+            Matching(tuple([0, 3, 1]))
         with pytest.raises(NotAPermutation):
-            matching_from_image([])
+            Matching(tuple([]))
 
     def test_inverse_identity(self):
         identity = Matching.identity(4)
         assert identity.inverse() == identity
 
     def test_inverse_transposition_is_self(self):
-        m = matching_from_image([1, 0, 2])
+        m = Matching(tuple([1, 0, 2]))
         assert m.inverse() == m
 
     def test_inverse_three_cycle(self):
-        m = matching_from_image([1, 2, 0])
+        m = Matching(tuple([1, 2, 0]))
         inv = m.inverse()
-        assert inv == matching_from_image([2, 0, 1])
+        assert inv == Matching(tuple([2, 0, 1]))
         assert compose(m, inv) == Matching.identity(3)
 
     @given(st.permutations(list(range(6))))

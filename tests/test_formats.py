@@ -238,3 +238,8 @@ class TestReports:
             parse_report("{oops")
         with pytest.raises(SchemaError):
             parse_report('{"command": "assign"}')
+
+    def test_parse_report_rejects_deep_payload(self):
+        payload = "[" * 500 + "]" * 500
+        with pytest.raises(ParseError):
+            parse_report('{"command": "game", "notes": [], "payload": {"deep": ' + payload + "}}")
