@@ -25,8 +25,7 @@ DATA = Path(__file__).parent / "data" / "labor_market.json"
 
 
 def main():
-    market = parse_market(DATA.read_text())
-    instance = market.to_instance()
+    instance = parse_market(DATA.read_text())
     table = build_table(instance)
 
     print("payoff table (players: workers 1..3, then the enterprise matched to each worker):")

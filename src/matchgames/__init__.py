@@ -53,7 +53,6 @@ from .core import (
 )
 from .formats import (
     BimatrixFile,
-    MarketFile,
     ParseError,
     RenderMode,
     Report,

@@ -52,7 +52,7 @@ def _integer_costs(matrix: UtilityMatrix, objective: Objective) -> list[list[int
     Maximize is reduced to Minimize via max(entries) - entry.
     """
     den = matrix.common_denominator()
-    scaled = [[int(v * den) for v in row] for row in matrix.entries]
+    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in matrix.entries]
     if objective is Objective.MAXIMIZE:
         top = max(max(row) for row in scaled)
         return [[top - v for v in row] for row in scaled]

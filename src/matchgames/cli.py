@@ -91,6 +91,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one tree serves every call.
+_PARSER = _build_parser()
+
+
 def _read(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
@@ -113,9 +117,8 @@ def _run(args: argparse.Namespace) -> Report:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         rendered = render_report(_run(args), RenderMode(args.output))
     except _UsageError as exc:
         print(f"matchgames: error: {exc}", file=sys.stderr)

@@ -22,8 +22,8 @@ from .bargaining import (
     bargain,
     nash_solution,
 )
-from .core import GameInstance, Matching, RationalLike, as_rational
-from .formats import BimatrixFile, MarketFile, Report
+from .core import GameInstance, RationalLike, UtilityMatrix, as_rational
+from .formats import BimatrixFile, Report
 from .situations import (
     EQUILIBRIUM_ENUMERATION_CAP,
     build_table,
@@ -39,7 +39,7 @@ class Side(Enum):
     ENTERPRISES = "enterprises"
 
 
-def _same_market(market: MarketFile, instance: GameInstance) -> bool:
+def _same_market(market: GameInstance, instance: GameInstance) -> bool:
     return (
         market.worker_utilities.entries == instance.worker_utilities.entries
         and market.enterprise_utilities.entries == instance.enterprise_utilities.entries
@@ -53,7 +53,7 @@ _BUNDLED_NOTES = (
 )
 
 
-def _dataset_notes(market: MarketFile) -> tuple[str, ...]:
+def _dataset_notes(market: GameInstance) -> tuple[str, ...]:
     for instance, notes in _BUNDLED_NOTES:
         if _same_market(market, instance):
             return notes
@@ -68,8 +68,20 @@ def _assignment_grid(result: AssignmentResult) -> list[list[int]]:
     return grid
 
 
+def _assignment_payload(side: Side, matrix: UtilityMatrix, result: AssignmentResult) -> dict:
+    return {
+        "side": side.value,
+        "objective": result.objective.value,
+        "row_labels": list(matrix.row_labels),
+        "col_labels": list(matrix.col_labels),
+        "matching": list(result.matching.image),
+        "assignment_grid": _assignment_grid(result),
+        "total": result.total_value,
+    }
+
+
 def cmd_assign(
-    market: MarketFile,
+    market: GameInstance,
     side: Side,
     objective: Objective = Objective.MAXIMIZE,
 ) -> Report:
@@ -79,31 +91,22 @@ def cmd_assign(
     else:
         matrix = market.enterprise_utilities
     result = solve_hungarian(matrix, objective)
-    payload = {
-        "side": side.value,
-        "objective": objective.value,
-        "row_labels": list(matrix.row_labels),
-        "col_labels": list(matrix.col_labels),
-        "matching": list(result.matching.image),
-        "assignment_grid": _assignment_grid(result),
-        "total": result.total_value,
-    }
+    payload = _assignment_payload(side, matrix, result)
     return Report(command="assign", payload=payload, notes=_dataset_notes(market))
 
 
-def cmd_game(market: MarketFile) -> Report:
+def cmd_game(market: GameInstance) -> Report:
     """Full situation-table analysis: payoffs, ideal point, compromise set,
     least-satisfied players, and an equilibrium verification summary."""
-    instance = market.to_instance()
-    table = build_table(instance)
+    table = build_table(market)
     ideal = ideal_point(table)
     compromise = compromise_set(table)
     least = []
     for member in compromise.members:
         player, payoff = least_satisfied(table, member)
         least.append({"situation": list(member.image), "player": player, "payoff": payoff})
-    if instance.n <= EQUILIBRIUM_ENUMERATION_CAP:
-        equilibria = enumerate_equilibria(instance)
+    if market.n <= EQUILIBRIUM_ENUMERATION_CAP:
+        equilibria = enumerate_equilibria(market)
         equilibrium_summary = {
             "enumerated": True,
             "situation_count": len(table.rows),
@@ -117,9 +120,9 @@ def cmd_game(market: MarketFile) -> Report:
             "reason": f"market size above the equilibrium enumeration cap ({EQUILIBRIUM_ENUMERATION_CAP})",
         }
     payload = {
-        "n": instance.n,
-        "workers": list(market.workers),
-        "enterprises": list(market.enterprises),
+        "n": market.n,
+        "workers": list(market.worker_utilities.row_labels),
+        "enterprises": list(market.worker_utilities.col_labels),
         "situations": [
             {"image": list(matching.image), "payoffs": list(profile)}
             for matching, profile in table.rows
@@ -179,18 +182,16 @@ def cmd_bargain(
     return Report(command="bargain", payload=_bargain_payload(bimatrix, outcome))
 
 
-def cmd_pipeline(market: MarketFile, union_game: BimatrixFile) -> Report:
+def cmd_pipeline(market: GameInstance, union_game: BimatrixFile) -> Report:
     """The three-stage workflow: solve both assignment problems, diagnose the
     mismatch, then arbitrate the union-level game."""
-    workers_report = cmd_assign(market, Side.WORKERS)
-    enterprises_report = cmd_assign(market, Side.ENTERPRISES)
-    workers_matching = Matching(tuple(workers_report.payload["matching"]))
-    enterprises_matching = Matching(tuple(enterprises_report.payload["matching"]))
-    mismatch = compare_assignments(workers_matching, enterprises_matching)
+    a, b = market.worker_utilities, market.enterprise_utilities
+    workers, enterprises = solve_hungarian(a), solve_hungarian(b)
+    mismatch = compare_assignments(workers.matching, enterprises.matching)
     bargain_report = cmd_bargain(union_game)
     payload = {
-        "workers_assignment": workers_report.payload,
-        "enterprises_assignment": enterprises_report.payload,
+        "workers_assignment": _assignment_payload(Side.WORKERS, a, workers),
+        "enterprises_assignment": _assignment_payload(Side.ENTERPRISES, b, enterprises),
         "mismatch": {
             "workers": list(mismatch),
             "count": len(mismatch),
@@ -198,5 +199,4 @@ def cmd_pipeline(market: MarketFile, union_game: BimatrixFile) -> Report:
         },
         "bargaining": bargain_report.payload,
     }
-    # Both assignments are on one market and bargaining adds no notes.
-    return Report(command="pipeline", payload=payload, notes=workers_report.notes)
+    return Report(command="pipeline", payload=payload, notes=_dataset_notes(market))

@@ -39,30 +39,6 @@ class ReportTooLarge(MatchGamesError):
 
 
 @dataclass(frozen=True)
-class MarketFile:
-    """A bilateral market file: labels plus the two utility grids.
-
-    A is worker-row by enterprise-column; B is enterprise-row by
-    worker-column, exactly as stored on disk.
-    """
-
-    workers: tuple[str, ...]
-    enterprises: tuple[str, ...]
-    worker_utilities: UtilityMatrix
-    enterprise_utilities: UtilityMatrix
-
-    @property
-    def n(self) -> int:
-        return self.worker_utilities.n
-
-    def to_instance(self) -> GameInstance:
-        return GameInstance(
-            worker_utilities=self.worker_utilities,
-            enterprise_utilities=self.enterprise_utilities,
-        )
-
-
-@dataclass(frozen=True)
 class BimatrixFile:
     """A two-player game file: outcome labels plus the payoff-pair grid."""
 
@@ -137,8 +113,12 @@ def _rational_grid(values: Any, n: int, where: str) -> tuple[tuple[Fraction, ...
     return tuple(rows)
 
 
-def parse_market(data: str | bytes) -> MarketFile:
-    """Parse and validate a market file; ParseError / SchemaError on bad input."""
+def parse_market(data: str | bytes) -> GameInstance:
+    """Parse and validate a market file; ParseError / SchemaError on bad input.
+
+    The labels travel on the matrices: workers are the row labels of the
+    worker utilities A, enterprises its column labels.
+    """
     doc = _load_json(data)
     workers = _label_list(_require(doc, "workers", list, "market"), "market.workers")
     enterprises = _label_list(_require(doc, "enterprises", list, "market"), "market.enterprises")
@@ -149,9 +129,7 @@ def parse_market(data: str | bytes) -> MarketFile:
         raise SchemaError(f"market: {n} workers but {len(enterprises)} enterprises")
     a = _rational_grid(_require(doc, "A", list, "market"), n, "market.A")
     b = _rational_grid(_require(doc, "B", list, "market"), n, "market.B")
-    return MarketFile(
-        workers=workers,
-        enterprises=enterprises,
+    return GameInstance(
         worker_utilities=UtilityMatrix(entries=a, row_labels=workers, col_labels=enterprises),
         enterprise_utilities=UtilityMatrix(entries=b, row_labels=enterprises, col_labels=workers),
     )
@@ -185,11 +163,11 @@ def parse_bimatrix(data: str | bytes) -> BimatrixFile:
     return BimatrixFile(row_labels=row_labels, col_labels=col_labels, game=BimatrixGame(payoffs=tuple(grid)))
 
 
-def render_market(market: MarketFile) -> str:
-    """Serialize a market file back to canonical JSON (round-trips exactly)."""
+def render_market(market: GameInstance) -> str:
+    """Serialize a market back to canonical JSON (round-trips exactly)."""
     doc = {
-        "workers": list(market.workers),
-        "enterprises": list(market.enterprises),
+        "workers": list(market.worker_utilities.row_labels),
+        "enterprises": list(market.worker_utilities.col_labels),
         "A": encode_values(market.worker_utilities.entries),
         "B": encode_values(market.enterprise_utilities.entries),
     }

@@ -107,9 +107,17 @@ class CompromiseResult:
 def compromise_set(table: SituationTable) -> CompromiseResult:
     """Situations minimizing max_i (ideal_i - payoff_i); all ties included."""
     ideal = ideal_point(table).values
+    a = table.instance.worker_utilities.entries
+    b = table.instance.enterprise_utilities.entries
+    n = table.n
+    # Worker i and the enterprise matched to i are paid A[i][p(i)] and
+    # B[p(i)][i], so a row's max regret is the max of its n pair regrets.
+    pair = [
+        [max(ideal[i] - a[i][j], ideal[n + i] - b[j][i]) for j in range(n)]
+        for i in range(n)
+    ]
     max_regrets = tuple(
-        max(ideal[i] - profile[i] for i in range(table.player_count))
-        for _, profile in table.rows
+        max(row[j] for row, j in zip(pair, matching.image)) for matching, _ in table.rows
     )
     optimum = min(max_regrets)
     members = tuple(

@@ -3,10 +3,22 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from matchgames import DisagreementPoint, nash_solution, parse_bimatrix, parse_report
+from matchgames import (
+    DisagreementPoint,
+    RenderMode,
+    Side,
+    cmd_assign,
+    cmd_bargain,
+    nash_solution,
+    parse_bimatrix,
+    parse_market,
+    parse_report,
+    render_report,
+)
 from matchgames.cli import EXIT_INPUT, EXIT_OK, EXIT_SIZE, main
 
 
@@ -148,6 +160,43 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "solution: 4, 4" in out
+
+
+class TestConsecutiveCalls:
+    """The parser is built once; no call's options leak into the next."""
+
+    def test_minimize_then_default_maximizes(self, job_market_path, capsys):
+        argv = ["assign", "--market", job_market_path, "--side", "workers"]
+        assert run_machine(argv + ["--minimize"], capsys)[0] == EXIT_OK
+        code, out = run_machine(argv, capsys)
+        assert code == EXIT_OK
+        market = parse_market(Path(job_market_path).read_bytes())
+        assert out == render_report(cmd_assign(market, Side.WORKERS), RenderMode.MACHINE)
+        assert parse_report(out).payload["objective"] == "maximize"
+
+    def test_disagreement_then_maximin(self, tmp_path, capsys):
+        # Negative payoffs make the point (1, -1/4) feasible.
+        doc = json.dumps({
+            "row_labels": ["r1", "r2"],
+            "col_labels": ["c1", "c2"],
+            "payoffs": [[[6, 2], [0, -1]], [[-1, 0], [2, 6]]],
+        })
+        path = tmp_path / "signed.json"
+        path.write_text(doc)
+        code, _ = run_machine(["bargain", "--game", str(path), "--disagreement", "1", "-1/4"], capsys)
+        assert code == EXIT_OK
+        code, out = run_machine(["bargain", "--game", str(path)], capsys)
+        assert code == EXIT_OK
+        expected = cmd_bargain(parse_bimatrix(doc))
+        assert out == render_report(expected, RenderMode.MACHINE)
+        assert parse_report(out).payload["maximin"] is not None
+
+    def test_out_then_stdout(self, union_path, tmp_path, capsys):
+        out_file = tmp_path / "report.json"
+        assert main(["bargain", "--game", union_path, "--out", str(out_file)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(["bargain", "--game", union_path]) == EXIT_OK
+        assert capsys.readouterr().out == out_file.read_text()
 
 
 class TestExitCodes:

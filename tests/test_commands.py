@@ -1,7 +1,19 @@
 import json
 import random
 
-from matchgames import Side, cmd_assign, cmd_game, cmd_pipeline, parse_bimatrix, parse_market
+import pytest
+
+from matchgames import (
+    RenderMode,
+    Side,
+    cmd_assign,
+    cmd_game,
+    cmd_pipeline,
+    datasets,
+    parse_bimatrix,
+    parse_market,
+    render_report,
+)
 from matchgames.datasets import JOB_MARKET_NOTES, LABOR_MARKET_NOTES
 
 
@@ -43,3 +55,22 @@ class TestReportNotes:
 
     def test_game_on_labor_market_notes(self, demo_data_dir):
         assert cmd_game(read_market(demo_data_dir, "labor_market")).notes == LABOR_MARKET_NOTES
+
+
+@pytest.mark.parametrize("name", ["labor_market", "job_market"])
+class TestOneMarketType:
+    """A parsed market file is the GameInstance the datasets module builds."""
+
+    def test_parsed_file_equals_dataset(self, demo_data_dir, name):
+        assert read_market(demo_data_dir, name) == getattr(datasets, name)()
+
+    def test_commands_render_alike(self, demo_data_dir, name):
+        parsed = read_market(demo_data_dir, name)
+        built = getattr(datasets, name)()
+        union = parse_bimatrix((demo_data_dir / "union_game.json").read_text())
+        for mode in RenderMode:
+            pairs = [(cmd_game(parsed), cmd_game(built))]
+            pairs += [(cmd_assign(parsed, side), cmd_assign(built, side)) for side in Side]
+            pairs.append((cmd_pipeline(parsed, union), cmd_pipeline(built, union)))
+            for from_file, from_dataset in pairs:
+                assert render_report(from_file, mode) == render_report(from_dataset, mode)

@@ -7,7 +7,6 @@ import pytest
 
 from matchgames import (
     BimatrixFile,
-    MarketFile,
     ParseError,
     RenderMode,
     Report,
@@ -66,7 +65,7 @@ class TestParseMarket:
     def test_reference_market(self):
         market = parse_market(MARKET_DOC)
         assert market.n == 3
-        assert market.workers == ("s1", "s2", "s3")
+        assert market.worker_utilities.row_labels == ("s1", "s2", "s3")
         assert market.worker_utilities.entry(0, 0) == 76
         assert market.enterprise_utilities.entry(2, 1) == 85
 

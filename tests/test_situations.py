@@ -344,6 +344,21 @@ class TestClosedFormsAgainstTable:
         assert ideal_point(table).values == tuple(max(column) for column in zip(*profiles))
 
     @settings(max_examples=60, deadline=None)
+    @given(instances(max_n=6))
+    def test_regret_by_situation_is_the_per_player_max(self, instance):
+        table = build_table(instance)
+        ideal = ideal_point(table).values
+        regrets = tuple(
+            max(ideal[i] - profile[i] for i in range(2 * instance.n)) for _, profile in table.rows
+        )
+        result = compromise_set(table)
+        assert result.regret_by_situation == regrets
+        assert result.optimal_regret == min(regrets)
+        assert result.members == tuple(
+            matching for (matching, _), r in zip(table.rows, regrets) if r == min(regrets)
+        )
+
+    @settings(max_examples=60, deadline=None)
     @given(instances(max_n=5))
     def test_profile_for_is_the_row_of_the_matching(self, instance):
         table = build_table(instance)
