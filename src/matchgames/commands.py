@@ -28,9 +28,7 @@ from .situations import (
     EQUILIBRIUM_ENUMERATION_CAP,
     build_table,
     compromise_set,
-    enumerate_equilibria,
     ideal_point,
-    least_satisfied,
 )
 
 
@@ -101,17 +99,17 @@ def cmd_game(market: GameInstance) -> Report:
     table = build_table(market)
     ideal = ideal_point(table)
     compromise = compromise_set(table)
-    least = []
-    for member in compromise.members:
-        player, payoff = least_satisfied(table, member)
-        least.append({"situation": list(member.image), "player": player, "payoff": payoff})
+    least = [
+        {"situation": list(member.image), "player": player, "payoff": payoff}
+        for member, (player, payoff) in zip(compromise.members, compromise.least_satisfied)
+    ]
     if market.n <= EQUILIBRIUM_ENUMERATION_CAP:
-        equilibria = enumerate_equilibria(market)
+        equilibrium_count = len(table.equilibria())
         equilibrium_summary = {
             "enumerated": True,
             "situation_count": len(table.rows),
-            "equilibrium_count": len(equilibria),
-            "all_situations_equilibria": len(equilibria) == len(table.rows),
+            "equilibrium_count": equilibrium_count,
+            "all_situations_equilibria": equilibrium_count == len(table.rows),
         }
     else:
         equilibrium_summary = {

@@ -259,6 +259,9 @@ def parse_report(data: str | bytes) -> Report:
         payload = decode_values(payload)
     except RecursionError as exc:
         raise ParseError("report payload is nested too deeply") from exc
+    except ValueError as exc:
+        # A "p/q" part past the interpreter's int-digit limit.
+        raise ParseError(f"report has an oversize number: {exc}") from exc
     return Report(command=command, payload=payload, notes=notes)
 
 

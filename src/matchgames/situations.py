@@ -55,16 +55,21 @@ class SituationTable:
     def n(self) -> int:
         return self.instance.n
 
-    @property
-    def player_count(self) -> int:
-        return 2 * self.instance.n
-
     def profile_for(self, matching: Matching) -> tuple[Fraction, ...]:
         # Every matching of size n is a row, so its profile is computed
         # directly; only a matching of another size is missing.
         if matching.n != self.n:
             raise MatchingNotInTable(f"matching {matching.image} is not a row of this table")
         return situation_payoffs(self.instance, matching)
+
+    def equilibria(self) -> tuple[Matching, ...]:
+        """Matchings of the rows that are Nash equilibria, in row order.
+
+        Sign rule: any unilateral deviation breaks consistency and pays the
+        deviator 0, so a situation is an equilibrium iff none of its 2n
+        payoffs is below 0, or n = 1 and nobody has a choice to change.
+        """
+        return tuple(m for m, profile in self.rows if self.n == 1 or min(profile) >= 0)
 
 
 def build_table(instance: GameInstance) -> SituationTable:
@@ -102,6 +107,7 @@ class CompromiseResult:
     optimal_regret: Fraction
     members: tuple[Matching, ...]
     regret_by_situation: tuple[Fraction, ...]  # max regret per table row, row order
+    least_satisfied: tuple[tuple[int, Fraction], ...]  # (player, payoff) per member
 
 
 def compromise_set(table: SituationTable) -> CompromiseResult:
@@ -111,24 +117,25 @@ def compromise_set(table: SituationTable) -> CompromiseResult:
     b = table.instance.enterprise_utilities.entries
     n = table.n
     # Worker i and the enterprise matched to i are paid A[i][p(i)] and
-    # B[p(i)][i], so a row's max regret is the max of its n pair regrets.
-    pair = [
-        [max(ideal[i] - a[i][j], ideal[n + i] - b[j][i]) for j in range(n)]
-        for i in range(n)
-    ]
-    max_regrets = tuple(
-        max(row[j] for row, j in zip(pair, matching.image)) for matching, _ in table.rows
-    )
-    optimum = min(max_regrets)
-    members = tuple(
-        matching
-        for (matching, _), regret in zip(table.rows, max_regrets)
-        if regret == optimum
-    )
+    # B[p(i)][i], so the 2n^2 player regrets cover every situation.  Rows
+    # are scanned on the ranks of their distinct values, as ints.
+    regrets = [[ideal[i] - a[i][j] for j in range(n)] for i in range(n)]
+    regrets += [[ideal[n + i] - b[j][i] for j in range(n)] for i in range(n)]
+    values = sorted(set().union(*regrets))
+    rank = {value: r for r, value in enumerate(values)}
+    ranks = [[rank[value] for value in line] for line in regrets]
+    pair = [list(map(max, ranks[i], ranks[n + i])) for i in range(n)]
+    max_ranks = [max(map(list.__getitem__, pair, m.image)) for m, _ in table.rows]
+    optimum = min(max_ranks)
+    members = tuple(m for (m, _), r in zip(table.rows, max_ranks) if r == optimum)
+    # A member's worst regret is the optimum, so its least-satisfied player
+    # is the lowest-index player at that rank, paid their ideal minus it.
+    players = [[line[j] for line, j in zip(ranks, m.image * 2)].index(optimum) for m in members]
     return CompromiseResult(
-        optimal_regret=optimum,
+        optimal_regret=values[optimum],
         members=members,
-        regret_by_situation=max_regrets,
+        regret_by_situation=tuple(values[r] for r in max_ranks),
+        least_satisfied=tuple((p, ideal[p] - values[optimum]) for p in players),
     )
 
 
@@ -139,9 +146,8 @@ def least_satisfied(table: SituationTable, matching: Matching) -> tuple[int, Fra
     the matching is not a row of the table.
     """
     profile = table.profile_for(matching)
-    ideal = ideal_point(table).values
-    regrets = [ideal[i] - profile[i] for i in range(table.player_count)]
-    player = max(range(table.player_count), key=lambda i: (regrets[i], -i))
+    regrets = [best - paid for best, paid in zip(ideal_point(table).values, profile)]
+    player = regrets.index(max(regrets))
     return player, profile[player]
 
 
@@ -263,11 +269,4 @@ def enumerate_equilibria(instance: GameInstance) -> tuple[StrategyProfile, ...]:
         raise SizeTooLarge(
             f"equilibrium enumeration refuses n={instance.n} (cap is {EQUILIBRIUM_ENUMERATION_CAP})"
         )
-    # Sign rule: any unilateral deviation breaks consistency and pays the
-    # deviator 0, so a situation is an equilibrium iff none of its 2n
-    # payoffs is below 0, or n = 1 and nobody has a choice to change.
-    return tuple(
-        StrategyProfile.from_matching(matching)
-        for matching in all_matchings(instance.n)
-        if instance.n == 1 or min(situation_payoffs(instance, matching)) >= 0
-    )
+    return tuple(StrategyProfile.from_matching(m) for m in build_table(instance).equilibria())

@@ -1,14 +1,19 @@
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchgames import (
     DisagreementPoint,
+    MatchGamesError,
     RenderMode,
     Side,
     cmd_assign,
@@ -316,6 +321,90 @@ class TestOversizeNumbers:
             self.assert_input_error(
                 ["assign", "--market", path, "--side", "workers", "--output", mode], capsys
             )
+
+
+# Short literals of every accepted kind, and the characters most likely to
+# break JSON, numbers and argument parsing when spliced into a document;
+# "\udcff" is written as the invalid UTF-8 byte 0xff.  No "h", so no
+# spliced argument can spell --help.
+short_cells = st.one_of(
+    st.integers(-9, 99), st.sampled_from(["1/2", "-3/4", "0.5", "-2.25", "2e3", "1e-3"])
+)
+JUNK = '[]{}",:-/.0123456789eE nul\\\u00e9\x00\udcff'
+
+
+def as_bytes(text):
+    return text.encode("utf-8", "surrogateescape")
+
+
+@st.composite
+def spliced(draw, text):
+    start = draw(st.integers(0, len(text)))
+    stop = draw(st.integers(start, min(len(text), start + 4)))
+    return text[:start] + draw(st.text(JUNK, max_size=6)) + text[stop:]
+
+
+@st.composite
+def hostile_files(draw):
+    n = draw(st.integers(1, 4))
+    grid = st.lists(st.lists(short_cells, min_size=n, max_size=n), min_size=n, max_size=n)
+    market = json.dumps(
+        {
+            "workers": [f"w{i}" for i in range(n)],
+            "enterprises": [f"e{i}" for i in range(n)],
+            "A": draw(grid),
+            "B": draw(grid),
+        }
+    )
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pair = st.lists(short_cells, min_size=2, max_size=2)
+    bimatrix = json.dumps(
+        {
+            "row_labels": [f"r{i}" for i in range(rows)],
+            "col_labels": [f"c{j}" for j in range(cols)],
+            "payoffs": draw(
+                st.lists(
+                    st.lists(pair, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+                )
+            ),
+        }
+    )
+    report = render_report(cmd_assign(parse_market(market), Side.WORKERS))
+    disagreement = draw(st.lists(st.text(JUNK, min_size=1, max_size=4), min_size=2, max_size=2))
+    return draw(spliced(market)), draw(spliced(bimatrix)), draw(spliced(report)), disagreement
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@settings(max_examples=200, deadline=None)
+@given(files=hostile_files())
+def test_hostile_input_ends_in_a_report_or_a_matchgames_error(hostile_dir, files):
+    """Junk spliced into market, bimatrix and report files: every subcommand
+    in both modes exits 0, 1 or 2, and parse_report raises only
+    MatchGamesError."""
+    market, bimatrix, report, disagreement = files
+    market_path, game_path = hostile_dir / "market.json", hostile_dir / "game.json"
+    market_path.write_bytes(as_bytes(market))
+    game_path.write_bytes(as_bytes(bimatrix))
+    commands = [
+        ["assign", "--market", str(market_path), "--side", "workers"],
+        ["assign", "--market", str(market_path), "--side", "enterprises", "--minimize"],
+        ["game", "--market", str(market_path)],
+        ["bargain", "--game", str(game_path)],
+        ["bargain", "--game", str(game_path), "--disagreement", *disagreement],
+        ["pipeline", "--market", str(market_path), "--union-game", str(game_path)],
+    ]
+    for argv in commands:
+        for mode in ("text", "machine"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv + ["--output", mode]) in (EXIT_OK, EXIT_INPUT, EXIT_SIZE)
+    try:
+        parse_report(as_bytes(report))
+    except MatchGamesError:
+        pass
 
 
 def test_module_entry_point(demo_data_dir):

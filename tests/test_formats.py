@@ -242,3 +242,11 @@ class TestReports:
         payload = "[" * 500 + "]" * 500
         with pytest.raises(ParseError):
             parse_report('{"command": "game", "notes": [], "payload": {"deep": ' + payload + "}}")
+
+    def test_parse_report_rejects_oversize_number(self):
+        doc = '{"command": "x", "notes": [], "payload": {"v": "%s"}}'
+        with pytest.raises(ParseError, match="oversize number"):
+            parse_report(doc % ("1/" + "9" * 5000))
+        # Parts past as_rational's 1000-character literal bound still parse.
+        big = parse_report(doc % ("7" * 600 + "/" + "3" * 600)).payload["v"]
+        assert big == Fraction(int("7" * 600), int("3" * 600))

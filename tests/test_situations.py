@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchgames import (
+    EQUILIBRIUM_ENUMERATION_CAP,
     GameInstance,
     MalformedProfile,
     Matching,
@@ -16,6 +17,7 @@ from matchgames import (
     UtilityMatrix,
     all_matchings,
     build_table,
+    cmd_game,
     compromise_set,
     enumerate_equilibria,
     ideal_point,
@@ -377,3 +379,29 @@ class TestClosedFormsAgainstTable:
         consistent = [StrategyProfile.from_matching(m) for m in all_matchings(instance.n)]
         expected = tuple(p for p in consistent if verify_nash(instance, p).equilibrium)
         assert enumerate_equilibria(instance) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_n=6))
+    def test_least_satisfied_per_member_is_the_per_situation_scan(self, instance):
+        table = build_table(instance)
+        result = compromise_set(table)
+        assert result.least_satisfied == tuple(least_satisfied(table, m) for m in result.members)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_n=6))
+    def test_game_counts_the_enumerated_equilibria(self, instance):
+        summary = cmd_game(instance).payload["equilibria"]
+        if instance.n > EQUILIBRIUM_ENUMERATION_CAP:
+            assert summary["enumerated"] is False
+        else:
+            assert summary["equilibrium_count"] == len(enumerate_equilibria(instance))
+
+    def test_all_equal_market_names_worker_zero_in_every_member(self):
+        v = Fraction(7, 2)
+        grid = [[v] * 4 for _ in range(4)]
+        table = build_table(
+            GameInstance(UtilityMatrix.from_rows(grid), UtilityMatrix.from_rows(grid))
+        )
+        result = compromise_set(table)
+        assert result.members == tuple(all_matchings(4))
+        assert result.least_satisfied == ((0, v),) * 24
