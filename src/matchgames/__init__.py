@@ -40,6 +40,7 @@ from .bargaining import (
 from .commands import Side, cmd_assign, cmd_bargain, cmd_game, cmd_pipeline
 from .core import (
     ENUMERATION_CAP,
+    DenominatorTooLarge,
     DimensionMismatch,
     GameInstance,
     MatchGamesError,

@@ -1,19 +1,19 @@
-"""Optimal assignment solvers: an O(n^3) Hungarian method and an exhaustive oracle.
+"""Optimal assignment solvers: Jonker-Volgenant shortest paths and an exhaustive oracle.
 
-Both solvers share one tie-break contract: among all optimal matchings they
-return the one with the lexicographically smallest image.  The Hungarian
-solver achieves this with an exact integer perturbation; the brute-force
-oracle achieves it independently by scanning permutations in lexicographic
-order, which keeps the two implementations honest against each other.
+Both scale the entries to integers by their common denominator (at most
+MAX_DENOMINATOR_BITS bits) and return the optimal matching with the
+lexicographically smallest image.  solve_hungarian reads it off the tight
+subgraph of its optimal duals, whose perfect matchings are exactly the optimal
+ones; the oracle scans permutations in lexicographic order, independently.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
+from operator import sub
 
 from .core import (
     ENUMERATION_CAP,
@@ -45,99 +45,116 @@ def matching_total(matrix: UtilityMatrix, matching: Matching) -> Fraction:
     return sum((matrix.entry(i, j) for i, j in enumerate(matching.image)), Fraction(0))
 
 
-def _integer_costs(matrix: UtilityMatrix, objective: Objective) -> list[list[int]]:
-    """Scale entries to integers and orient them for minimization.
-
-    Multiplying by the common denominator preserves the optimal set exactly;
-    Maximize is reduced to Minimize via max(entries) - entry.
-    """
+def _integer_costs(matrix: UtilityMatrix, objective: Objective) -> tuple[list[list[int]], int]:
+    """Entries times their common denominator, negated to maximize, and that denominator.
+    Divides once per distinct denominator: near MAX_DENOMINATOR_BITS a division is slow."""
     den = matrix.common_denominator()
-    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in matrix.entries]
-    if objective is Objective.MAXIMIZE:
-        top = max(max(row) for row in scaled)
-        return [[top - v for v in row] for row in scaled]
-    return scaled
+    sign = -1 if objective is Objective.MAXIMIZE else 1
+    factor = {q: sign * (den // q) for q in {v.denominator for row in matrix.entries for v in row}}
+    return [[v.numerator * factor[v.denominator] for v in row] for row in matrix.entries], den
 
 
-def _lex_perturbed(costs: list[list[int]]) -> list[list[int]]:
-    """Add a perturbation that breaks ties toward the lex-smallest image.
+def _shortest_path_assignment(costs: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+    """Jonker-Volgenant: column reduction, then a Dijkstra from each free row.
 
-    Distinct matchings of the integer ``costs`` differ by at least 1, so after
-    multiplying by (n+1)^n the perturbation sum (strictly below (n+1)^n)
-    can never flip a strict comparison.  Among equal-cost matchings it orders
-    them by the image read as a base-(n+1) number, i.e. lexicographically.
+    Returns the image x, its inverse y and the column duals v.  Every row
+    meets its minimum of c[i][j] - v[j] at x[i], so the optimal matchings are
+    the perfect matchings of the columns where it does: the tight subgraph.
     """
     n = len(costs)
-    base = n + 1
-    scale = base**n
-    return [
-        [costs[i][j] * scale + j * base ** (n - 1 - i) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _min_cost_assignment(costs: list[list[int]]) -> list[int]:
-    """Minimum-cost perfect assignment via shortest augmenting paths.
-
-    Classic Hungarian method with row/column potentials, O(n^3); all
-    arithmetic is on Python ints, so the result is exact for any magnitude.
-    Returns the image (row -> column).
-    """
-    n = len(costs)
-    INF = math.inf
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match_row = [0] * (n + 1)  # match_row[j] = 1-based row matched to column j
-    for i in range(1, n + 1):
-        match_row[0] = i
-        j0 = 0
-        min_slack = [INF] * (n + 1)
-        prev_col = [0] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match_row[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = costs[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < min_slack[j]:
-                    min_slack[j] = cur
-                    prev_col[j] = j0
-                if min_slack[j] < delta:
-                    delta = min_slack[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_row[j]] += delta
-                    v[j] -= delta
+    x, y, v = [-1] * n, [-1] * n, []
+    for j, col in enumerate(zip(*costs)):  # each column to its first minimal row, if free
+        v.append(min(col))
+        i = col.index(v[j])
+        if x[i] < 0:
+            x[i], y[j] = j, i
+    for free in [i for i in range(n) if x[i] < 0]:
+        dist, pred = list(map(sub, costs[free], v)), [free] * n
+        todo, scan, done, end = list(range(n)), [], [], -1  # unreached, reached, scanned columns
+        while end < 0:
+            if not scan:  # every column at the least distance is reached at once
+                left = list(map(dist.__getitem__, todo))
+                low = min(left)
+                if left.count(low) == 1:
+                    scan = [todo.pop(left.index(low))]
                 else:
-                    min_slack[j] -= delta
-            j0 = j1
-            if match_row[j0] == 0:
+                    scan = [k for k, d in zip(todo, left) if d == low]
+                    todo = [k for k, d in zip(todo, left) if d != low]
+                end = next((k for k in scan if y[k] < 0), -1)
+                if end >= 0:
+                    break
+            j = scan.pop()
+            done.append(j)
+            i, reached = y[j], len(scan)
+            row, h = costs[i], costs[i][j] - v[j] - low
+            for k in todo:
+                reduced = row[k] - v[k] - h
+                if reduced < dist[k]:
+                    dist[k], pred[k] = reduced, i
+                    if reduced == low:
+                        if y[k] < 0:
+                            end = k
+                            break
+                        scan.append(k)
+            if len(scan) > reached:
+                todo = [k for k in todo if dist[k] != low]
+        for k in done:
+            v[k] += dist[k] - low
+        while end >= 0:  # augment; the free row's old column is -1
+            i = pred[end]
+            y[end], x[i], end = i, end, x[i]
+    return x, y, v
+
+
+def _path_to(tight: list[list[int]], y: list[int], seen: list[int], i: int, start: int, target: int) -> list[int] | None:
+    """Rows of a shortest alternating path (row, tight column, its holder, ...) from row
+    ``start`` to column ``target`` over rows after i unmarked in ``seen``; None if none."""
+    seen[start], parent = i, {start: -1}
+    for r in (queue := [start]):  # breadth first; every row searched is marked
+        if target in tight[r]:
+            rows = []
+            while r >= 0:
+                rows.append(r)
+                r = parent[r]
+            return rows[::-1]
+        for col in tight[r]:
+            if y[col] > i and seen[y[col]] != i:
+                seen[y[col]], parent[y[col]] = i, r
+                queue.append(y[col])
+    return None
+
+
+def _lex_smallest(costs: list[list[int]], x: list[int], y: list[int], v: list[int]) -> list[int]:
+    """Rotate x into the lex-smallest perfect matching of the tight subgraph.
+
+    Row i takes its smallest tight column j < x[i] whose holder reaches x[i] by
+    an alternating path over the later rows, each row on that cycle taking the
+    next one's column.  Rows that fail stay in ``seen`` for all of row i's
+    candidates, so each row costs O(tight edges)."""
+    tight = []
+    for row, j in zip(costs, x):
+        reduced = list(map(sub, row, v))
+        tight.append([k for k, r in enumerate(reduced) if r == reduced[j]])
+    seen = [-1] * len(x)
+    for i, target in enumerate(x):  # x[i] as the earlier rows left it
+        for j in tight[i]:
+            if j >= target:
                 break
-        while j0:
-            j1 = prev_col[j0]
-            match_row[j0] = match_row[j1]
-            j0 = j1
-    image = [0] * n
-    for j in range(1, n + 1):
-        image[match_row[j] - 1] = j - 1
-    return image
+            if y[j] > i and seen[y[j]] != i and (rows := _path_to(tight, y, seen, i, y[j], target)):
+                for r, col in zip([i, *rows], [x[r] for r in rows] + [target]):
+                    x[r], y[col] = col, r
+                break
+    return x
 
 
 def solve_hungarian(matrix: UtilityMatrix, objective: Objective = Objective.MAXIMIZE) -> AssignmentResult:
-    """Optimal assignment on a square rational matrix.
-
-    Exact for any rational entries; ties are broken toward the
-    lexicographically smallest matching image.
-    """
-    costs = _integer_costs(matrix, objective)
-    image = _min_cost_assignment(_lex_perturbed(costs))
-    matching = Matching(tuple(image))
-    return AssignmentResult(matching, matching_total(matrix, matching), objective)
+    """Optimal assignment on a square rational matrix, exact for any rational
+    entries (up to MAX_DENOMINATOR_BITS in the common denominator); ties are
+    broken toward the lexicographically smallest matching image."""
+    costs, den = _integer_costs(matrix, objective)
+    image = _lex_smallest(costs, *_shortest_path_assignment(costs))
+    total = Fraction(sum(map(list.__getitem__, costs, image)), den)
+    return AssignmentResult(Matching(tuple(image)), total if objective is Objective.MINIMIZE else -total, objective)
 
 
 def solve_bruteforce(matrix: UtilityMatrix, objective: Objective = Objective.MAXIMIZE) -> AssignmentResult:
@@ -145,12 +162,12 @@ def solve_bruteforce(matrix: UtilityMatrix, objective: Objective = Objective.MAX
 
     Scans all n! images of the same integer costs in lexicographic order,
     keeping a candidate only on strict improvement, which yields the same
-    lex-smallest tie-break as solve_hungarian without its perturbation.
+    lex-smallest tie-break as solve_hungarian without its tight subgraph.
     """
     n = matrix.n
     if n > ENUMERATION_CAP:
         raise SizeTooLarge(f"brute force refuses n={n} (cap is {ENUMERATION_CAP})")
-    costs = _integer_costs(matrix, objective)
+    costs, _ = _integer_costs(matrix, objective)
     best_image, best_cost = None, None
     for image in permutations(range(n)):
         cost = sum(costs[i][j] for i, j in enumerate(image))

@@ -25,6 +25,9 @@ ENUMERATION_CAP = 8
 MAX_LITERAL_LENGTH = 1000
 MAX_LITERAL_EXPONENT = 1000
 
+# Exact assignment multiplies a matrix by its common denominator, where distinct denominators' bits add up.
+MAX_DENOMINATOR_BITS = 32768
+
 
 class MatchGamesError(Exception):
     """Base class for all errors raised by this package."""
@@ -40,6 +43,10 @@ class SizeTooLarge(MatchGamesError):
 
 class DimensionMismatch(MatchGamesError):
     """Two objects that must share a size do not."""
+
+
+class DenominatorTooLarge(MatchGamesError):
+    """A matrix's common denominator is longer than MAX_DENOMINATOR_BITS."""
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -204,11 +211,12 @@ class UtilityMatrix:
         )
 
     def common_denominator(self) -> int:
-        """Least common multiple of all entry denominators."""
+        """Least common multiple of all entry denominators, up to MAX_DENOMINATOR_BITS."""
         den = 1
-        for row in self.entries:
-            for v in row:
-                den = den * v.denominator // math.gcd(den, v.denominator)
+        for q in {v.denominator for row in self.entries for v in row}:
+            den = math.lcm(den, q)
+            if den.bit_length() > MAX_DENOMINATOR_BITS:
+                raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")
         return den
 
 

@@ -105,11 +105,20 @@ def _rational_cell(value: Any, where: str) -> Fraction:
 def _rational_grid(values: Any, n: int, where: str) -> tuple[tuple[Fraction, ...], ...]:
     if not isinstance(values, list) or len(values) != n:
         raise SchemaError(f"{where}: expected {n} rows")
+    parsed: dict[int | str, Fraction] = {}  # distinct int and str literals only: True is not 1
     rows = []
     for i, row in enumerate(values):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{where}: row {i} must have {n} entries")
-        rows.append(tuple(_rational_cell(v, f"{where}[{i}]") for v in row))
+        cells = []
+        for v in row:
+            if type(v) is not int and type(v) is not str:
+                cells.append(_rational_cell(v, f"{where}[{i}]"))
+                continue
+            if v not in parsed:  # only successes are kept, so each error names its row
+                parsed[v] = _rational_cell(v, f"{where}[{i}]")
+            cells.append(parsed[v])
+        rows.append(tuple(cells))
     return tuple(rows)
 
 

@@ -68,8 +68,11 @@ class SituationTable:
         Sign rule: any unilateral deviation breaks consistency and pays the
         deviator 0, so a situation is an equilibrium iff none of its 2n
         payoffs is below 0, or n = 1 and nobody has a choice to change.
+        Worker i and the enterprise matched to i are paid A[i][j] and B[j][i].
         """
-        return tuple(m for m, profile in self.rows if self.n == 1 or min(profile) >= 0)
+        a, b = self.instance.worker_utilities.entries, self.instance.enterprise_utilities.entries
+        ok = [[a[i][j] >= 0 and b[j][i] >= 0 for j in range(self.n)] for i in range(self.n)]
+        return tuple(m for m, _ in self.rows if self.n == 1 or all(map(list.__getitem__, ok, m.image)))
 
 
 def build_table(instance: GameInstance) -> SituationTable:

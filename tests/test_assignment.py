@@ -1,10 +1,14 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchgames import (
+    AssignmentResult,
     DimensionMismatch,
     Matching,
     Objective,
@@ -15,6 +19,7 @@ from matchgames import (
     solve_bruteforce,
     solve_hungarian,
 )
+from matchgames.assignment import _integer_costs
 from matchgames.datasets import REPORTED_JOB_DISTRIBUTION, job_market
 
 WORKER_EFFICIENCY = [[40, 20, 10], [15, 12, 8], [32, 30, 18]]
@@ -191,3 +196,122 @@ class TestCompareAssignments:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             compare_assignments(Matching((0, 1)), Matching((0, 1, 2)))
+
+
+# The Hungarian path solve_hungarian replaced, kept as its oracle: the
+# O(n^3) method on costs perturbed toward the lex-smallest image.
+
+
+def _lex_perturbed(costs: list[list[int]]) -> list[list[int]]:
+    """Add a perturbation that breaks ties toward the lex-smallest image.
+
+    Distinct matchings of the integer ``costs`` differ by at least 1, so after
+    multiplying by (n+1)^n the perturbation sum (strictly below (n+1)^n)
+    can never flip a strict comparison.  Among equal-cost matchings it orders
+    them by the image read as a base-(n+1) number, i.e. lexicographically.
+    """
+    n = len(costs)
+    base = n + 1
+    scale = base**n
+    return [
+        [costs[i][j] * scale + j * base ** (n - 1 - i) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _min_cost_assignment(costs: list[list[int]]) -> list[int]:
+    """Minimum-cost perfect assignment via shortest augmenting paths.
+
+    Classic Hungarian method with row/column potentials, O(n^3); all
+    arithmetic is on Python ints, so the result is exact for any magnitude.
+    Returns the image (row -> column).
+    """
+    n = len(costs)
+    INF = math.inf
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    match_row = [0] * (n + 1)  # match_row[j] = 1-based row matched to column j
+    for i in range(1, n + 1):
+        match_row[0] = i
+        j0 = 0
+        min_slack = [INF] * (n + 1)
+        prev_col = [0] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match_row[j0]
+            delta = INF
+            j1 = -1
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = costs[i0 - 1][j - 1] - u[i0] - v[j]
+                if cur < min_slack[j]:
+                    min_slack[j] = cur
+                    prev_col[j] = j0
+                if min_slack[j] < delta:
+                    delta = min_slack[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    min_slack[j] -= delta
+            j0 = j1
+            if match_row[j0] == 0:
+                break
+        while j0:
+            j1 = prev_col[j0]
+            match_row[j0] = match_row[j1]
+            j0 = j1
+    image = [0] * n
+    for j in range(1, n + 1):
+        image[match_row[j] - 1] = j - 1
+    return image
+
+
+def perturbed_hungarian(matrix: UtilityMatrix, objective: Objective) -> AssignmentResult:
+    # To maximize, the costs are the negated scaled entries rather than the
+    # maximum minus each; every matching's cost moves by the same n * maximum.
+    image = _min_cost_assignment(_lex_perturbed(_integer_costs(matrix, objective)[0]))
+    matching = Matching(tuple(image))
+    return AssignmentResult(matching, matching_total(matrix, matching), objective)
+
+
+CELLS = {
+    "tie-heavy": lambda rng: rng.randint(0, 2),
+    "negative": lambda rng: rng.randint(-50, 50),
+    "p/q": lambda rng: Fraction(rng.randint(-30, 30), rng.randint(1, 6)),
+}
+
+
+class TestPerturbedHungarianOracle:
+    """solve_hungarian against the perturbed O(n^3) method it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        kind=st.sampled_from(sorted(CELLS)),
+        seed=st.integers(0, 2**32 - 1),
+        objective=st.sampled_from(list(Objective)),
+    )
+    def test_random_matrices(self, n, kind, seed, objective):
+        rng = random.Random(seed)
+        matrix = UtilityMatrix.from_rows([[CELLS[kind](rng) for _ in range(n)] for _ in range(n)])
+        assert solve_hungarian(matrix, objective) == perturbed_hungarian(matrix, objective)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda i, j: 7,
+            lambda i, j: int(i + j == 59),
+            lambda i, j: int(j >= i),
+            lambda i, j: i * j,
+        ],
+        ids=["all-equal", "anti-diagonal", "upper-triangular", "i*j"],
+    )
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_structured_n60(self, entry, objective):
+        matrix = UtilityMatrix.from_rows([[entry(i, j) for j in range(60)] for i in range(60)])
+        assert solve_hungarian(matrix, objective) == perturbed_hungarian(matrix, objective)

@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -321,6 +323,27 @@ class TestOversizeNumbers:
             self.assert_input_error(
                 ["assign", "--market", path, "--side", "workers", "--output", mode], capsys
             )
+
+    def test_long_common_denominator_is_refused_fast(self, tmp_path, capsys):
+        # Distinct 490-digit "p/q" cells are each within the literal bound,
+        # but their common denominator would run to about 650,000 bits.
+        rng = random.Random(20)
+        n = 20
+
+        def cell():
+            return f"{rng.randrange(10**489, 10**490)}/{rng.randrange(10**489, 10**490)}"
+
+        doc = {
+            "workers": [f"w{i}" for i in range(n)],
+            "enterprises": [f"e{i}" for i in range(n)],
+            "A": [[cell() for _ in range(n)] for _ in range(n)],
+            "B": [[cell() for _ in range(n)] for _ in range(n)],
+        }
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        self.assert_input_error(["assign", "--market", str(path), "--side", "workers"], capsys)
+        assert time.perf_counter() - start < 1.0
 
 
 # Short literals of every accepted kind, and the characters most likely to

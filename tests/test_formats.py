@@ -101,6 +101,16 @@ class TestParseMarket:
         with pytest.raises(SchemaError):
             parse_market(json.dumps(doc))
 
+    def test_repeated_literals_parse_once_per_grid(self):
+        # A parsed literal is reused within its grid, but True is not the
+        # integer 1, a list is no key, and an error names the row it is in.
+        doc = '{"workers": ["w0", "w1"], "enterprises": ["e0", "e1"], "A": %s, "B": [[1, 1], [1, 1]]}'
+        market = parse_market(doc % '[[1, "1/2"], ["1/2", 1]]')
+        assert market.worker_utilities.entries == ((1, Fraction(1, 2)), (Fraction(1, 2), 1))
+        for grid, row in [("[[1, 2], [3, true]]", 1), ("[[1, 2], [[1], 1]]", 1), ('[["x", 2], [1, "x"]]', 0)]:
+            with pytest.raises(SchemaError, match=rf"market\.A\[{row}\]"):
+                parse_market(doc % grid)
+
     def test_missing_key_rejected(self):
         with pytest.raises(SchemaError):
             parse_market('{"workers": ["w"], "enterprises": ["e"], "A": [[1]]}')

@@ -375,6 +375,12 @@ class TestClosedFormsAgainstTable:
             enterprise_utilities=UtilityMatrix.from_rows([["2/3"]]),
         )
     )
+    @example(  # one negative cell, B[0][1]: enterprise 0 is paid -1 when matched to worker 1
+        GameInstance(
+            worker_utilities=UtilityMatrix.from_rows([[1] * 3] * 3),
+            enterprise_utilities=UtilityMatrix.from_rows([[1, -1, 1], [1, 1, 1], [1, 1, 1]]),
+        )
+    )
     def test_equilibria_are_the_profiles_passing_the_deviation_scan(self, instance):
         consistent = [StrategyProfile.from_matching(m) for m in all_matchings(instance.n)]
         expected = tuple(p for p in consistent if verify_nash(instance, p).equilibrium)
