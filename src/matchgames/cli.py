@@ -129,14 +129,14 @@ def main(argv: list[str] | None = None) -> int:
     except MatchGamesError as exc:
         print(f"matchgames: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.out:
-        try:
-            Path(args.out).write_text(rendered)
-        except OSError as exc:
-            print(f"matchgames: error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        sys.stdout.write(rendered)
+    try:
+        if args.out:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        else:
+            sys.stdout.write(rendered)  # encodes the whole report before writing any of it
+    except (OSError, UnicodeEncodeError) as exc:
+        print(f"matchgames: error: cannot write {args.out or 'the report to stdout'}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_OK
 
 

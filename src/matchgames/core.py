@@ -88,9 +88,8 @@ def _exponent_too_large(text: str) -> bool:
 
 def format_rational(value: Fraction) -> str:
     """Render a rational as ``"p"`` or ``"p/q"``, never as a decimal."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    p, q = value.as_integer_ratio()
+    return f"{p}" if q == 1 else f"{p}/{q}"
 
 
 @dataclass(frozen=True)

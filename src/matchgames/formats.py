@@ -2,9 +2,14 @@
 
 Input files are JSON.  Numbers may be integers, decimal literals, or "p/q"
 strings; all three parse to exact rationals (decimals are read as printed, so
-0.1 means 1/10).  Machine-readable reports are canonical JSON in which every
-rational is an integer or a "p/q" string, never a decimal, and field order is
-fixed, so identical inputs produce byte-identical output.
+0.1 means 1/10).
+
+Machine output (reports, markets, bimatrix games) is canonical JSON, written
+in one pass: keys sorted, two-space indent with ",\n" and ": " separators,
+"[]" and "{}" for empty containers, strings ASCII-escaped, tuples written as
+lists, and every rational an integer or a "p/q" string, never a decimal.
+Identical inputs therefore produce byte-identical output: the bytes of the
+standard library's key-sorted, indented json.dumps on the encoded values.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .bargaining import BimatrixGame
@@ -172,24 +178,57 @@ def parse_bimatrix(data: str | bytes) -> BimatrixFile:
     return BimatrixFile(row_labels=row_labels, col_labels=col_labels, game=BimatrixGame(payoffs=tuple(grid)))
 
 
+def _json_fraction(value: Fraction) -> str:
+    p, q = value.as_integer_ratio()
+    return f"{p}" if q == 1 else f'"{p}/{q}"'
+
+
+# The JSON text of the scalar types that fill a report; bools, None, floats
+# and subclasses go through _write_json's fallback, which keeps json's rules.
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, Fraction: _json_fraction}
+
+
+def _write_json(value: Any, indent: str = "") -> str:
+    """Canonical JSON text of value (see the module docstring), in one pass."""
+    inner = indent + "  "
+    nested = lambda v: _write_json(v, inner)
+    if isinstance(value, dict):
+        items = [
+            # json's own text for a non-str key: "3" for 3, "null" for None.
+            (encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4])
+            + ": "
+            + _JSON_SCALARS.get(type(v), nested)(v)
+            for k, v in sorted(value.items())
+        ]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_JSON_SCALARS.get(type(v), nested)(v) for v in value]
+        brackets = "[]"
+    else:
+        return _json_fraction(value) if isinstance(value, Fraction) else json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
 def render_market(market: GameInstance) -> str:
     """Serialize a market back to canonical JSON (round-trips exactly)."""
     doc = {
-        "workers": list(market.worker_utilities.row_labels),
-        "enterprises": list(market.worker_utilities.col_labels),
-        "A": encode_values(market.worker_utilities.entries),
-        "B": encode_values(market.enterprise_utilities.entries),
+        "workers": market.worker_utilities.row_labels,
+        "enterprises": market.worker_utilities.col_labels,
+        "A": market.worker_utilities.entries,
+        "B": market.enterprise_utilities.entries,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _write_json(doc) + "\n"
 
 
 def render_bimatrix(bimatrix: BimatrixFile) -> str:
     doc = {
-        "row_labels": list(bimatrix.row_labels),
-        "col_labels": list(bimatrix.col_labels),
-        "payoffs": encode_values(bimatrix.game.payoffs),
+        "row_labels": bimatrix.row_labels,
+        "col_labels": bimatrix.col_labels,
+        "payoffs": bimatrix.game.payoffs,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _write_json(doc) + "\n"
 
 
 class RenderMode(Enum):
@@ -212,19 +251,9 @@ _RATIONAL_RE = re.compile(r"^-?\d+/[1-9]\d*$")
 _LABEL_KEYS = frozenset({"workers", "enterprises", "row_labels", "col_labels"})
 
 
-def encode_values(value: Any) -> Any:
-    """Recursively convert rationals to ints / "p/q" strings for JSON output."""
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else format_rational(value)
-    if isinstance(value, dict):
-        return {k: encode_values(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode_values(v) for v in value]
-    return value
-
-
 def decode_values(value: Any) -> Any:
-    """Inverse of encode_values: "p/q" strings become Fractions, ints stay ints.
+    """Undo the machine writer's rational encoding: "p/q" strings become
+    Fractions, ints stay ints.
 
     Plain ints compare equal to the Fractions they encode, so decoded payloads
     compare equal to the originals.  Values under the label keys stay as
@@ -247,12 +276,8 @@ def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
     """
     try:
         if mode is RenderMode.MACHINE:
-            doc = {
-                "command": report.command,
-                "payload": encode_values(report.payload),
-                "notes": list(report.notes),
-            }
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            doc = {"command": report.command, "payload": report.payload, "notes": report.notes}
+            return _write_json(doc) + "\n"
         return _render_text(report)
     except ValueError as exc:
         raise ReportTooLarge(f"cannot render the {report.command} report: {exc}") from exc
@@ -274,26 +299,18 @@ def parse_report(data: str | bytes) -> Report:
     return Report(command=command, payload=payload, notes=notes)
 
 
-def _format_scalar(value: Any) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    return str(value)
+# The text of each scalar type a report holds; _format_other does the rest.
+_TEXT_SCALARS = {str: str, int: int.__repr__, Fraction: format_rational, bool: {True: "yes", False: "no"}.__getitem__}
 
 
-def _is_grid(value: Any) -> bool:
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) > 0
-        and all(isinstance(row, (list, tuple)) for row in value)
-    )
+def _format_all(values: Any) -> list[str]:
+    return [_TEXT_SCALARS.get(type(v), _format_other)(v) for v in values]
 
 
-def _format_inline(value: Any) -> str:
+def _format_other(value: Any) -> str:
     if isinstance(value, (list, tuple)):
-        return "(" + ", ".join(_format_inline(v) for v in value) + ")"
-    return _format_scalar(value)
+        return "(" + ", ".join(_format_all(value)) + ")"
+    return format_rational(value) if isinstance(value, Fraction) else str(value)
 
 
 def _render_block(lines: list[str], key: str, value: Any, indent: str) -> None:
@@ -304,20 +321,21 @@ def _render_block(lines: list[str], key: str, value: Any, indent: str) -> None:
     elif isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
         lines.append(f"{indent}{key}:")
         for item in value:
-            parts = [f"{k}: {_format_inline(v)}" for k, v in item.items()]
-            lines.append(indent + "  - " + "; ".join(parts))
-    elif _is_grid(value) and all(
-        not isinstance(cell, (list, tuple, dict)) for row in value for cell in row
+            lines.append(indent + "  - " + "; ".join([f"{k}: {v}" for k, v in zip(item, _format_all(item.values()))]))
+    elif (  # a grid: non-empty rows of scalars
+        isinstance(value, (list, tuple))
+        and value
+        and all(isinstance(row, (list, tuple)) and row for row in value)
+        and not any(issubclass(t, (list, tuple, dict)) for t in set().union(*[map(type, row) for row in value]))
     ):
         lines.append(f"{indent}{key}:")
-        cells = [[_format_scalar(cell) for cell in row] for row in value]
-        width = max(len(c) for row in cells for c in row)
-        for row in cells:
-            lines.append(indent + "  " + "  ".join(c.rjust(width) for c in row))
+        rows = [_format_all(row) for row in value]
+        width = max([len(c) for row in rows for c in row])
+        lines.extend([indent + "  " + "  ".join([c.rjust(width) for c in row]) for row in rows])
     elif isinstance(value, (list, tuple)):
-        lines.append(f"{indent}{key}: " + ", ".join(_format_inline(v) for v in value))
+        lines.append(f"{indent}{key}: " + ", ".join(_format_all(value)))
     else:
-        lines.append(f"{indent}{key}: {_format_scalar(value)}")
+        lines.append(f"{indent}{key}: {_format_all([value])[0]}")
 
 
 def _render_text(report: Report) -> str:

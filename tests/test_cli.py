@@ -243,6 +243,32 @@ class TestExitCodes:
         path.write_text("[1, 2]")
         assert main(["pipeline", "--market", job_market_path, "--union-game", str(path)]) == EXIT_INPUT
 
+    def test_unencodable_stdout_is_an_input_error(self, tmp_path, monkeypatch):
+        doc = {"workers": ["é", "w"], "enterprises": ["e", "f"], "A": [[1, 2], [3, 4]], "B": [[1, 2], [3, 4]]}
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        argv = ["assign", "--market", str(path), "--side", "workers", "--output"]
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(argv + ["text"]) == EXIT_INPUT
+        assert err.getvalue().startswith("matchgames: error: cannot write the report to stdout: 'ascii' codec")
+        assert err.getvalue().count("\n") == 1
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b""
+        # Machine output escapes every non-ASCII character, so it is written.
+        assert main(argv + ["machine"]) == EXIT_OK
+        stdout.flush()
+        assert b'"\\u00e9"' in stdout.buffer.getvalue()
+
+    def test_out_file_is_utf8(self, tmp_path, capsys):
+        doc = {"workers": ["é"], "enterprises": ["日"], "A": [[1]], "B": [[2]]}
+        path, out = tmp_path / "market.json", tmp_path / "report.txt"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["game", "--market", str(path), "--out", str(out)]) == EXIT_OK
+        assert "workers: é\nenterprises: 日\n" in out.read_bytes().decode("utf-8")
+
     def test_infeasible_disagreement_prints_rationals(self, union_path, capsys):
         assert main(["bargain", "--game", union_path, "--disagreement", "3/2", "-1/4"]) == EXIT_INPUT
         err = capsys.readouterr().err

@@ -4,9 +4,12 @@ import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from matchgames import (
     BimatrixFile,
+    Objective,
     ParseError,
     RenderMode,
     Report,
@@ -16,6 +19,8 @@ from matchgames import (
     cmd_bargain,
     cmd_game,
     cmd_pipeline,
+    datasets,
+    format_rational,
     parse_bimatrix,
     parse_market,
     parse_report,
@@ -23,6 +28,7 @@ from matchgames import (
     render_market,
     render_report,
 )
+from matchgames.formats import ReportTooLarge
 
 MARKET_DOC = """
 {
@@ -260,3 +266,202 @@ class TestReports:
         # Parts past as_rational's 1000-character literal bound still parse.
         big = parse_report(doc % ("7" * 600 + "/" + "3" * 600)).payload["v"]
         assert big == Fraction(int("7" * 600), int("3" * 600))
+
+
+# The writers that rendered every report before the one-pass writers, kept
+# verbatim as oracles: the new writers must give the same bytes.
+def encode_values(value):
+    """Recursively convert rationals to ints / "p/q" strings for JSON output."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else format_rational(value)
+    if isinstance(value, dict):
+        return {k: encode_values(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [encode_values(v) for v in value]
+    return value
+
+
+def old_render_machine(report):
+    doc = {
+        "command": report.command,
+        "payload": encode_values(report.payload),
+        "notes": list(report.notes),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _format_scalar(value):
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return str(value)
+
+
+def _is_grid(value):
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) > 0
+        and all(isinstance(row, (list, tuple)) for row in value)
+    )
+
+
+def _format_inline(value):
+    if isinstance(value, (list, tuple)):
+        return "(" + ", ".join(_format_inline(v) for v in value) + ")"
+    return _format_scalar(value)
+
+
+def _render_block(lines, key, value, indent):
+    if isinstance(value, dict):
+        lines.append(f"{indent}{key}:")
+        for sub_key, sub_value in value.items():
+            _render_block(lines, sub_key, sub_value, indent + "  ")
+    elif isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
+        lines.append(f"{indent}{key}:")
+        for item in value:
+            parts = [f"{k}: {_format_inline(v)}" for k, v in item.items()]
+            lines.append(indent + "  - " + "; ".join(parts))
+    elif _is_grid(value) and all(
+        not isinstance(cell, (list, tuple, dict)) for row in value for cell in row
+    ):
+        lines.append(f"{indent}{key}:")
+        cells = [[_format_scalar(cell) for cell in row] for row in value]
+        width = max(len(c) for row in cells for c in row)
+        for row in cells:
+            lines.append(indent + "  " + "  ".join(c.rjust(width) for c in row))
+    elif isinstance(value, (list, tuple)):
+        lines.append(f"{indent}{key}: " + ", ".join(_format_inline(v) for v in value))
+    else:
+        lines.append(f"{indent}{key}: {_format_scalar(value)}")
+
+
+def old_render_text(report):
+    lines = [f"== {report.command} =="]
+    for key, value in report.payload.items():
+        _render_block(lines, key, value, "")
+    for note in report.notes:
+        lines.append(f"note: {note}")
+    return "\n".join(lines) + "\n"
+
+
+def has_grid_with_empty_row(payload):
+    """A block the old text renderer took for a grid although a row is empty:
+    it raised on all-empty rows and printed blank lines for the others."""
+    for value in payload.values():
+        if isinstance(value, dict) and has_grid_with_empty_row(value):
+            return True
+        if (
+            _is_grid(value)
+            and not all(value)
+            and all(not isinstance(cell, (list, tuple, dict)) for row in value for cell in row)
+        ):
+            return True
+    return False
+
+
+def assert_same_as_old(report):
+    for mode, old in [(RenderMode.MACHINE, old_render_machine), (RenderMode.TEXT, old_render_text)]:
+        try:
+            expected = old(report)
+        except ValueError:
+            with pytest.raises(ReportTooLarge):
+                render_report(report, mode)
+        else:
+            assert render_report(report, mode) == expected, mode
+
+
+keys = st.one_of(
+    st.text(max_size=6),
+    st.text(st.sampled_from('aé"\\/\n\t\x00\x1f\u2028日😀'), max_size=4),
+    st.sampled_from(["image", "payoffs", "situation", "1/2"]),
+)
+big = st.integers(10**499, 10**500 - 1)
+scalars = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(max_denominator=50),
+    st.builds(Fraction, st.integers(-3, 3)),
+    st.builds(lambda p, q, sign: Fraction(sign * p, q), big, big | st.integers(1, 9), st.sampled_from([1, -1])),
+    big,
+    st.booleans(),
+    st.none(),
+    keys,
+    st.sampled_from(["1/2", "-3/4", "0"]),
+    st.floats(),
+)
+grids = st.lists(st.lists(scalars, max_size=4) | st.tuples(scalars, scalars), max_size=4)
+values = st.recursive(
+    scalars | grids,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+        st.lists(st.dictionaries(keys, children, max_size=3), max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+class TestOnePassWriters:
+    """render_report, render_market and render_bimatrix against the writers
+    they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=keys,
+        payload=st.dictionaries(keys, values, max_size=6),
+        notes=st.lists(keys, max_size=3).map(tuple),
+    )
+    def test_random_payloads(self, command, payload, notes):
+        assume(not has_grid_with_empty_row(payload))
+        assert_same_as_old(Report(command, payload, notes))
+
+    def test_every_command_report(self):
+        market, jobs, union = datasets.labor_market(), datasets.job_market(), parse_bimatrix(UNION_DOC)
+        doc = json.loads(MARKET_DOC)
+        doc["workers"], doc["enterprises"] = ["é", 'q"', "\x01"], ["1/2", "日本", "\\"]
+        doc["A"][0][0], doc["B"][1][2] = "-7/3", -5
+        relabelled = parse_market(json.dumps(doc))
+        reports = [cmd_bargain(union), cmd_bargain(union, disagreement_override=("1", "1/2"))]
+        for m in (market, jobs, relabelled):
+            reports += [cmd_assign(m, side, objective) for side in Side for objective in Objective]
+            reports += [cmd_game(m), cmd_pipeline(m, union)]
+        for report in reports:
+            assert_same_as_old(report)
+
+    def test_market_and_bimatrix_files(self):
+        doc = json.loads(MARKET_DOC)
+        doc["workers"][1], doc["A"][0] = "ü\"", ["-1/3", 0, "10/4"]
+        for market in (parse_market(MARKET_DOC), parse_market(json.dumps(doc)), datasets.job_market()):
+            expected = {
+                "workers": list(market.worker_utilities.row_labels),
+                "enterprises": list(market.worker_utilities.col_labels),
+                "A": encode_values(market.worker_utilities.entries),
+                "B": encode_values(market.enterprise_utilities.entries),
+            }
+            assert render_market(market) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        bimatrix = parse_bimatrix(UNION_DOC.replace('"r1"', '"r\\u00e91"').replace("6, 2", '"-1/2", 2'))
+        expected = {
+            "row_labels": list(bimatrix.row_labels),
+            "col_labels": list(bimatrix.col_labels),
+            "payoffs": encode_values(bimatrix.game.payoffs),
+        }
+        assert render_bimatrix(bimatrix) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_non_string_keys_keep_json_rules(self):
+        assert_same_as_old(Report("x", {"k": {3: 1, 1: Fraction(1, 2)}, "n": {None: []}, "t": {True: ()}, "f": {0.5: 2.5}}))
+
+    @pytest.mark.parametrize(
+        "value",
+        [10**4300, Fraction(-(10**4300), 3), [1, [Fraction(1, 10**4300)]], {"k": (10**4301,)}],
+        ids=["int", "numerator", "nested-denominator", "dict-tuple"],
+    )
+    def test_number_past_print_limit_is_too_large(self, value):
+        for mode in RenderMode:
+            with pytest.raises(ReportTooLarge, match="cannot render the x report"):
+                render_report(Report("x", {"v": value}), mode)
+
+    def test_empty_grid_rows_render_inline(self):
+        # Rows with no cells make no grid: they print inline, as () each.
+        rendered = render_report(Report("x", {"k": [[]], "d": {"g": [[1, 22], ()]}}), RenderMode.TEXT)
+        assert rendered == "== x ==\nk: ()\nd:\n  g: (1, 22), ()\n"
