@@ -28,7 +28,6 @@ from .situations import (
     EQUILIBRIUM_ENUMERATION_CAP,
     build_table,
     compromise_set,
-    ideal_point,
 )
 
 
@@ -97,7 +96,6 @@ def cmd_game(market: GameInstance) -> Report:
     """Full situation-table analysis: payoffs, ideal point, compromise set,
     least-satisfied players, and an equilibrium verification summary."""
     table = build_table(market)
-    ideal = ideal_point(table)
     compromise = compromise_set(table)
     least = [
         {"situation": list(member.image), "player": player, "payoff": payoff}
@@ -125,7 +123,7 @@ def cmd_game(market: GameInstance) -> Report:
             {"image": list(matching.image), "payoffs": list(profile)}
             for matching, profile in table.rows
         ],
-        "ideal_point": list(ideal.values),
+        "ideal_point": list(compromise.ideal.values),
         "compromise": {
             "optimal_regret": compromise.optimal_regret,
             "members": [list(m.image) for m in compromise.members],

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, float, str, Fraction]
@@ -145,7 +145,9 @@ def all_matchings(n: int) -> tuple[Matching, ...]:
         raise ValueError(f"market size must be positive, got {n}")
     if n > ENUMERATION_CAP:
         raise SizeTooLarge(f"refusing to enumerate {n}! matchings (cap is {ENUMERATION_CAP})")
-    return tuple(Matching(image) for image in permutations(range(n)))
+    matchings = tuple(map(object.__new__, repeat(Matching, math.factorial(n))))  # valid images: no __post_init__
+    any(map(object.__setattr__, matchings, repeat("image"), permutations(range(n))))
+    return matchings
 
 
 def _default_labels(prefix: str, n: int) -> tuple[str, ...]:
@@ -212,7 +214,7 @@ class UtilityMatrix:
     def common_denominator(self) -> int:
         """Least common multiple of all entry denominators, up to MAX_DENOMINATOR_BITS."""
         den = 1
-        for q in {v.denominator for row in self.entries for v in row}:
+        for q in {v.denominator for v in {id(v): v for row in self.entries for v in row}.values()}:  # each object once
             den = math.lcm(den, q)
             if den.bit_length() > MAX_DENOMINATOR_BITS:
                 raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")

@@ -9,7 +9,9 @@ in one pass: keys sorted, two-space indent with ",\n" and ": " separators,
 "[]" and "{}" for empty containers, strings ASCII-escaped, tuples written as
 lists, and every rational an integer or a "p/q" string, never a decimal.
 Identical inputs therefore produce byte-identical output: the bytes of the
-standard library's key-sorted, indented json.dumps on the encoded values.
+standard library's key-sorted, indented json.dumps on the encoded values.  Both
+writers make the text of each distinct scalar object once per render (in lists
+of eight or more), and write eight or more dicts with the same keys a key at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -111,21 +115,18 @@ def _rational_cell(value: Any, where: str) -> Fraction:
 def _rational_grid(values: Any, n: int, where: str) -> tuple[tuple[Fraction, ...], ...]:
     if not isinstance(values, list) or len(values) != n:
         raise SchemaError(f"{where}: expected {n} rows")
-    parsed: dict[int | str, Fraction] = {}  # distinct int and str literals only: True is not 1
-    rows = []
     for i, row in enumerate(values):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{where}: row {i} must have {n} entries")
-        cells = []
-        for v in row:
-            if type(v) is not int and type(v) is not str:
-                cells.append(_rational_cell(v, f"{where}[{i}]"))
-                continue
-            if v not in parsed:  # only successes are kept, so each error names its row
-                parsed[v] = _rational_cell(v, f"{where}[{i}]")
-            cells.append(parsed[v])
-        rows.append(tuple(cells))
-    return tuple(rows)
+    if not set(map(type, chain.from_iterable(values))) <= {int, str}:  # True is not 1: cell by cell
+        return tuple(tuple(_rational_cell(v, f"{where}[{i}]") for v in row) for i, row in enumerate(values))
+    parsed = {}
+    for v in dict.fromkeys(chain.from_iterable(values)):  # each literal once, in reading order
+        try:
+            parsed[v] = as_rational(v)
+        except ValueError as exc:  # named with the row it first appears in
+            raise SchemaError(f"{where}[{next(i for i, row in enumerate(values) if v in row)}]: {exc}") from exc
+    return tuple(tuple(map(parsed.__getitem__, row)) for row in values)
 
 
 def parse_market(data: str | bytes) -> GameInstance:
@@ -186,26 +187,50 @@ def _json_fraction(value: Fraction) -> str:
 # The JSON text of the scalar types that fill a report; bools, None, floats
 # and subclasses go through _write_json's fallback, which keeps json's rules.
 _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, Fraction: _json_fraction}
+_LONG = 8  # a list this long pays for the memo and the records' columns; a shorter one goes item by item
 
 
-def _write_json(value: Any, indent: str = "") -> str:
-    """Canonical JSON text of value (see the module docstring), in one pass."""
+def _texts(memo: dict[int, str], scalars: dict, other: Any, values: Any) -> list[str]:
+    """The text of each value, through its type in scalars or else other.  A _LONG list of scalars
+    formats each distinct object once: memo maps its id(), unique while the document holds it, to its text."""
+    if len(values) >= _LONG and not isinstance(values[0], (dict, list, tuple)):
+        out = list(map(memo.get, map(id, values)))
+        if all(out):
+            return out
+        if not any(map(isinstance, values, repeat((dict, list, tuple)))):
+            for key, v in dict(zip(map(id, values), values)).items():  # in the order the list names them
+                memo[key] = memo.get(key) or scalars.get(type(v), other)(v)
+            return list(map(memo.__getitem__, map(id, values)))
+    out = []  # a loop, not a comprehension, which would make cells of scalars and other on every call
+    for v in values:
+        out.append(scalars.get(type(v), other)(v))
+    return out
+
+
+def _json_records(records: list, indent: str, memo: dict[int, str]) -> list[str]:
+    """The JSON text of each of a _LONG list of dicts with the same keys, as items at indent."""
+    keys, at = sorted(records[0]), indent + "  "  # a key at a time, then each record in one format
+    fields = (",\n" + at).join(json.dumps({k: 0})[1:-4].replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
+    columns = [_texts(memo, _JSON_SCALARS, partial(_write_json, at, memo), [r[k] for r in records]) for k in keys]
+    return list(map(("{{\n" + at + fields + "\n" + indent + "}}").format, *columns))
+
+
+def _write_json(indent: str, memo: dict[int, str], value: Any) -> str:
+    """Canonical JSON text of value (see the module docstring), in one pass; memo is _texts'."""
     inner = indent + "  "
-    nested = lambda v: _write_json(v, inner)
+    nested = partial(_write_json, inner, memo)
     if isinstance(value, dict):
-        items = [
-            # json's own text for a non-str key: "3" for 3, "null" for None.
-            (encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4])
-            + ": "
-            + _JSON_SCALARS.get(type(v), nested)(v)
+        items = [  # json's own text for a non-str key: "3" for 3, "null" for None
+            (encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": " + _JSON_SCALARS.get(type(v), nested)(v)
             for k, v in sorted(value.items())
         ]
         brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_JSON_SCALARS.get(type(v), nested)(v) for v in value]
-        brackets = "[]"
-    else:
+    elif not isinstance(value, (list, tuple)):
         return _json_fraction(value) if isinstance(value, Fraction) else json.dumps(value)
+    elif len(value) >= _LONG and value[0] and all(map(isinstance, value, repeat(dict))) and len(set(map(tuple, value))) == 1:
+        items, brackets = _json_records(value, inner, memo), "[]"
+    else:
+        items, brackets = _texts(memo, _JSON_SCALARS, nested, value), "[]"
     if not items:
         return brackets
     return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
@@ -219,7 +244,7 @@ def render_market(market: GameInstance) -> str:
         "A": market.worker_utilities.entries,
         "B": market.enterprise_utilities.entries,
     }
-    return _write_json(doc) + "\n"
+    return _write_json("", {}, doc) + "\n"
 
 
 def render_bimatrix(bimatrix: BimatrixFile) -> str:
@@ -228,7 +253,7 @@ def render_bimatrix(bimatrix: BimatrixFile) -> str:
         "col_labels": bimatrix.col_labels,
         "payoffs": bimatrix.game.payoffs,
     }
-    return _write_json(doc) + "\n"
+    return _write_json("", {}, doc) + "\n"
 
 
 class RenderMode(Enum):
@@ -277,7 +302,7 @@ def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
     try:
         if mode is RenderMode.MACHINE:
             doc = {"command": report.command, "payload": report.payload, "notes": report.notes}
-            return _write_json(doc) + "\n"
+            return _write_json("", {}, doc) + "\n"
         return _render_text(report)
     except ValueError as exc:
         raise ReportTooLarge(f"cannot render the {report.command} report: {exc}") from exc
@@ -299,29 +324,22 @@ def parse_report(data: str | bytes) -> Report:
     return Report(command=command, payload=payload, notes=notes)
 
 
-# The text of each scalar type a report holds; _format_other does the rest.
+# The text of each scalar type a report holds; _render_text's other does the rest.
 _TEXT_SCALARS = {str: str, int: int.__repr__, Fraction: format_rational, bool: {True: "yes", False: "no"}.__getitem__}
 
 
-def _format_all(values: Any) -> list[str]:
-    return [_TEXT_SCALARS.get(type(v), _format_other)(v) for v in values]
-
-
-def _format_other(value: Any) -> str:
-    if isinstance(value, (list, tuple)):
-        return "(" + ", ".join(_format_all(value)) + ")"
-    return format_rational(value) if isinstance(value, Fraction) else str(value)
-
-
-def _render_block(lines: list[str], key: str, value: Any, indent: str) -> None:
+def _render_block(lines: list[str], key: str, value: Any, indent: str, texts: Any) -> None:
     if isinstance(value, dict):
         lines.append(f"{indent}{key}:")
         for sub_key, sub_value in value.items():
-            _render_block(lines, sub_key, sub_value, indent + "  ")
-    elif isinstance(value, (list, tuple)) and value and all(isinstance(v, dict) for v in value):
+            _render_block(lines, sub_key, sub_value, indent + "  ", texts)
+    elif isinstance(value, (list, tuple)) and value and all(map(isinstance, value, repeat(dict))):
         lines.append(f"{indent}{key}:")
-        for item in value:
-            lines.append(indent + "  - " + "; ".join([f"{k}: {v}" for k, v in zip(item, _format_all(item.values()))]))
+        if len(value) >= _LONG and value[0] and len(set(map(tuple, value))) == 1:  # as in _write_json
+            template = indent + "  - " + "; ".join(f"{k}".replace("{", "{{").replace("}", "}}") + ": {}" for k in value[0])
+            lines.extend(map(template.format, *map(texts, zip(*map(dict.values, value)))))
+        else:
+            lines.extend([indent + "  - " + "; ".join(map("{}: {}".format, item, texts(list(item.values())))) for item in value])
     elif (  # a grid: non-empty rows of scalars
         isinstance(value, (list, tuple))
         and value
@@ -329,19 +347,25 @@ def _render_block(lines: list[str], key: str, value: Any, indent: str) -> None:
         and not any(issubclass(t, (list, tuple, dict)) for t in set().union(*[map(type, row) for row in value]))
     ):
         lines.append(f"{indent}{key}:")
-        rows = [_format_all(row) for row in value]
+        rows = list(map(texts, value))
         width = max([len(c) for row in rows for c in row])
         lines.extend([indent + "  " + "  ".join([c.rjust(width) for c in row]) for row in rows])
     elif isinstance(value, (list, tuple)):
-        lines.append(f"{indent}{key}: " + ", ".join(_format_all(value)))
+        lines.append(f"{indent}{key}: " + ", ".join(texts(value)))
     else:
-        lines.append(f"{indent}{key}: {_format_all([value])[0]}")
+        lines.append(f"{indent}{key}: {texts([value])[0]}")
 
 
 def _render_text(report: Report) -> str:
+    def other(value: Any) -> str:
+        if isinstance(value, (list, tuple)):
+            return "(" + ", ".join(texts(value)) + ")"
+        return format_rational(value) if isinstance(value, Fraction) else str(value)
+
+    texts = partial(_texts, {}, _TEXT_SCALARS, other)  # one memo per render
     lines = [f"== {report.command} =="]
     for key, value in report.payload.items():
-        _render_block(lines, key, value, "")
+        _render_block(lines, key, value, "", texts)
     for note in report.notes:
         lines.append(f"note: {note}")
     return "\n".join(lines) + "\n"

@@ -37,11 +37,8 @@ class MalformedProfile(MatchGamesError):
 
 def situation_payoffs(instance: GameInstance, matching: Matching) -> tuple[Fraction, ...]:
     """Length-2n payoff profile of one situation, worker-keyed on both halves."""
-    a = instance.worker_utilities
-    b = instance.enterprise_utilities
-    workers = tuple(a.entry(i, matching[i]) for i in range(instance.n))
-    enterprises = tuple(b.entry(matching[k], k) for k in range(instance.n))
-    return workers + enterprises
+    a, b = instance.worker_utilities, instance.enterprise_utilities
+    return tuple(a.entry(i, j) for i, j in enumerate(matching)) + tuple(b.entry(j, k) for k, j in enumerate(matching))
 
 
 @dataclass(frozen=True)
@@ -76,12 +73,11 @@ class SituationTable:
 
 
 def build_table(instance: GameInstance) -> SituationTable:
-    """Complete situation table for an instance; SizeTooLarge above the cap."""
-    rows = tuple(
-        (matching, situation_payoffs(instance, matching))
-        for matching in all_matchings(instance.n)
-    )
-    return SituationTable(instance=instance, rows=rows)
+    """Complete situation table, each profile read off A's rows and B's columns; SizeTooLarge above the cap."""
+    lines = (*map(tuple, instance.worker_utilities.entries), *zip(*instance.enterprise_utilities.entries))
+    matchings = all_matchings(instance.n)
+    profiles = [tuple(map(tuple.__getitem__, lines, m.image * 2)) for m in matchings]
+    return SituationTable(instance=instance, rows=tuple(zip(matchings, profiles)))
 
 
 @dataclass(frozen=True)
@@ -107,6 +103,7 @@ def ideal_point(table: SituationTable) -> IdealPoint:
 class CompromiseResult:
     """Minimax-regret optimum: the situations minimizing the worst shortfall."""
 
+    ideal: IdealPoint  # the point regrets are measured from
     optimal_regret: Fraction
     members: tuple[Matching, ...]
     regret_by_situation: tuple[Fraction, ...]  # max regret per table row, row order
@@ -135,6 +132,7 @@ def compromise_set(table: SituationTable) -> CompromiseResult:
     # is the lowest-index player at that rank, paid their ideal minus it.
     players = [[line[j] for line, j in zip(ranks, m.image * 2)].index(optimum) for m in members]
     return CompromiseResult(
+        ideal=IdealPoint(ideal),
         optimal_regret=values[optimum],
         members=members,
         regret_by_situation=tuple(values[r] for r in max_ranks),

@@ -1,4 +1,7 @@
+import dataclasses
+import re
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -136,6 +139,33 @@ class TestAllMatchings:
             all_matchings(9)
         with pytest.raises(ValueError):
             all_matchings(0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_as_validated_matchings(self, n):
+        # The matchings are built without __post_init__'s check; they must be
+        # the ones Matching(image) makes, and stay frozen and hashable.
+        matchings = all_matchings(n)
+        assert matchings == tuple(Matching(image) for image in permutations(range(n)))
+        assert all(type(m) is Matching for m in matchings)
+        assert len(set(matchings)) == len(matchings)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            matchings[-1].image = (0,) * n
+
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            ((), "empty image"),
+            ((0, 0, 1), "index 0 appears twice in (0, 0, 1)"),
+            ((0, 3, 1), "index 3 out of range for size 3"),
+            ((1, -1), "index -1 out of range for size 2"),
+            ((0, True), "index True out of range for size 2"),
+            ((0, 1.0), "index 1.0 out of range for size 2"),
+            (("0",), "index '0' out of range for size 1"),
+        ],
+    )
+    def test_bad_images_keep_their_errors(self, image, message):
+        with pytest.raises(NotAPermutation, match=re.escape(message)):
+            Matching(image)
 
 
 class TestUtilityMatrix:

@@ -116,6 +116,10 @@ class TestParseMarket:
         for grid, row in [("[[1, 2], [3, true]]", 1), ("[[1, 2], [[1], 1]]", 1), ('[["x", 2], [1, "x"]]', 0)]:
             with pytest.raises(SchemaError, match=rf"market\.A\[{row}\]"):
                 parse_market(doc % grid)
+        # The first bad literal in reading order is named, with its row.
+        for grid, row, bad in [('[[1, "2"], ["x", "y"]]', 1, "x"), ('[["1/0", "y"], [3, "x"]]', 0, "1/0"), ('[[1, "2"], [2, "x"]]', 1, "x")]:
+            with pytest.raises(SchemaError, match=rf"market\.A\[{row}\]: .*'{bad}'"):
+                parse_market(doc % grid)
 
     def test_missing_key_rejected(self):
         with pytest.raises(SchemaError):
@@ -460,6 +464,60 @@ class TestOnePassWriters:
         for mode in RenderMode:
             with pytest.raises(ReportTooLarge, match="cannot render the x report"):
                 render_report(Report("x", {"v": value}), mode)
+
+    def test_shared_and_equal_objects(self):
+        # Lists of eight or more look their scalars' texts up by object, so
+        # one object in many places, equal values held by distinct objects,
+        # and equal but differently typed values must each keep their text.
+        f, big, s = Fraction(-7, 3), 10**400 + 1, "é\"{}"
+        mixed = [1, True, Fraction(1), 1, True, 0, False, Fraction(0), 1.0, None, s, "1"]
+        equal = [Fraction(1, 2) for _ in range(9)] + [int("5" * 30) for _ in range(9)] + ["".join("ab") for _ in range(9)]
+        records = [{"image": [0, 1, i % 3], "payoffs": [f, big, f, s] * 3, "player": i % 2 == 1, "payoff": mixed[i]} for i in range(12)]
+        payload = {
+            "same": [f] * 20,
+            "mixed": mixed,
+            "mixed_shuffled": mixed[::-1] + mixed,
+            "equal": equal,
+            "records": records,
+            "grid": [[f, big, 1, True], [Fraction(1), 1, f, True]] * 5,
+            "nested": {"records": records[:9], "tuple": tuple(mixed), "same": records[0]["payoffs"]},
+        }
+        assert_same_as_old(Report("game", payload, ("note",)))
+
+    def test_records_of_every_shape(self):
+        # Eight or more dicts with the same keys are written a key at a time.
+        shapes = [
+            {"b": [1, 2], "a": [], "{c}": Fraction(3, 2)},  # sorted keys, an empty list, braces in a key
+            {"k": [[1, 2], [3]], "m": {"x": 1}},  # lists of lists and dicts as values
+            {"only": "x"},
+            {3: 1, 1: [2]},  # keys json writes as strings
+            {"v": None, "w": 0.5, "t": (1, "é")},
+        ]
+        for shape in shapes:
+            records = [dict(shape) for _ in range(8)]
+            assert_same_as_old(Report("x", {"records": records, "in": {"records": records + records}}))
+        mixed = [{"a": 1, "b": [1]}] * 4 + [{"b": [2], "a": 2}] * 4  # same keys, another order
+        scalars_then_lists = [{"a": 1}] * 8 + [{"a": [1, 2]}] * 8
+        empty = [{}] * 9
+        for records in (mixed, scalars_then_lists, empty):
+            assert_same_as_old(Report("x", {"records": records}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_payloads_sharing_objects(self, data):
+        # A handful of scalar objects, each placed many times.
+        pick = st.sampled_from(data.draw(st.lists(scalars, min_size=1, max_size=6)))
+        long_lists = st.lists(pick, min_size=8, max_size=20)
+        fields = data.draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+        value = pick | long_lists | st.lists(pick, max_size=3) | st.dictionaries(keys, pick, max_size=2)
+        records = [{k: data.draw(value) for k in fields} for _ in range(data.draw(st.integers(8, 12)))]
+        payload = {
+            "long": data.draw(long_lists),
+            "records": records,
+            "grid": data.draw(st.lists(st.lists(pick, min_size=1, max_size=9), min_size=1, max_size=9)),
+            "nested": {"records": records[:9], "tuple": tuple(data.draw(long_lists))},
+        }
+        assert_same_as_old(Report("x", payload, ()))
 
     def test_empty_grid_rows_render_inline(self):
         # Rows with no cells make no grid: they print inline, as () each.

@@ -354,11 +354,22 @@ class TestClosedFormsAgainstTable:
             max(ideal[i] - profile[i] for i in range(2 * instance.n)) for _, profile in table.rows
         )
         result = compromise_set(table)
+        assert result.ideal == ideal_point(table)
         assert result.regret_by_situation == regrets
         assert result.optimal_regret == min(regrets)
         assert result.members == tuple(
             matching for (matching, _), r in zip(table.rows, regrets) if r == min(regrets)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_n=6))
+    def test_rows_are_the_situation_payoffs(self, instance):
+        # build_table reads each profile off A's rows and B's columns at once;
+        # situation_payoffs takes one entry at a time.
+        table = build_table(instance)
+        assert [matching for matching, _ in table.rows] == list(all_matchings(instance.n))
+        for matching, profile in table.rows:
+            assert profile == situation_payoffs(instance, matching)
 
     @settings(max_examples=60, deadline=None)
     @given(instances(max_n=5))
