@@ -47,12 +47,11 @@ def matching_total(matrix: UtilityMatrix, matching: Matching) -> Fraction:
 
 def _integer_costs(matrix: UtilityMatrix, objective: Objective) -> tuple[list[list[int]], int]:
     """Entries times their common denominator, negated to maximize, and that denominator.
-    Scales each entry object once and divides once per denominator: near MAX_DENOMINATOR_BITS a division is slow."""
-    den, sign = matrix.common_denominator(), -1 if objective is Objective.MAXIMIZE else 1
-    ratios = {key: v.as_integer_ratio() for key, v in {id(v): v for row in matrix.entries for v in row}.items()}
-    factor = {q: sign * (den // q) for q in {q for _, q in ratios.values()}}
-    scaled = {key: p * factor[q] for key, (p, q) in ratios.items()}
-    return [list(map(scaled.__getitem__, map(id, row))) for row in matrix.entries], den
+    Divides once per distinct denominator: near MAX_DENOMINATOR_BITS a division is slow."""
+    den = matrix.common_denominator()
+    sign = -1 if objective is Objective.MAXIMIZE else 1
+    factor = {q: sign * (den // q) for q in {v.denominator for row in matrix.entries for v in row}}
+    return [[v.numerator * factor[v.denominator] for v in row] for row in matrix.entries], den
 
 
 def _shortest_path_assignment(costs: list[list[int]]) -> tuple[list[int], list[int], list[int]]:

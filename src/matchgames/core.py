@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, repeat
+from itertools import permutations
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, float, str, Fraction]
@@ -145,8 +145,9 @@ def all_matchings(n: int) -> tuple[Matching, ...]:
         raise ValueError(f"market size must be positive, got {n}")
     if n > ENUMERATION_CAP:
         raise SizeTooLarge(f"refusing to enumerate {n}! matchings (cap is {ENUMERATION_CAP})")
-    matchings = tuple(map(object.__new__, repeat(Matching, math.factorial(n))))  # valid images: no __post_init__
-    any(map(object.__setattr__, matchings, repeat("image"), permutations(range(n))))
+    matchings = tuple(object.__new__(Matching) for _ in range(math.factorial(n)))
+    for matching, image in zip(matchings, permutations(range(n))):  # valid: skip __post_init__'s check
+        object.__setattr__(matching, "image", image)
     return matchings
 
 
@@ -214,7 +215,7 @@ class UtilityMatrix:
     def common_denominator(self) -> int:
         """Least common multiple of all entry denominators, up to MAX_DENOMINATOR_BITS."""
         den = 1
-        for q in {v.denominator for v in {id(v): v for row in self.entries for v in row}.values()}:  # each object once
+        for q in {v.denominator for row in self.entries for v in row}:
             den = math.lcm(den, q)
             if den.bit_length() > MAX_DENOMINATOR_BITS:
                 raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")

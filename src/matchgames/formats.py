@@ -9,9 +9,9 @@ in one pass: keys sorted, two-space indent with ",\n" and ": " separators,
 "[]" and "{}" for empty containers, strings ASCII-escaped, tuples written as
 lists, and every rational an integer or a "p/q" string, never a decimal.
 Identical inputs therefore produce byte-identical output: the bytes of the
-standard library's key-sorted, indented json.dumps on the encoded values.  Both
-writers make the text of each distinct scalar object once per render (in lists
-of eight or more), and write eight or more dicts with the same keys a key at a time.
+standard library's key-sorted, indented json.dumps on the encoded values.
+Both writers make the text of each distinct scalar object in a list of eight
+or more once per render call (see _texts).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -115,18 +115,21 @@ def _rational_cell(value: Any, where: str) -> Fraction:
 def _rational_grid(values: Any, n: int, where: str) -> tuple[tuple[Fraction, ...], ...]:
     if not isinstance(values, list) or len(values) != n:
         raise SchemaError(f"{where}: expected {n} rows")
+    parsed: dict[int | str, Fraction] = {}  # distinct int and str literals only: True is not 1
+    rows = []
     for i, row in enumerate(values):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{where}: row {i} must have {n} entries")
-    if not set(map(type, chain.from_iterable(values))) <= {int, str}:  # True is not 1: cell by cell
-        return tuple(tuple(_rational_cell(v, f"{where}[{i}]") for v in row) for i, row in enumerate(values))
-    parsed = {}
-    for v in dict.fromkeys(chain.from_iterable(values)):  # each literal once, in reading order
-        try:
-            parsed[v] = as_rational(v)
-        except ValueError as exc:  # named with the row it first appears in
-            raise SchemaError(f"{where}[{next(i for i, row in enumerate(values) if v in row)}]: {exc}") from exc
-    return tuple(tuple(map(parsed.__getitem__, row)) for row in values)
+        cells = []
+        for v in row:
+            if type(v) is not int and type(v) is not str:
+                cells.append(_rational_cell(v, f"{where}[{i}]"))
+                continue
+            if v not in parsed:  # only successes are kept, so each error names its row
+                parsed[v] = _rational_cell(v, f"{where}[{i}]")
+            cells.append(parsed[v])
+        rows.append(tuple(cells))
+    return tuple(rows)
 
 
 def parse_market(data: str | bytes) -> GameInstance:
@@ -187,19 +190,23 @@ def _json_fraction(value: Fraction) -> str:
 # The JSON text of the scalar types that fill a report; bools, None, floats
 # and subclasses go through _write_json's fallback, which keeps json's rules.
 _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, Fraction: _json_fraction}
-_LONG = 8  # a list this long pays for the memo and the records' columns; a shorter one goes item by item
+# Lists this long use the memo. Timed at 1-16: at 4 or less the cli-small reports
+# render 1.1-1.8x slower, at 16 the game-n7 ones 1.2-1.3x; 8 and 12 time the same.
+_LONG = 8
 
 
 def _texts(memo: dict[int, str], scalars: dict, other: Any, values: Any) -> list[str]:
-    """The text of each value, through its type in scalars or else other.  A _LONG list of scalars
-    formats each distinct object once: memo maps its id(), unique while the document holds it, to its text."""
-    if len(values) >= _LONG and not isinstance(values[0], (dict, list, tuple)):
+    """The text of each value, through its type in scalars or else other.  In a _LONG list of
+    scalars each object is formatted once per render: memo maps its id(), unique while the
+    document holds it, to its text.  A container's text depends on its place: never memoized."""
+    if len(values) >= _LONG:
         out = list(map(memo.get, map(id, values)))
-        if all(out):
+        if all(out):  # all known: one C-level pass (a dict per list: 1.5-1.8x the render time)
             return out
         if not any(map(isinstance, values, repeat((dict, list, tuple)))):
-            for key, v in dict(zip(map(id, values), values)).items():  # in the order the list names them
-                memo[key] = memo.get(key) or scalars.get(type(v), other)(v)
+            for key, v in dict(zip(map(id, values), values)).items():
+                if key not in memo:
+                    memo[key] = scalars.get(type(v), other)(v)
             return list(map(memo.__getitem__, map(id, values)))
     out = []  # a loop, not a comprehension, which would make cells of scalars and other on every call
     for v in values:
@@ -207,30 +214,24 @@ def _texts(memo: dict[int, str], scalars: dict, other: Any, values: Any) -> list
     return out
 
 
-def _json_records(records: list, indent: str, memo: dict[int, str]) -> list[str]:
-    """The JSON text of each of a _LONG list of dicts with the same keys, as items at indent."""
-    keys, at = sorted(records[0]), indent + "  "  # a key at a time, then each record in one format
-    fields = (",\n" + at).join(json.dumps({k: 0})[1:-4].replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
-    columns = [_texts(memo, _JSON_SCALARS, partial(_write_json, at, memo), [r[k] for r in records]) for k in keys]
-    return list(map(("{{\n" + at + fields + "\n" + indent + "}}").format, *columns))
-
-
-def _write_json(indent: str, memo: dict[int, str], value: Any) -> str:
+def _write_json(value: Any, indent: str, memo: dict[int, str]) -> str:
     """Canonical JSON text of value (see the module docstring), in one pass; memo is _texts'."""
     inner = indent + "  "
-    nested = partial(_write_json, inner, memo)
+    nested = lambda v: _write_json(v, inner, memo)
     if isinstance(value, dict):
-        items = [  # json's own text for a non-str key: "3" for 3, "null" for None
-            (encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": " + _JSON_SCALARS.get(type(v), nested)(v)
+        items = [
+            # json's own text for a non-str key: "3" for 3, "null" for None.
+            (encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4])
+            + ": "
+            + _JSON_SCALARS.get(type(v), nested)(v)
             for k, v in sorted(value.items())
         ]
         brackets = "{}"
-    elif not isinstance(value, (list, tuple)):
-        return _json_fraction(value) if isinstance(value, Fraction) else json.dumps(value)
-    elif len(value) >= _LONG and value[0] and all(map(isinstance, value, repeat(dict))) and len(set(map(tuple, value))) == 1:
-        items, brackets = _json_records(value, inner, memo), "[]"
+    elif isinstance(value, (list, tuple)):
+        items = _texts(memo, _JSON_SCALARS, nested, value)
+        brackets = "[]"
     else:
-        items, brackets = _texts(memo, _JSON_SCALARS, nested, value), "[]"
+        return _json_fraction(value) if isinstance(value, Fraction) else json.dumps(value)
     if not items:
         return brackets
     return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
@@ -244,7 +245,7 @@ def render_market(market: GameInstance) -> str:
         "A": market.worker_utilities.entries,
         "B": market.enterprise_utilities.entries,
     }
-    return _write_json("", {}, doc) + "\n"
+    return _write_json(doc, "", {}) + "\n"
 
 
 def render_bimatrix(bimatrix: BimatrixFile) -> str:
@@ -253,7 +254,7 @@ def render_bimatrix(bimatrix: BimatrixFile) -> str:
         "col_labels": bimatrix.col_labels,
         "payoffs": bimatrix.game.payoffs,
     }
-    return _write_json("", {}, doc) + "\n"
+    return _write_json(doc, "", {}) + "\n"
 
 
 class RenderMode(Enum):
@@ -302,7 +303,7 @@ def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
     try:
         if mode is RenderMode.MACHINE:
             doc = {"command": report.command, "payload": report.payload, "notes": report.notes}
-            return _write_json("", {}, doc) + "\n"
+            return _write_json(doc, "", {}) + "\n"
         return _render_text(report)
     except ValueError as exc:
         raise ReportTooLarge(f"cannot render the {report.command} report: {exc}") from exc
@@ -335,11 +336,8 @@ def _render_block(lines: list[str], key: str, value: Any, indent: str, texts: An
             _render_block(lines, sub_key, sub_value, indent + "  ", texts)
     elif isinstance(value, (list, tuple)) and value and all(map(isinstance, value, repeat(dict))):
         lines.append(f"{indent}{key}:")
-        if len(value) >= _LONG and value[0] and len(set(map(tuple, value))) == 1:  # as in _write_json
-            template = indent + "  - " + "; ".join(f"{k}".replace("{", "{{").replace("}", "}}") + ": {}" for k in value[0])
-            lines.extend(map(template.format, *map(texts, zip(*map(dict.values, value)))))
-        else:
-            lines.extend([indent + "  - " + "; ".join(map("{}: {}".format, item, texts(list(item.values())))) for item in value])
+        for item in value:
+            lines.append(indent + "  - " + "; ".join(map("{}: {}".format, item, texts(list(item.values())))))
     elif (  # a grid: non-empty rows of scalars
         isinstance(value, (list, tuple))
         and value

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 
 from .core import (
     GameInstance,
@@ -37,8 +38,11 @@ class MalformedProfile(MatchGamesError):
 
 def situation_payoffs(instance: GameInstance, matching: Matching) -> tuple[Fraction, ...]:
     """Length-2n payoff profile of one situation, worker-keyed on both halves."""
-    a, b = instance.worker_utilities, instance.enterprise_utilities
-    return tuple(a.entry(i, j) for i, j in enumerate(matching)) + tuple(b.entry(j, k) for k, j in enumerate(matching))
+    a = instance.worker_utilities
+    b = instance.enterprise_utilities
+    workers = tuple(a.entry(i, matching[i]) for i in range(instance.n))
+    enterprises = tuple(b.entry(matching[k], k) for k in range(instance.n))
+    return workers + enterprises
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,10 @@ class SituationTable:
 
 
 def build_table(instance: GameInstance) -> SituationTable:
-    """Complete situation table, each profile read off A's rows and B's columns; SizeTooLarge above the cap."""
-    lines = (*map(tuple, instance.worker_utilities.entries), *zip(*instance.enterprise_utilities.entries))
+    """Complete situation table, profiles read off A's rows and B's columns; SizeTooLarge past the cap."""
+    lines = (*instance.worker_utilities.entries, *zip(*instance.enterprise_utilities.entries))
     matchings = all_matchings(instance.n)
-    profiles = [tuple(map(tuple.__getitem__, lines, m.image * 2)) for m in matchings]
+    profiles = [tuple(map(getitem, lines, m.image * 2)) for m in matchings]
     return SituationTable(instance=instance, rows=tuple(zip(matchings, profiles)))
 
 

@@ -172,25 +172,6 @@ class TestStructuralProperties:
             solve_bruteforce(matrix)
 
 
-# Few distinct objects repeated over the grid, as parsed markets have.
-repeated_cells = st.sampled_from([Fraction(-3, 4), Fraction(5), Fraction(2, 3), Fraction(0), Fraction(7, 6), Fraction(-8)])
-square_grids = st.integers(1, 6).flatmap(
-    lambda n: st.lists(st.lists(repeated_cells, min_size=n, max_size=n), min_size=n, max_size=n)
-)
-
-
-class TestIntegerCosts:
-    @settings(max_examples=80, deadline=None)
-    @given(square_grids, st.sampled_from(Objective))
-    def test_each_entry_times_the_common_denominator(self, rows, objective):
-        matrix = UtilityMatrix.from_rows(rows)
-        costs, den = _integer_costs(matrix, objective)
-        assert den == math.lcm(*(v.denominator for row in rows for v in row))
-        sign = -1 if objective is Objective.MAXIMIZE else 1
-        assert costs == [[sign * v * den for v in row] for row in rows]
-        assert all(type(c) is int for row in costs for c in row)
-
-
 class TestCompareAssignments:
     def test_identical_assignments_agree(self):
         x = Matching((0, 2, 1))

@@ -481,26 +481,10 @@ class TestOnePassWriters:
             "records": records,
             "grid": [[f, big, 1, True], [Fraction(1), 1, f, True]] * 5,
             "nested": {"records": records[:9], "tuple": tuple(mixed), "same": records[0]["payoffs"]},
+            # One container in many places is written at each place's indent.
+            "shared": [[f, 1], {"a": [f] * 8, "b": []}] * 9,
         }
         assert_same_as_old(Report("game", payload, ("note",)))
-
-    def test_records_of_every_shape(self):
-        # Eight or more dicts with the same keys are written a key at a time.
-        shapes = [
-            {"b": [1, 2], "a": [], "{c}": Fraction(3, 2)},  # sorted keys, an empty list, braces in a key
-            {"k": [[1, 2], [3]], "m": {"x": 1}},  # lists of lists and dicts as values
-            {"only": "x"},
-            {3: 1, 1: [2]},  # keys json writes as strings
-            {"v": None, "w": 0.5, "t": (1, "é")},
-        ]
-        for shape in shapes:
-            records = [dict(shape) for _ in range(8)]
-            assert_same_as_old(Report("x", {"records": records, "in": {"records": records + records}}))
-        mixed = [{"a": 1, "b": [1]}] * 4 + [{"b": [2], "a": 2}] * 4  # same keys, another order
-        scalars_then_lists = [{"a": 1}] * 8 + [{"a": [1, 2]}] * 8
-        empty = [{}] * 9
-        for records in (mixed, scalars_then_lists, empty):
-            assert_same_as_old(Report("x", {"records": records}))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
