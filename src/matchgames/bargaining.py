@@ -166,17 +166,15 @@ def feasible_hull(game: BimatrixGame) -> list[Point]:
     points = sorted(set(game.outcome_points()))
     if len(points) <= 2:
         return points
-    lower: list[Point] = []
-    for p in points:
-        while len(lower) > 1 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(points):
-        while len(upper) > 1 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    hull: list[Point] = []
+    for run in (points, points[::-1]):  # the lower chain, then the upper one
+        chain: list[Point] = []
+        for p in run:
+            while len(chain) > 1 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    return hull
 
 
 def hull_contains(hull: list[Point] | tuple[Point, ...], point: Point) -> bool:

@@ -11,20 +11,19 @@ lists, and every rational an integer or a "p/q" string, never a decimal.
 Identical inputs therefore produce byte-identical output: the bytes of the
 standard library's key-sorted, indented json.dumps on the encoded values.
 Both writers make the text of each distinct scalar object in a list of eight
-or more once per render call (see _texts).
+or more once per render call (see _texts).  parse_report decodes by field (see _RATIONAL_KEYS).
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Callable
 
 from .bargaining import BimatrixGame
 from .core import (
@@ -45,7 +44,7 @@ class SchemaError(MatchGamesError):
 
 
 class ReportTooLarge(MatchGamesError):
-    """A number in the report is too long to print as decimal digits."""
+    """A report cannot be rendered: a number too long to print, or nesting too deep to write."""
 
 
 @dataclass(frozen=True)
@@ -57,15 +56,15 @@ class BimatrixFile:
     game: BimatrixGame
 
 
-def _load_json(data: str | bytes) -> Any:
+def _load_json(data: str | bytes, decode: Callable[[Any], Any] = lambda doc: doc) -> Any:
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     try:
-        # parse_float receives the literal text, so decimals stay exact.
-        return json.loads(data, parse_float=as_rational)
+        # parse_float receives the literal text, so decimals stay exact; decode runs under these handlers.
+        return decode(json.loads(data, parse_float=as_rational))
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -172,12 +171,7 @@ def parse_bimatrix(data: str | bytes) -> BimatrixFile:
         for c, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
                 raise SchemaError(f"bimatrix: cell ({r},{c}) must be a [k1, k2] pair")
-            cells.append(
-                (
-                    _rational_cell(cell[0], f"bimatrix.payoffs[{r}][{c}][0]"),
-                    _rational_cell(cell[1], f"bimatrix.payoffs[{r}][{c}][1]"),
-                )
-            )
+            cells.append(tuple(_rational_cell(v, f"bimatrix.payoffs[{r}][{c}][{i}]") for i, v in enumerate(cell)))
         grid.append(tuple(cells))
     return BimatrixFile(row_labels=row_labels, col_labels=col_labels, game=BimatrixGame(payoffs=tuple(grid)))
 
@@ -271,57 +265,58 @@ class Report:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+/[1-9]\d*$")
+# The payload keys the commands fill with rationals.  parse_report makes a string a Fraction only
+# under one of them, at any depth; every other string, labels included, stays a string.
+_RATIONAL_KEYS = frozenset({"total", "payoffs", "ideal_point", "optimal_regret", "max_regret_by_situation", "payoff",
+    "strategy", "value", "disagreement", "hull_vertices", "pareto_frontier", "solution", "nash_product"})
 
-# Payload keys that hold labels; their strings are never decoded.
-_LABEL_KEYS = frozenset({"workers", "enterprises", "row_labels", "col_labels"})
+
+def _rational(text: str) -> Fraction:
+    """The rational a report string under a _RATIONAL_KEYS key encodes: "p/q", ASCII integer parts, q > 0."""
+    p, _, q = text.partition("/")
+    if not (text.isascii() and p.removeprefix("-").isdigit() and q.isdigit() and q.strip("0")):
+        raise SchemaError(f"report: expected a \"p/q\" string under a rational key, got {text[:40]!r}")
+    return Fraction(int(p), int(q))
 
 
-def decode_values(value: Any) -> Any:
-    """Undo the machine writer's rational encoding: "p/q" strings become
-    Fractions, ints stay ints.
-
-    Plain ints compare equal to the Fractions they encode, so decoded payloads
-    compare equal to the originals.  Values under the label keys stay as
-    they are.
-    """
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
-        return Fraction(value)
-    if isinstance(value, dict):
-        return {k: v if k in _LABEL_KEYS else decode_values(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [decode_values(v) for v in value]
-    return value
+def _decode(value: Any, rational: bool, parsed: dict[str, Fraction]) -> Any:
+    """value with its strings made Fractions where rational is set or a key in _RATIONAL_KEYS
+    sets it; parsed maps each text already read to its Fraction, so each is read once."""
+    if type(value) is dict:
+        return {k: _decode(v, rational or k in _RATIONAL_KEYS, parsed) for k, v in value.items()}
+    if type(value) is not list:
+        return _decode([value], rational, parsed)[0]
+    if any(map(isinstance, value, repeat((dict, list)))):
+        return [_decode(v, rational, parsed) for v in value]
+    if not rational or str not in set(map(type, value)):
+        return value
+    for text in set(value).difference(parsed):
+        if type(text) is str:
+            parsed[text] = _rational(text)
+    return list(map(parsed.get, value, value))
 
 
 def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
     """Render a report; machine mode is canonical JSON and round-trips.
 
-    Raises ReportTooLarge when a number has more digits than the
-    interpreter's int-to-str limit allows.
+    Raises ReportTooLarge when a number has more digits than the interpreter's
+    int-to-str limit allows, or the payload is nested past the recursion limit.
     """
     try:
         if mode is RenderMode.MACHINE:
             doc = {"command": report.command, "payload": report.payload, "notes": report.notes}
             return _write_json(doc, "", {}) + "\n"
         return _render_text(report)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ReportTooLarge(f"cannot render the {report.command} report: {exc}") from exc
 
 
 def parse_report(data: str | bytes) -> Report:
-    """Parse a machine-readable report back into a Report."""
-    doc = _load_json(data)
+    """Parse a machine report back into a Report; SchemaError for a non-"p/q" string under _RATIONAL_KEYS."""
+    doc = _load_json(data, partial(_decode, rational=False, parsed={}))
     command = _require(doc, "command", str, "report")
     payload = _require(doc, "payload", dict, "report")
     notes = _string_list(_require(doc, "notes", list, "report"), "report.notes")
-    try:
-        payload = decode_values(payload)
-    except RecursionError as exc:
-        raise ParseError("report payload is nested too deeply") from exc
-    except ValueError as exc:
-        # A "p/q" part past the interpreter's int-digit limit.
-        raise ParseError(f"report has an oversize number: {exc}") from exc
     return Report(command=command, payload=payload, notes=notes)
 
 

@@ -1,7 +1,10 @@
 import json
 import random
+import re
 import string
+import time
 from fractions import Fraction
+from typing import Any
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 
 from matchgames import (
     BimatrixFile,
+    DisagreementOutsideHull,
+    EmptyIndividuallyRationalRegion,
     Objective,
     ParseError,
     RenderMode,
@@ -28,7 +33,7 @@ from matchgames import (
     render_market,
     render_report,
 )
-from matchgames.formats import ReportTooLarge
+from matchgames.formats import _RATIONAL_KEYS, ReportTooLarge
 
 MARKET_DOC = """
 {
@@ -264,12 +269,117 @@ class TestReports:
             parse_report('{"command": "game", "notes": [], "payload": {"deep": ' + payload + "}}")
 
     def test_parse_report_rejects_oversize_number(self):
-        doc = '{"command": "x", "notes": [], "payload": {"v": "%s"}}'
+        doc = '{"command": "x", "notes": [], "payload": {"total": "%s"}}'
         with pytest.raises(ParseError, match="oversize number"):
             parse_report(doc % ("1/" + "9" * 5000))
         # Parts past as_rational's 1000-character literal bound still parse.
-        big = parse_report(doc % ("7" * 600 + "/" + "3" * 600)).payload["v"]
+        big = parse_report(doc % ("7" * 600 + "/" + "3" * 600)).payload["total"]
         assert big == Fraction(int("7" * 600), int("3" * 600))
+
+    def test_deep_report_parses_but_is_too_deep_to_write(self):
+        payload = "[" * 400 + "]" * 400
+        report = parse_report('{"command": "game", "notes": [], "payload": {"deep": ' + payload + "}}")
+        with pytest.raises(ReportTooLarge, match="cannot render the game report"):
+            render_report(report, RenderMode.MACHINE)
+        assert render_report(report, RenderMode.TEXT).startswith("== game ==\ndeep: ((((")
+
+    @pytest.mark.parametrize("text", ["abc", "5", "1/0", "1/2/3", "1.5", "1e999999999", "+1/2", " 1/2", "1_0/3", "-/2", "１/2"])
+    def test_foreign_string_under_rational_key_rejected(self, text):
+        for payload in ({"total": text}, {"bargaining": {"hull_vertices": [[0, 1], [text, 2]]}}):
+            doc = json.dumps({"command": "x", "notes": [], "payload": payload})
+            start = time.perf_counter()
+            with pytest.raises((SchemaError, ParseError)):
+                parse_report(doc)
+            assert time.perf_counter() - start < 0.5  # no exponent or decimal is ever expanded
+
+    def test_strings_outside_rational_keys_stay_strings(self):
+        payload = {"v": "1/2", "workers": ["-4/7"], "reason": "3/4", "maximin": {"player1": {"note": "5/6"}}}
+        doc = json.dumps({"command": "x", "notes": ["1/2"], "payload": payload})
+        assert parse_report(doc) == Report("x", payload, ("1/2",))
+        decoded = parse_report(doc.replace('"v"', '"value"')).payload
+        assert decoded["value"] == Fraction(1, 2) and type(decoded["value"]) is Fraction
+
+
+# The decoder parse_report used before it decoded by field, kept verbatim as
+# an oracle: on every report the commands write, both must agree.
+_RATIONAL_RE = re.compile(r"^-?\d+/[1-9]\d*$")
+
+# Payload keys that hold labels; their strings are never decoded.
+_LABEL_KEYS = frozenset({"workers", "enterprises", "row_labels", "col_labels"})
+
+
+def decode_values(value: Any) -> Any:
+    """Undo the machine writer's rational encoding: "p/q" strings become
+    Fractions, ints stay ints.
+
+    Plain ints compare equal to the Fractions they encode, so decoded payloads
+    compare equal to the originals.  Values under the label keys stay as
+    they are.
+    """
+    if isinstance(value, str) and _RATIONAL_RE.match(value):
+        return Fraction(value)
+    if isinstance(value, dict):
+        return {k: v if k in _LABEL_KEYS else decode_values(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [decode_values(v) for v in value]
+    return value
+
+
+def fraction_keys(value, under=None):
+    """The key just above each Fraction in value that no _RATIONAL_KEYS key encloses
+    (None for one with no key above it); empty when every Fraction is under one."""
+    if isinstance(value, Fraction):
+        return set() if under in _RATIONAL_KEYS else {under}
+    if isinstance(value, dict):
+        return set().union(*[fraction_keys(v, under if under in _RATIONAL_KEYS else k) for k, v in value.items()])
+    if isinstance(value, (list, tuple)):
+        return set().union(*[fraction_keys(v, under) for v in value])
+    return set()
+
+
+labels = st.sampled_from(["1/2", "-4/7", "0", "3/1", 'q"', "\\", "é", "日本", "w"]) | st.text(
+    st.sampled_from('a1/-"é日\\'), min_size=1, max_size=4
+)
+cells = st.integers(-99, 99) | st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 9))
+
+
+@st.composite
+def markets(draw):
+    n = draw(st.integers(1, 5))
+    grid = lambda: draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    side = lambda: draw(st.lists(labels, min_size=n, max_size=n, unique=True))
+    return parse_market(json.dumps({"workers": side(), "enterprises": side(), "A": grid(), "B": grid()}))
+
+
+@st.composite
+def games(draw):
+    row_labels, col_labels = (draw(st.lists(labels, min_size=2, max_size=2, unique=True)) for _ in range(2))
+    payoffs = draw(st.lists(st.lists(st.lists(cells, min_size=2, max_size=2), min_size=2, max_size=2), min_size=2, max_size=2))
+    return parse_bimatrix(json.dumps({"row_labels": row_labels, "col_labels": col_labels, "payoffs": payoffs}))
+
+
+class TestDecodeByField:
+    """parse_report against the regex decoder it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(market=markets(), game=games(), override=st.booleans())
+    def test_every_command_report(self, market, game, override):
+        reports = [cmd_assign(market, side, objective) for side in Side for objective in Objective]
+        reports.append(cmd_game(market))
+        # The centroid of the four outcomes is always a feasible disagreement point.
+        centroid = tuple(sum(cell[i] for row in game.game.payoffs for cell in row) / 4 for i in range(2))
+        for build in (lambda: cmd_bargain(game, centroid if override else None), lambda: cmd_pipeline(market, game)):
+            try:
+                reports.append(build())
+            except (DisagreementOutsideHull, EmptyIndividuallyRationalRegion):
+                pass
+        assert _LABEL_KEYS.isdisjoint(_RATIONAL_KEYS)
+        for report in reports:
+            rendered = render_report(report, RenderMode.MACHINE)
+            # One bool: pytest would diff two whole payloads at every shrink step.
+            agree = parse_report(rendered) == report and decode_values(json.loads(rendered)["payload"]) == report.payload
+            assert agree, report.command
+            assert fraction_keys(report.payload) == set(), report.command
 
 
 # The writers that rendered every report before the one-pass writers, kept
