@@ -26,7 +26,6 @@ from .bargaining import (
     BimatrixGame,
     DisagreementOutsideHull,
     DisagreementPoint,
-    EmptyIndividuallyRationalRegion,
     MixedStrategy,
     NotTwoByTwo,
     Player,

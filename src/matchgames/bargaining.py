@@ -28,10 +28,6 @@ class DisagreementOutsideHull(MatchGamesError):
     """The disagreement point is not a feasible payoff vector."""
 
 
-class EmptyIndividuallyRationalRegion(MatchGamesError):
-    """No Pareto-frontier point weakly dominates the disagreement point."""
-
-
 class Player(Enum):
     ONE = 1
     TWO = 2
@@ -160,10 +156,10 @@ def _cross(origin: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - origin[0]) * (b[1] - origin[1]) - (a[1] - origin[1]) * (b[0] - origin[0])
 
 
-def feasible_hull(game: BimatrixGame) -> list[Point]:
-    """Convex hull of the outcome payoff pairs, counterclockwise from the
+def _hull(points: list[Point]) -> list[Point]:
+    """Convex hull by monotone chain, counterclockwise from the
     lexicographically smallest vertex, collinear points removed."""
-    points = sorted(set(game.outcome_points()))
+    points = sorted(set(points))
     if len(points) <= 2:
         return points
     hull: list[Point] = []
@@ -177,22 +173,15 @@ def feasible_hull(game: BimatrixGame) -> list[Point]:
     return hull
 
 
+def feasible_hull(game: BimatrixGame) -> list[Point]:
+    """Convex hull of the outcome payoff pairs, as `_hull` orders it."""
+    return _hull(game.outcome_points())
+
+
 def hull_contains(hull: list[Point] | tuple[Point, ...], point: Point) -> bool:
-    """Exact point-in-convex-polygon test; boundary points count as inside."""
-    verts = list(hull)
-    if len(verts) == 1:
-        return point == verts[0]
-    if len(verts) == 2:
-        a, b = verts
-        if _cross(a, b, point) != 0:
-            return False
-        return (
-            min(a[0], b[0]) <= point[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= point[1] <= max(a[1], b[1])
-        )
-    return all(
-        _cross(verts[i], verts[(i + 1) % len(verts)], point) >= 0 for i in range(len(verts))
-    )
+    """Exact test, boundary included, on a hull in the vertex order `feasible_hull` returns: a
+    point outside a convex polygon is a vertex of their joint hull, so inside means "adds no vertex"."""
+    return _hull([*hull, point]) == list(hull)
 
 
 def pareto_frontier(hull: list[Point] | tuple[Point, ...]) -> list[Segment]:
@@ -222,40 +211,22 @@ def pareto_frontier(hull: list[Point] | tuple[Point, ...]) -> list[Segment]:
 def _segment_best(
     start: Point, end: Point, disagreement: Point
 ) -> tuple[Fraction, Point] | None:
-    """Maximum Nash product on one frontier segment clipped to payoffs >= d.
+    """Maximum Nash product on one frontier segment over its payoffs >= d, or None if none is.
 
-    Walking a frontier segment, K1 rises and K2 falls, so each individual-
-    rationality bound clips one end of the parameter range.  The product of
-    gains is a concave quadratic in the parameter; its vertex, clamped to the
-    clipped range, is the exact maximizer.
+    Walking a frontier segment, K1 rises and K2 falls, so the product of gains is a strictly
+    concave quadratic in the parameter whose roots are the two individual-rationality bounds:
+    its vertex clamped to the segment is the exact maximizer, and is >= d if any point is.
     """
     d1, d2 = disagreement
-    p1, p2 = start
-    b1 = end[0] - p1
-    b2 = end[1] - p2
-    if b1 == 0 and b2 == 0:
-        if p1 >= d1 and p2 >= d2:
-            return (p1 - d1) * (p2 - d2), start
-        return None
-    # Frontier segments run strictly east and south (pareto_frontier drops
-    # horizontal and vertical edges), so each bound clips one end.
-    assert b1 > 0 > b2, "frontier segment is not strictly northeast-oriented"
-    lo = max(Fraction(0), (d1 - p1) / b1) if p1 < d1 else Fraction(0)
-    hi = min(Fraction(1), (d2 - p2) / b2) if end[1] < d2 else Fraction(1)
-    if lo > hi:
-        return None
-    a1 = p1 - d1
-    a2 = p2 - d2
-
-    def product_at(t: Fraction) -> Fraction:
-        return (a1 + t * b1) * (a2 + t * b2)
-
-    candidates = [lo, hi]
-    vertex = -(b1 * a2 + a1 * b2) / (2 * b1 * b2)
-    if lo < vertex < hi:
-        candidates.append(vertex)
-    best_t = max(candidates, key=product_at)
-    return product_at(best_t), (p1 + best_t * b1, p2 + best_t * b2)
+    gain1, gain2 = start[0] - d1, start[1] - d2
+    b1, b2 = end[0] - start[0], end[1] - start[1]
+    if b1 != 0 or b2 != 0:  # not a single point
+        # Frontier segments run strictly east and south (pareto_frontier drops
+        # horizontal and vertical edges).
+        assert b1 > 0 > b2, "frontier segment is not strictly northeast-oriented"
+        t = min(Fraction(1), max(Fraction(0), -(b1 * gain2 + gain1 * b2) / (2 * b1 * b2)))
+        gain1, gain2 = gain1 + t * b1, gain2 + t * b2
+    return (gain1 * gain2, (d1 + gain1, d2 + gain2)) if gain1 >= 0 and gain2 >= 0 else None
 
 
 def nash_solution(game: BimatrixGame, disagreement: DisagreementPoint) -> BargainingOutcome:
@@ -267,17 +238,10 @@ def nash_solution(game: BimatrixGame, disagreement: DisagreementPoint) -> Bargai
             "is not a feasible payoff vector"
         )
     frontier = pareto_frontier(hull)
-    best: tuple[Fraction, Point] | None = None
-    for start, end in frontier:
-        candidate = _segment_best(start, end, disagreement.point)
-        if candidate is not None and (best is None or candidate[0] > best[0]):
-            best = candidate
-    if best is None:
-        raise EmptyIndividuallyRationalRegion(
-            "no Pareto-optimal point dominates the disagreement point "
-            f"({', '.join(map(format_rational, disagreement.point))})"
-        )
-    product, solution = best
+    # Every hull point is weakly dominated by a Pareto-optimal one, so some segment has a point
+    # >= d.  max() keeps the first of equal products, in frontier order.
+    bests = (_segment_best(start, end, disagreement.point) for start, end in frontier)
+    product, solution = max(filter(None, bests), key=lambda best: best[0])
     return BargainingOutcome(
         feasible_hull=tuple(hull),
         pareto_frontier=tuple(frontier),

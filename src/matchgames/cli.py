@@ -120,15 +120,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         rendered = render_report(_run(args), RenderMode(args.output))
-    except _UsageError as exc:
+    except (_UsageError, MatchGamesError) as exc:
         print(f"matchgames: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SizeTooLarge as exc:
-        print(f"matchgames: error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except MatchGamesError as exc:
-        print(f"matchgames: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_SIZE if isinstance(exc, SizeTooLarge) else EXIT_INPUT
     try:
         if args.out:
             Path(args.out).write_text(rendered, encoding="utf-8")

@@ -279,15 +279,23 @@ def _rational(text: str) -> Fraction:
     return Fraction(int(p), int(q))
 
 
-def _decode(value: Any, rational: bool, parsed: dict[str, Fraction]) -> Any:
+# The deepest nesting parse_report accepts, counting every object and list from the document
+# itself down; every command's report is at most 6 deep.  The bound does not depend on the interpreter.
+MAX_REPORT_DEPTH = 64
+
+
+def _decode(value: Any, rational: bool, parsed: dict[str, Fraction], depth: int = 1) -> Any:
     """value with its strings made Fractions where rational is set or a key in _RATIONAL_KEYS
-    sets it; parsed maps each text already read to its Fraction, so each is read once."""
+    sets it; parsed maps each text already read in a list to its Fraction, so each is read once
+    there; depth is value's nesting depth, were it a container."""
+    if type(value) is not dict and type(value) is not list:
+        return _rational(value) if rational and type(value) is str else value
+    if depth > MAX_REPORT_DEPTH:
+        raise ParseError(f"report is nested more than {MAX_REPORT_DEPTH} deep")
     if type(value) is dict:
-        return {k: _decode(v, rational or k in _RATIONAL_KEYS, parsed) for k, v in value.items()}
-    if type(value) is not list:
-        return _decode([value], rational, parsed)[0]
+        return {k: _decode(v, rational or k in _RATIONAL_KEYS, parsed, depth + 1) for k, v in value.items()}
     if any(map(isinstance, value, repeat((dict, list)))):
-        return [_decode(v, rational, parsed) for v in value]
+        return [_decode(v, rational, parsed, depth + 1) for v in value]
     if not rational or str not in set(map(type, value)):
         return value
     for text in set(value).difference(parsed):

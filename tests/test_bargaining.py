@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchgames import (
     BimatrixGame,
@@ -278,3 +280,151 @@ class TestBargain:
             if cross == 0 and within:
                 return True
         return False
+
+
+# The point-in-polygon test and the clipped-range segment maximizer that
+# hull_contains and nash_solution used before they worked from the hull alone,
+# kept verbatim as oracles.
+def _cross(origin, a, b):
+    return (a[0] - origin[0]) * (b[1] - origin[1]) - (a[1] - origin[1]) * (b[0] - origin[0])
+
+
+def old_hull_contains(hull, point):
+    """Exact point-in-convex-polygon test; boundary points count as inside."""
+    verts = list(hull)
+    if len(verts) == 1:
+        return point == verts[0]
+    if len(verts) == 2:
+        a, b = verts
+        if _cross(a, b, point) != 0:
+            return False
+        return (
+            min(a[0], b[0]) <= point[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= point[1] <= max(a[1], b[1])
+        )
+    return all(
+        _cross(verts[i], verts[(i + 1) % len(verts)], point) >= 0 for i in range(len(verts))
+    )
+
+
+def old_segment_best(start, end, disagreement):
+    """Maximum Nash product on one frontier segment clipped to payoffs >= d."""
+    d1, d2 = disagreement
+    p1, p2 = start
+    b1 = end[0] - p1
+    b2 = end[1] - p2
+    if b1 == 0 and b2 == 0:
+        if p1 >= d1 and p2 >= d2:
+            return (p1 - d1) * (p2 - d2), start
+        return None
+    assert b1 > 0 > b2, "frontier segment is not strictly northeast-oriented"
+    lo = max(Fraction(0), (d1 - p1) / b1) if p1 < d1 else Fraction(0)
+    hi = min(Fraction(1), (d2 - p2) / b2) if end[1] < d2 else Fraction(1)
+    if lo > hi:
+        return None
+    a1 = p1 - d1
+    a2 = p2 - d2
+
+    def product_at(t):
+        return (a1 + t * b1) * (a2 + t * b2)
+
+    candidates = [lo, hi]
+    vertex = -(b1 * a2 + a1 * b2) / (2 * b1 * b2)
+    if lo < vertex < hi:
+        candidates.append(vertex)
+    best_t = max(candidates, key=product_at)
+    return product_at(best_t), (p1 + best_t * b1, p2 + best_t * b2)
+
+
+def old_nash_solution(game, point):
+    """(frontier, product, solution) by the old search; None where d is outside the hull."""
+    hull = feasible_hull(game)
+    if not old_hull_contains(hull, point):
+        return None
+    frontier = pareto_frontier(hull)
+    best = None
+    for start, end in frontier:
+        candidate = old_segment_best(start, end, point)
+        if candidate is not None and (best is None or candidate[0] > best[0]):
+            best = candidate
+    assert best is not None, "the old search found no point dominating a feasible d"
+    return tuple(frontier), *best
+
+
+rationals = st.fractions(-6, 6, max_denominator=3)
+points = st.tuples(rationals, rationals)
+
+
+@st.composite
+def exact_games(draw, shapes=("free", "collinear", "repeated")):
+    """A 1x1 to 3x3 game with exact rational payoffs: free, all on one line, or a few repeated points."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(shapes))
+    if shape == "collinear":
+        (x, y), (dx, dy) = draw(points), draw(points)
+        cell = st.builds(lambda k: (x + k * dx, y + k * dy), rationals)
+    elif shape == "repeated":
+        cell = st.sampled_from(draw(st.lists(points, min_size=1, max_size=2)))
+    else:
+        cell = points
+    grid = st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    return BimatrixGame.from_rows(draw(grid))
+
+
+def convex_combination(draw, pts, least_weight):
+    weights = draw(st.lists(st.integers(least_weight, 4), min_size=len(pts), max_size=len(pts)).filter(any))
+    return tuple(sum(w * p[i] for w, p in zip(weights, pts)) / sum(weights) for i in (0, 1))
+
+
+@st.composite
+def game_and_disagreement(draw, where):
+    """A game and a d placed on a vertex, on an edge, on the line through an
+    edge beyond its ends, strictly inside, near the boundary, or anywhere."""
+    game = draw(exact_games(("collinear",) if where == "extension" else ("free", "collinear", "repeated")))
+    hull = feasible_hull(game)
+    i = draw(st.integers(0, len(hull) - 1))
+    a, b = hull[i], hull[(i + 1) % len(hull)]
+    t = draw({
+        "vertex": st.just(Fraction(0)),
+        "extension": st.fractions(-2, Fraction(-1, 7), max_denominator=7)
+        | st.fractions(Fraction(8, 7), 3, max_denominator=7),
+    }.get(where, st.fractions(0, 1, max_denominator=7)))
+    d = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    if where == "inside":
+        d = convex_combination(draw, game.outcome_points(), least_weight=1)
+    elif where == "near":
+        nudge = st.sampled_from([Fraction(-1, 50), Fraction(0), Fraction(1, 50)])
+        d = (d[0] + draw(nudge), d[1] + draw(nudge))
+    elif where == "anywhere":
+        d = draw(points)
+    return game, d
+
+
+class TestAgainstOldSearch:
+    """hull_contains and nash_solution against the search they replaced."""
+
+    @pytest.mark.parametrize("where", ["vertex", "edge", "extension", "inside", "near", "anywhere"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_containment_and_solution(self, where, data):
+        game, d = data.draw(game_and_disagreement(where))
+        hull = feasible_hull(game)
+        assert hull_contains(hull, d) == old_hull_contains(hull, d)
+        expected = old_nash_solution(game, d)
+        if expected is None:
+            with pytest.raises(DisagreementOutsideHull):
+                nash_solution(game, DisagreementPoint(*d))
+            return
+        outcome = nash_solution(game, DisagreementPoint(*d))
+        assert (outcome.pareto_frontier, outcome.nash_product, outcome.solution) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_feasible_disagreement_is_arbitrated(self, data):
+        # Why nash_solution needs no error for an empty individually rational
+        # region: a feasible d is always weakly dominated by a frontier point.
+        game = data.draw(exact_games())
+        d = convex_combination(data.draw, game.outcome_points(), least_weight=0)
+        outcome = nash_solution(game, DisagreementPoint(*d))
+        assert outcome.solution[0] >= d[0] and outcome.solution[1] >= d[1]
+        assert outcome.nash_product >= 0

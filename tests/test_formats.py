@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from matchgames import (
     BimatrixFile,
     DisagreementOutsideHull,
-    EmptyIndividuallyRationalRegion,
     Objective,
     ParseError,
     RenderMode,
@@ -33,7 +32,7 @@ from matchgames import (
     render_market,
     render_report,
 )
-from matchgames.formats import _RATIONAL_KEYS, ReportTooLarge
+from matchgames.formats import _RATIONAL_KEYS, MAX_REPORT_DEPTH, ReportTooLarge
 
 MARKET_DOC = """
 {
@@ -51,6 +50,13 @@ UNION_DOC = """
   "payoffs": [[[6, 2], [0, 0]], [[0, 0], [2, 6]]]
 }
 """
+
+
+def nesting(value):
+    """Containers from value down to its deepest leaf, value itself included."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return 1 + max(map(nesting, value), default=0) if isinstance(value, list) else 0
 
 
 def random_market(rng):
@@ -276,9 +282,26 @@ class TestReports:
         big = parse_report(doc % ("7" * 600 + "/" + "3" * 600)).payload["total"]
         assert big == Fraction(int("7" * 600), int("3" * 600))
 
-    def test_deep_report_parses_but_is_too_deep_to_write(self):
-        payload = "[" * 400 + "]" * 400
-        report = parse_report('{"command": "game", "notes": [], "payload": {"deep": ' + payload + "}}")
+    def test_report_nested_to_the_bound_parses(self):
+        # The document and its payload are two of the MAX_REPORT_DEPTH levels.
+        doc = '{"command": "game", "notes": [], "payload": {"deep": %s}}'
+        depth = MAX_REPORT_DEPTH - 2
+        report = parse_report(doc % ("[" * depth + "]" * depth))
+        assert render_report(report, RenderMode.MACHINE).count("[") == depth + 1  # notes is one more
+        with pytest.raises(ParseError, match=f"nested more than {MAX_REPORT_DEPTH} deep"):
+            parse_report(doc % ("[" * (depth + 1) + "]" * (depth + 1)))
+
+    def test_command_reports_are_well_within_the_bound(self, labor_market, union_game):
+        union = BimatrixFile(("a", "b"), ("c", "d"), union_game)
+        reports = (cmd_assign(labor_market, Side.WORKERS), cmd_game(labor_market), cmd_bargain(union))
+        for report in (*reports, cmd_pipeline(labor_market, union)):
+            assert nesting(json.loads(render_report(report, RenderMode.MACHINE))) <= 6
+
+    def test_deep_report_is_too_deep_to_write(self):
+        deep: list = []
+        for _ in range(399):
+            deep = [deep]
+        report = Report("game", {"deep": deep})
         with pytest.raises(ReportTooLarge, match="cannot render the game report"):
             render_report(report, RenderMode.MACHINE)
         assert render_report(report, RenderMode.TEXT).startswith("== game ==\ndeep: ((((")
@@ -371,7 +394,7 @@ class TestDecodeByField:
         for build in (lambda: cmd_bargain(game, centroid if override else None), lambda: cmd_pipeline(market, game)):
             try:
                 reports.append(build())
-            except (DisagreementOutsideHull, EmptyIndividuallyRationalRegion):
+            except DisagreementOutsideHull:
                 pass
         assert _LABEL_KEYS.isdisjoint(_RATIONAL_KEYS)
         for report in reports:

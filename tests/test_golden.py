@@ -1,0 +1,62 @@
+"""Byte-for-byte checks of the CLI's reports on the bundled data.
+
+Each file under ``tests/golden/`` is one report as ``matchgames`` writes it
+to stdout.  After a change that is meant to alter a report, regenerate the
+files with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from matchgames.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parents[1] / "demos" / "data"
+LABOR = str(DATA / "labor_market.json")
+JOBS = str(DATA / "job_market.json")
+UNION = str(DATA / "union_game.json")
+
+COMMANDS = {
+    **{
+        f"assign-{market}-{side}-{objective}": [
+            "assign", "--market", path, "--side", side,
+            *(["--minimize"] if objective == "min" else []),
+        ]
+        for market, path in (("labor", LABOR), ("jobs", JOBS))
+        for side in ("workers", "enterprises")
+        for objective in ("max", "min")
+    },
+    "game-labor": ["game", "--market", LABOR],
+    "game-jobs": ["game", "--market", JOBS],
+    "bargain": ["bargain", "--game", UNION],
+    "bargain-disagreement": ["bargain", "--game", UNION, "--disagreement", "3/2", "3/2"],
+    "pipeline": ["pipeline", "--market", LABOR, "--union-game", UNION],
+}
+CASES = [(name, mode) for name in COMMANDS for mode in ("text", "machine")]
+
+
+def _golden_path(name: str, mode: str) -> Path:
+    return GOLDEN / f"{name}.{'json' if mode == 'machine' else 'txt'}"
+
+
+def _render(name: str, mode: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([*COMMANDS[name], "--output", mode])
+    assert code == EXIT_OK
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(("name", "mode"), CASES)
+def test_report_bytes_match_golden(name, mode):
+    expected = _golden_path(name, mode).read_bytes()
+    assert _render(name, mode).encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, mode in CASES:
+        _golden_path(name, mode).write_bytes(_render(name, mode).encode("utf-8"))
