@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .core import MatchGamesError, RationalLike, as_rational, format_rational
@@ -152,25 +153,33 @@ def maximin_2x2(game: BimatrixGame, player: Player) -> tuple[MixedStrategy, Frac
     return MixedStrategy(weights=(weight, 1 - weight)), value
 
 
-def _cross(origin: Point, a: Point, b: Point) -> Fraction:
+def _cross(origin: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
     return (a[0] - origin[0]) * (b[1] - origin[1]) - (a[1] - origin[1]) * (b[0] - origin[0])
 
 
 def _hull(points: list[Point]) -> list[Point]:
     """Convex hull by monotone chain, counterclockwise from the
-    lexicographically smallest vertex, collinear points removed."""
+    lexicographically smallest vertex, collinear points removed.
+
+    The chain runs on the points scaled to integers by the lcm of their
+    coordinates' denominators, which keeps their order and every cross
+    product's sign; the vertices returned are the given points.
+    """
     points = sorted(set(points))
     if len(points) <= 2:
         return points
-    hull: list[Point] = []
-    for run in (points, points[::-1]):  # the lower chain, then the upper one
-        chain: list[Point] = []
+    scale = lcm(*[c.denominator for point in points for c in point])
+    scaled = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)) for x, y in points]
+    given = dict(zip(scaled, points))
+    hull: list[tuple[int, int]] = []
+    for run in (scaled, scaled[::-1]):  # the lower chain, then the upper one
+        chain: list[tuple[int, int]] = []
         for p in run:
             while len(chain) > 1 and _cross(chain[-2], chain[-1], p) <= 0:
                 chain.pop()
             chain.append(p)
         hull += chain[:-1]
-    return hull
+    return [given[p] for p in hull]
 
 
 def feasible_hull(game: BimatrixGame) -> list[Point]:

@@ -11,7 +11,12 @@ lists, and every rational an integer or a "p/q" string, never a decimal.
 Identical inputs therefore produce byte-identical output: the bytes of the
 standard library's key-sorted, indented json.dumps on the encoded values.
 Both writers make the text of each distinct scalar object in a list of eight
-or more once per render call (see _texts).  parse_report decodes by field (see _RATIONAL_KEYS).
+or more once per render call (see _texts).  A list of eight or more records,
+dicts of one str key set whose value at each key is a str, int or Fraction, or
+a non-empty list or tuple of them of one length, is written from one template:
+item 0's text with "%s" for each scalar, repeated once per item and filled by
+one "%" (see _records; the text writer also needs one key order).  Every other
+list is written item by item.  parse_report decodes by field (see _RATIONAL_KEYS).
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Callable
 
 from .bargaining import BimatrixGame
@@ -194,18 +200,53 @@ def _texts(memo: dict[int, str], scalars: dict, other: Any, values: Any) -> list
     scalars each object is formatted once per render: memo maps its id(), unique while the
     document holds it, to its text.  A container's text depends on its place: never memoized."""
     if len(values) >= _LONG:
-        out = list(map(memo.get, map(id, values)))
+        ids = list(map(id, values))
+        out = list(map(memo.get, ids))
         if all(out):  # all known: one C-level pass (a dict per list: 1.5-1.8x the render time)
             return out
-        if not any(map(isinstance, values, repeat((dict, list, tuple)))):
-            for key, v in dict(zip(map(id, values), values)).items():
+        if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
+            for key, v in dict(zip(ids, values)).items():
                 if key not in memo:
                     memo[key] = scalars.get(type(v), other)(v)
-            return list(map(memo.__getitem__, map(id, values)))
+            return list(map(memo.__getitem__, ids))
     out = []  # a loop, not a comprehension, which would make cells of scalars and other on every call
     for v in values:
         out.append(scalars.get(type(v), other)(v))
     return out
+
+
+def _records(items: Any, ordered: bool, texts: Callable[[list], list[str]]) -> tuple[list, list[int], tuple] | None:
+    """(keys, widths, cells) of a list of _LONG or more same-shaped records, else None.
+
+    Every item is a dict with the same str keys: in the same order if ordered, else as a set,
+    and then keys are sorted.  At each key every item holds a scalar whose exact type is in
+    _JSON_SCALARS (width 0) or a non-empty list or tuple of them, one length per key (its
+    width).  cells holds the scalars item by item, keys in order, each list's in place: the
+    text from texts, run once per column, or the int itself, which "%s" writes as int.__repr__.
+    """
+    if len(items) < _LONG or type(items[0]) is not dict or not items[0] or set(map(type, items)) != {dict}:
+        return None  # item 0 first: most long lists hold scalars or rows
+    if set(map(type, items[0])) != {str} or len(set(map(tuple if ordered else frozenset, items))) != 1:
+        return None
+    keys = list(items[0]) if ordered else sorted(items[0])
+    widths, columns = [], []
+    for key in keys:
+        column = list(map(itemgetter(key), items))
+        width = 0
+        if set(map(type, column)) <= {list, tuple} and column[0] and len(set(map(len, column))) == 1:
+            width = len(column[0])
+            column = list(chain.from_iterable(column))
+        types = set(map(type, column))
+        if not types <= _JSON_SCALARS.keys():
+            return None
+        widths.append(width)
+        parts = [column[i::width] for i in range(width)] if width else [column]
+        columns += parts if types == {int} else map(texts, parts)
+    stride = len(columns)  # scalars per item
+    cells = [None] * (stride * len(items))
+    for i, column in enumerate(columns):
+        cells[i::stride] = column
+    return keys, widths, tuple(cells)
 
 
 def _write_json(value: Any, indent: str, memo: dict[int, str]) -> str:
@@ -222,6 +263,18 @@ def _write_json(value: Any, indent: str, memo: dict[int, str]) -> str:
         ]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
+        records = _records(value, False, partial(_texts, memo, _JSON_SCALARS, nested))
+        if records is not None:  # one template per item, filled by one %
+            keys, widths, cells = records
+            cell = inner + "    "
+            fields = [
+                encode_basestring_ascii(k).replace("%", "%%") + ": "
+                + ("[\n" + cell + (",\n" + cell).join(["%s"] * w) + "\n" + inner + "  ]" if w else "%s")
+                for k, w in zip(keys, widths)
+            ]
+            template = "{\n" + inner + "  " + (",\n" + inner + "  ").join(fields) + "\n" + inner + "}"
+            text = "[\n" + inner + (",\n" + inner).join([template] * len(value)) + "\n" + indent + "]"
+            return text % cells
         items = _texts(memo, _JSON_SCALARS, nested, value)
         brackets = "[]"
     else:
@@ -339,8 +392,17 @@ def _render_block(lines: list[str], key: str, value: Any, indent: str, texts: An
             _render_block(lines, sub_key, sub_value, indent + "  ", texts)
     elif isinstance(value, (list, tuple)) and value and all(map(isinstance, value, repeat(dict))):
         lines.append(f"{indent}{key}:")
-        for item in value:
-            lines.append(indent + "  - " + "; ".join(map("{}: {}".format, item, texts(list(item.values())))))
+        records = _records(value, True, texts)
+        if records is None:
+            for item in value:
+                lines.append(indent + "  - " + "; ".join(map("{}: {}".format, item, texts(list(item.values())))))
+        else:  # one line template per item, filled by one %
+            keys, widths, cells = records
+            fields = [
+                k.replace("%", "%%") + ": " + ("(" + ", ".join(["%s"] * w) + ")" if w else "%s")
+                for k, w in zip(keys, widths)
+            ]
+            lines.append("\n".join([indent + "  - " + "; ".join(fields)] * len(value)) % cells)
     elif (  # a grid: non-empty rows of scalars
         isinstance(value, (list, tuple))
         and value

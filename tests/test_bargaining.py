@@ -19,6 +19,7 @@ from matchgames import (
     nash_solution,
     pareto_frontier,
 )
+from matchgames.bargaining import _hull
 from matchgames.datasets import union_game
 
 F = Fraction
@@ -284,9 +285,26 @@ class TestBargain:
 
 # The point-in-polygon test and the clipped-range segment maximizer that
 # hull_contains and nash_solution used before they worked from the hull alone,
-# kept verbatim as oracles.
+# and the hull on Fraction coordinates that _hull replaced, kept verbatim as oracles.
 def _cross(origin, a, b):
     return (a[0] - origin[0]) * (b[1] - origin[1]) - (a[1] - origin[1]) * (b[0] - origin[0])
+
+
+def old_hull(points):
+    """Convex hull by monotone chain, counterclockwise from the
+    lexicographically smallest vertex, collinear points removed."""
+    points = sorted(set(points))
+    if len(points) <= 2:
+        return points
+    hull = []
+    for run in (points, points[::-1]):  # the lower chain, then the upper one
+        chain = []
+        for p in run:
+            while len(chain) > 1 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    return hull
 
 
 def old_hull_contains(hull, point):
@@ -402,6 +420,15 @@ def game_and_disagreement(draw, where):
 
 class TestAgainstOldSearch:
     """hull_contains and nash_solution against the search they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(game=exact_games(), extra=st.lists(points, max_size=3))
+    def test_integer_hull_matches_fraction_hull(self, game, extra):
+        # Same vertices, in the same order, as the same objects that were given.
+        given = game.outcome_points() + extra
+        hull = _hull(given)
+        assert hull == old_hull(given)
+        assert all(any(v is p for p in given) for v in hull)
 
     @pytest.mark.parametrize("where", ["vertex", "edge", "extension", "inside", "near", "anywhere"])
     @settings(max_examples=200, deadline=None)

@@ -4,6 +4,7 @@ import re
 import string
 import time
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -32,7 +33,8 @@ from matchgames import (
     render_market,
     render_report,
 )
-from matchgames.formats import _RATIONAL_KEYS, MAX_REPORT_DEPTH, ReportTooLarge
+from matchgames import formats
+from matchgames.formats import _RATIONAL_KEYS, MAX_REPORT_DEPTH, ReportTooLarge, _records
 
 MARKET_DOC = """
 {
@@ -640,3 +642,110 @@ class TestOnePassWriters:
         # Rows with no cells make no grid: they print inline, as () each.
         rendered = render_report(Report("x", {"k": [[]], "d": {"g": [[1, 22], ()]}}), RenderMode.TEXT)
         assert rendered == "== x ==\nk: ()\nd:\n  g: (1, 22), ()\n"
+
+
+class IntSubclass(int):
+    pass
+
+
+record_keys = st.text(st.sampled_from('a%s"\\é日\n'), min_size=1, max_size=4) | st.sampled_from(
+    ["%", "%s", "%%s", 'q"', "\\", "é", "payoffs"]
+)
+record_strs = st.text(st.sampled_from('a%s"\\é日/1'), max_size=5)
+record_scalars = {
+    "int": st.integers(-99, 99),
+    "big": big,
+    "huge": st.sampled_from([0, 7, 10**4300, -(10**4301)]),  # past the 4300-digit print limit
+    "fraction": st.fractions(max_denominator=50),
+    "str": record_strs,
+    "mixed": st.integers(-9, 9) | st.fractions(max_denominator=9) | record_strs,
+}
+
+
+@st.composite
+def uniform_records(draw, shuffled=False):
+    """8-20 dicts of one str key set whose values at each key are scalars of
+    the record path's types, or non-empty lists or tuples of one length."""
+    cells = {}
+    for key in draw(st.lists(record_keys, min_size=1, max_size=4, unique=True)):
+        scalar = record_scalars[draw(st.sampled_from(sorted(record_scalars)))]
+        width = draw(st.integers(0, 3))
+        lists = st.lists(scalar, min_size=width, max_size=width)
+        cells[key] = scalar if width == 0 else st.one_of(lists, lists.map(tuple))
+    keys = list(cells)
+    items = []
+    for _ in range(draw(st.integers(8, 20))):
+        order = draw(st.permutations(keys)) if shuffled else keys
+        items.append({k: draw(cells[k]) for k in order})
+    return items
+
+
+@st.composite
+def near_miss_records(draw):
+    """Uniform records with one defect the record path must refuse."""
+    items = draw(uniform_records())
+    item = draw(st.sampled_from(items))
+    key = draw(st.sampled_from(sorted(item)))
+    defect = draw(st.sampled_from(["ragged", "cell", "missing", "extra", "empty", "nested"]))
+    if defect == "ragged":
+        item[key] = [*item[key], 1] if isinstance(item[key], (list, tuple)) else [item[key]]
+    elif defect == "cell":
+        odd = draw(st.sampled_from([True, False, None, 1.5, IntSubclass(3)]))
+        if isinstance(item[key], (list, tuple)):
+            item[key] = [odd, *item[key][1:]]
+        else:
+            item[key] = odd
+    elif defect == "missing":
+        del item[key]
+    elif defect == "extra":
+        item[key + "+"] = 1
+    elif defect == "empty":
+        for record in items:
+            record[key] = []
+    else:
+        item[key] = draw(st.sampled_from([{"a": 1}, [[1, 2]], [{"b": 2}]]))
+    return items
+
+
+def record_payload(items):
+    return {"records": items, "deep": {"more": items, "few": items[:7]}, "wrapped": [items, 3]}
+
+
+class TestRecordTemplates:
+    """Lists of same-shaped dicts, written as one template filled by one %,
+    against the writers they replaced; every other list keeps the per-item path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(items=uniform_records(), shuffled=uniform_records(shuffled=True))
+    def test_uniform_records(self, items, shuffled):
+        assert _records(items, False, list) is not None
+        assert _records(items, True, list) is not None
+        assert _records(shuffled, False, list) is not None
+        assert_same_as_old(Report("x%s", record_payload(items), ("%s",)))
+        assert_same_as_old(Report("x", record_payload(shuffled), ()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(items=near_miss_records())
+    def test_near_misses_take_the_per_item_path(self, items):
+        assert _records(items, False, list) is None
+        assert _records(items, True, list) is None
+        assert_same_as_old(Report("x", record_payload(items), ()))
+
+    def test_game_situations_take_the_record_path(self, monkeypatch):
+        # An n = 5 report has 120 situations; the per-item path writes each
+        # with at least one call, so fewer calls than situations means the
+        # record path wrote them.
+        report = cmd_game(parse_market((Path(__file__).parent / "golden" / "market-n5.json").read_bytes()))
+        assert len(report.payload["situations"]) == 120
+        calls = {"_write_json": 0, "_texts": 0}
+        for name in calls:
+            original = getattr(formats, name)
+
+            def counted(*args, original=original, name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(formats, name, counted)
+        render_report(report, RenderMode.MACHINE)
+        render_report(report, RenderMode.TEXT)
+        assert 0 < calls["_write_json"] < 120 and 0 < calls["_texts"] < 120, calls

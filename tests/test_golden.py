@@ -1,8 +1,10 @@
-"""Byte-for-byte checks of the CLI's reports on the bundled data.
+"""Byte-for-byte checks of the CLI's reports on the bundled data and on one
+fixed n = 5 market.
 
 Each file under ``tests/golden/`` is one report as ``matchgames`` writes it
-to stdout.  After a change that is meant to alter a report, regenerate the
-files with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+to stdout, except ``market-n5.json``, the n = 5 input.  After a change that
+is meant to alter a report, regenerate the files with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 import io
@@ -18,6 +20,9 @@ DATA = Path(__file__).parents[1] / "demos" / "data"
 LABOR = str(DATA / "labor_market.json")
 JOBS = str(DATA / "job_market.json")
 UNION = str(DATA / "union_game.json")
+# A fixed n = 5 market (negative, zero and p/q cells, 8 compromise members):
+# its situations and least_satisfied lists are long enough for the record template.
+MARKET_N5 = str(GOLDEN / "market-n5.json")
 
 COMMANDS = {
     **{
@@ -31,6 +36,7 @@ COMMANDS = {
     },
     "game-labor": ["game", "--market", LABOR],
     "game-jobs": ["game", "--market", JOBS],
+    "game-n5": ["game", "--market", MARKET_N5],
     "bargain": ["bargain", "--game", UNION],
     "bargain-disagreement": ["bargain", "--game", UNION, "--disagreement", "3/2", "3/2"],
     "pipeline": ["pipeline", "--market", LABOR, "--union-game", UNION],
