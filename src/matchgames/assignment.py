@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
+from itertools import compress, permutations
 from operator import sub
 
 from .core import (
@@ -21,6 +21,7 @@ from .core import (
     Matching,
     SizeTooLarge,
     UtilityMatrix,
+    bounded_lcm,
 )
 
 
@@ -47,11 +48,17 @@ def matching_total(matrix: UtilityMatrix, matching: Matching) -> Fraction:
 
 def _integer_costs(matrix: UtilityMatrix, objective: Objective) -> tuple[list[list[int]], int]:
     """Entries times their common denominator, negated to maximize, and that denominator.
-    Divides once per distinct denominator: near MAX_DENOMINATOR_BITS a division is slow."""
-    den = matrix.common_denominator()
+
+    Scales each distinct entry object once (see UtilityMatrix.distinct_entries), with one
+    denominator pass and one division per distinct denominator (near MAX_DENOMINATOR_BITS a
+    division is slow); each cost row is one C-level map from its cells' ids to those ints."""
+    distinct = matrix.distinct_entries()
+    denominators = {v.denominator for v in distinct.values()}
+    den = bounded_lcm(denominators)
     sign = -1 if objective is Objective.MAXIMIZE else 1
-    factor = {q: sign * (den // q) for q in {v.denominator for row in matrix.entries for v in row}}
-    return [[v.numerator * factor[v.denominator] for v in row] for row in matrix.entries], den
+    factor = {q: sign * (den // q) for q in denominators}
+    scaled = {key: v.numerator * factor[v.denominator] for key, v in distinct.items()}
+    return [list(map(scaled.__getitem__, map(id, row))) for row in matrix.entries], den
 
 
 def _shortest_path_assignment(costs: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
@@ -131,10 +138,10 @@ def _lex_smallest(costs: list[list[int]], x: list[int], y: list[int], v: list[in
     an alternating path over the later rows, each row on that cycle taking the
     next one's column.  Rows that fail stay in ``seen`` for all of row i's
     candidates, so each row costs O(tight edges)."""
-    tight = []
+    tight, columns = [], range(len(x))
     for row, j in zip(costs, x):
         reduced = list(map(sub, row, v))
-        tight.append([k for k, r in enumerate(reduced) if r == reduced[j]])
+        tight.append(list(compress(columns, map(reduced[j].__eq__, reduced))))
     seen = [-1] * len(x)
     for i, target in enumerate(x):  # x[i] as the earlier rows left it
         for j in tight[i]:

@@ -212,14 +212,28 @@ class UtilityMatrix:
             col_labels=self.col_labels,
         )
 
+    def distinct_entries(self) -> dict[int, Fraction]:
+        """Each entry object once, keyed by its id(), unique while the matrix holds the object.
+        A parsed market shares one Fraction per literal, so this is one entry per literal."""
+        distinct: dict[int, Fraction] = {}
+        for row in self.entries:
+            distinct.update(zip(map(id, row), row))
+        return distinct
+
     def common_denominator(self) -> int:
-        """Least common multiple of all entry denominators, up to MAX_DENOMINATOR_BITS."""
-        den = 1
-        for q in {v.denominator for row in self.entries for v in row}:
-            den = math.lcm(den, q)
-            if den.bit_length() > MAX_DENOMINATOR_BITS:
-                raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")
-        return den
+        """Least common multiple of all entry denominators, up to MAX_DENOMINATOR_BITS, read
+        once per distinct entry object (see distinct_entries)."""
+        return bounded_lcm({v.denominator for v in self.distinct_entries().values()})
+
+
+def bounded_lcm(denominators: Iterable[int]) -> int:
+    """Least common multiple of denominators; DenominatorTooLarge past MAX_DENOMINATOR_BITS bits."""
+    den = 1
+    for q in denominators:
+        den = math.lcm(den, q)
+        if den.bit_length() > MAX_DENOMINATOR_BITS:
+            raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")
+    return den
 
 
 @dataclass(frozen=True)

@@ -117,11 +117,20 @@ def _rational_cell(value: Any, where: str) -> Fraction:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _rational_grid(values: Any, n: int, where: str) -> tuple[tuple[Fraction, ...], ...]:
+def _rational_grid(values: Any, n: int, where: str, parsed: dict[int | str, Fraction]) -> tuple[tuple[Fraction, ...], ...]:
+    """The n x n grid at where.  parsed maps each int and str literal already read in the market
+    to its Fraction: a grid of them parses only its new distinct literals, then maps each row."""
     if not isinstance(values, list) or len(values) != n:
         raise SchemaError(f"{where}: expected {n} rows")
-    parsed: dict[int | str, Fraction] = {}  # distinct int and str literals only: True is not 1
-    rows = []
+    shaped = all(isinstance(row, list) and len(row) == n for row in values)
+    if shaped and set(map(type, chain.from_iterable(values))) <= {int, str}:
+        new = set(chain.from_iterable(values)).difference(parsed)
+        try:
+            parsed.update(zip(new, map(as_rational, new)))  # only successes are kept
+            return tuple(tuple(map(parsed.__getitem__, row)) for row in values)
+        except ValueError:
+            pass  # read again below, cell by cell, to name the first bad literal and its row
+    rows = []  # a bool (True is not 1), a decimal, a container or a bad shape: cell by cell
     for i, row in enumerate(values):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{where}: row {i} must have {n} entries")
@@ -130,7 +139,7 @@ def _rational_grid(values: Any, n: int, where: str) -> tuple[tuple[Fraction, ...
             if type(v) is not int and type(v) is not str:
                 cells.append(_rational_cell(v, f"{where}[{i}]"))
                 continue
-            if v not in parsed:  # only successes are kept, so each error names its row
+            if v not in parsed:
                 parsed[v] = _rational_cell(v, f"{where}[{i}]")
             cells.append(parsed[v])
         rows.append(tuple(cells))
@@ -141,7 +150,8 @@ def parse_market(data: str | bytes) -> GameInstance:
     """Parse and validate a market file; ParseError / SchemaError on bad input.
 
     The labels travel on the matrices: workers are the row labels of the
-    worker utilities A, enterprises its column labels.
+    worker utilities A, enterprises its column labels.  A and B share one
+    literal memo: each distinct int or string cell is parsed once per market.
     """
     doc = _load_json(data)
     workers = _label_list(_require(doc, "workers", list, "market"), "market.workers")
@@ -151,8 +161,9 @@ def parse_market(data: str | bytes) -> GameInstance:
         raise SchemaError("market: empty worker list")
     if len(enterprises) != n:
         raise SchemaError(f"market: {n} workers but {len(enterprises)} enterprises")
-    a = _rational_grid(_require(doc, "A", list, "market"), n, "market.A")
-    b = _rational_grid(_require(doc, "B", list, "market"), n, "market.B")
+    parsed: dict[int | str, Fraction] = {}  # one literal memo for both grids
+    a = _rational_grid(_require(doc, "A", list, "market"), n, "market.A", parsed)
+    b = _rational_grid(_require(doc, "B", list, "market"), n, "market.B", parsed)
     return GameInstance(
         worker_utilities=UtilityMatrix(entries=a, row_labels=workers, col_labels=enterprises),
         enterprise_utilities=UtilityMatrix(entries=b, row_labels=enterprises, col_labels=workers),
@@ -411,8 +422,8 @@ def _render_block(lines: list[str], key: str, value: Any, indent: str, texts: An
     ):
         lines.append(f"{indent}{key}:")
         rows = list(map(texts, value))
-        width = max([len(c) for row in rows for c in row])
-        lines.extend([indent + "  " + "  ".join([c.rjust(width) for c in row]) for row in rows])
+        width = max(map(len, chain.from_iterable(rows)))
+        lines.extend([indent + "  " + "  ".join(map(str.rjust, row, repeat(width))) for row in rows])
     elif isinstance(value, (list, tuple)):
         lines.append(f"{indent}{key}: " + ", ".join(texts(value)))
     else:

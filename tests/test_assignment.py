@@ -1,7 +1,9 @@
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from matchgames import (
     AssignmentResult,
+    DenominatorTooLarge,
     DimensionMismatch,
     Matching,
     Objective,
@@ -16,10 +19,12 @@ from matchgames import (
     UtilityMatrix,
     compare_assignments,
     matching_total,
+    parse_market,
     solve_bruteforce,
     solve_hungarian,
 )
 from matchgames.assignment import _integer_costs
+from matchgames.core import MAX_DENOMINATOR_BITS
 from matchgames.datasets import REPORTED_JOB_DISTRIBUTION, job_market
 
 WORKER_EFFICIENCY = [[40, 20, 10], [15, 12, 8], [32, 30, 18]]
@@ -315,3 +320,62 @@ class TestPerturbedHungarianOracle:
     def test_structured_n60(self, entry, objective):
         matrix = UtilityMatrix.from_rows([[entry(i, j) for j in range(60)] for i in range(60)])
         assert solve_hungarian(matrix, objective) == perturbed_hungarian(matrix, objective)
+
+
+# The per-cell scaling _integer_costs replaced, kept as its oracle: three
+# passes over the cells' denominators, none of them per distinct object.
+def old_integer_costs(matrix: UtilityMatrix, objective: Objective) -> tuple[list[list[int]], int]:
+    den = 1
+    for q in {v.denominator for row in matrix.entries for v in row}:
+        den = math.lcm(den, q)
+        if den.bit_length() > MAX_DENOMINATOR_BITS:
+            raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")
+    sign = -1 if objective is Objective.MAXIMIZE else 1
+    factor = {q: sign * (den // q) for q in {v.denominator for row in matrix.entries for v in row}}
+    return [[v.numerator * factor[v.denominator] for v in row] for row in matrix.entries], den
+
+
+def cost_outcome(matrix: UtilityMatrix, objective: Objective, costs) -> Any:
+    try:
+        return costs(matrix, objective)
+    except DenominatorTooLarge as exc:
+        return f"DenominatorTooLarge: {exc}"
+
+
+# Values with mixed and negative signs and denominators, as Fraction normalises them.
+pool_values = st.lists(
+    st.builds(Fraction, st.integers(-60, 60), st.integers(-12, 12).filter(bool)), min_size=1, max_size=10
+)
+
+
+class TestIntegerCostsOracle:
+    """_integer_costs, which scales each distinct entry object once, against the per-cell scaling."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=pool_values, n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), objective=st.sampled_from(list(Objective)))
+    def test_shared_and_distinct_objects(self, pool, n, seed, objective):
+        rng = random.Random(seed)
+        picks = [[rng.randrange(len(pool)) for _ in range(n)] for _ in range(n)]
+        # One object per value, as parse_market shares them; a parsed market from "p/q" literals;
+        # and equal but distinct objects, as from_rows makes them from fresh Fractions.
+        shared = UtilityMatrix.from_rows([[pool[k] for k in row] for row in picks])
+        literals = [[f"{pool[k].numerator}/{pool[k].denominator}" for k in row] for row in picks]
+        labels = [f"x{i}" for i in range(n)]
+        parsed = parse_market(json.dumps({"workers": labels, "enterprises": labels, "A": literals, "B": literals}))
+        distinct = UtilityMatrix.from_rows([[Fraction(pool[k].numerator, pool[k].denominator) for k in row] for row in picks])
+        assert len(shared.distinct_entries()) <= len(pool)
+        assert len(distinct.distinct_entries()) == n * n
+        for matrix in (shared, parsed.worker_utilities, parsed.enterprise_utilities, distinct):
+            assert _integer_costs(matrix, objective) == old_integer_costs(matrix, objective)
+
+    @pytest.mark.parametrize("extra_bits", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_common_denominator_near_the_bound(self, extra_bits, objective):
+        # lcm(3, 2**k) = 3 * 2**k has k + 2 bits: just under, at, and just over MAX_DENOMINATOR_BITS.
+        k = MAX_DENOMINATOR_BITS - 2 + extra_bits
+        big = Fraction(-5, 2**k)
+        rows = [[big, Fraction(1, 3), 2], [Fraction(-7, 6), big, Fraction(1, 3)], [0, Fraction(5, 4), big]]
+        for matrix in (UtilityMatrix.from_rows(rows), UtilityMatrix.from_rows([[Fraction(v) for v in row] for row in rows])):
+            expected = cost_outcome(matrix, objective, old_integer_costs)
+            assert cost_outcome(matrix, objective, _integer_costs) == expected
+            assert isinstance(expected, str) == (extra_bits > 0)

@@ -749,3 +749,125 @@ class TestRecordTemplates:
         render_report(report, RenderMode.MACHINE)
         render_report(report, RenderMode.TEXT)
         assert 0 < calls["_write_json"] < 120 and 0 < calls["_texts"] < 120, calls
+
+
+# The per-grid parser _rational_grid replaced, kept as its oracle: cell by
+# cell, with one literal memo per grid rather than one per market.
+def old_rational_grid(values, n, where):
+    if not isinstance(values, list) or len(values) != n:
+        raise SchemaError(f"{where}: expected {n} rows")
+    parsed = {}
+    rows = []
+    for i, row in enumerate(values):
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"{where}: row {i} must have {n} entries")
+        cells = []
+        for v in row:
+            if type(v) is not int and type(v) is not str:
+                cells.append(formats._rational_cell(v, f"{where}[{i}]"))
+                continue
+            if v not in parsed:
+                parsed[v] = formats._rational_cell(v, f"{where}[{i}]")
+            cells.append(parsed[v])
+        rows.append(tuple(cells))
+    return tuple(rows)
+
+
+def grids_outcome(read):
+    try:
+        return read()
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+good_cells = st.one_of(
+    st.integers(-20, 20),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-9, 9).filter(bool)),
+    st.sampled_from(["7", " 3/4", "-0", "2/4", "1e2", "0.5", "+3"]),
+)
+bad_literals = st.sampled_from(["x", "1/0", "1e5000", "", "1//2", "nan", "1" * 1001])
+
+
+@st.composite
+def market_grids(draw):
+    """n and the A and B grids of a market as json.loads gives them, with up to three bad or
+    shared cells and then perhaps one bad row or grid."""
+    n = draw(st.integers(1, 6))
+    a, b = ([[draw(good_cells) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        grid, r, c = draw(st.sampled_from([a, b])), draw(index), draw(index)
+        kind = draw(st.sampled_from(["bad", "bool", "decimal", "list", "shared"]))
+        if kind == "bad":  # sometimes seen again in a later row
+            grid[r][c] = bad = draw(bad_literals)
+            if r + 1 < n and draw(st.booleans()):
+                grid[draw(st.integers(r + 1, n - 1))][draw(index)] = bad
+        elif kind == "bool":
+            grid[r][c] = draw(st.booleans())
+        elif kind == "decimal":  # parse_float's result for 0.5, -2.25 or 1.0
+            grid[r][c] = draw(st.sampled_from([Fraction(1, 2), Fraction(-9, 4), Fraction(1)]))
+        elif kind == "list":
+            grid[r][c] = draw(st.sampled_from([[1], [], ["x"]]))
+        else:  # B holds a literal A has already read
+            b[r][c] = a[draw(index)][draw(index)]
+    grid, r = draw(st.sampled_from([a, b])), draw(index)
+    shape = draw(st.sampled_from(["same"] * 8 + ["short", "long", "str", "none", "extra"]))
+    if shape == "extra":
+        grid.append(list(grid[0]))
+    elif shape != "same":
+        grid[r] = {"short": grid[r][:-1], "long": grid[r] + [1], "str": "ab"[:n], "none": None}[shape]
+    return n, a, b
+
+
+class TestRationalGridOracle:
+    """_rational_grid, one literal memo per market and each distinct literal parsed once, against
+    the per-cell parser with one memo per grid: the same tuples or the same SchemaError text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(grids=market_grids())
+    def test_same_grids_or_errors(self, grids):
+        n, a, b = grids
+
+        def old():
+            return old_rational_grid(a, n, "market.A"), old_rational_grid(b, n, "market.B")
+
+        def new():
+            parsed = {}
+            return formats._rational_grid(a, n, "market.A", parsed), formats._rational_grid(b, n, "market.B", parsed)
+
+        expected = grids_outcome(old)
+        assert grids_outcome(new) == expected
+        if not isinstance(expected, str):
+            assert {type(v) for grid in grids_outcome(new) for row in grid for v in row} == {Fraction}
+
+    def test_errors_name_the_row_first_holding_the_literal(self):
+        doc = lambda a, b: json.dumps({"workers": ["w0", "w1", "w2"], "enterprises": ["e0", "e1", "e2"], "A": a, "B": b})
+        good = [[1, "1/2", 2], ["1/2", 3, "2/3"], [0, 1, "-4/6"]]
+        cases = [
+            # A bad literal first seen in a later row, and again after it.
+            ([[1, 2, 3], [4, 5, "x"], ["x", 6, 7]], good, r"market\.A\[1\]: .*'x'"),
+            # A bad literal in B beside literals A has already read.
+            (good, [["1/2", 1, 2], ["2/3", "1/0", "1/2"], [0, 0, 0]], r"market\.B\[1\]: .*'1/0'"),
+            # A bad literal after a cell that takes the per-cell path.
+            ([[1, 2, 3], [0.5, 5, 6], [7, "y", 8]], good, r"market\.A\[2\]: .*'y'"),
+        ]
+        for a, b, message in cases:
+            with pytest.raises(SchemaError, match=message):
+                parse_market(doc(a, b))
+
+    def test_each_literal_parsed_once_per_market(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(formats, "as_rational", lambda v: calls.append(v) or Fraction(v))
+        a = [["1/2", 1, "1/2"], [1, "2/3", 1], ["1/2", "1/2", 7]]
+        b = [[1, "1/2", 7], ["2/3", "2/3", 1], ["1/2", 9, 1]]
+        market = parse_market(json.dumps({"workers": ["w0", "w1", "w2"], "enterprises": ["e0", "e1", "e2"], "A": a, "B": b}))
+        assert sorted(calls, key=repr) == sorted(["1/2", 1, "2/3", 7, 9], key=repr)  # each once
+        assert market.worker_utilities.entries[0][0] is market.enterprise_utilities.entries[0][1]
+
+
+class TestLongTextGrids:
+    @settings(max_examples=150, deadline=None)
+    @given(grid=st.lists(st.lists(scalars, min_size=1, max_size=14), min_size=1, max_size=4))
+    def test_padding_against_the_old_writer(self, grid):
+        # Rows of 8 or more scalars take _texts' memo; every cell is padded to the widest text.
+        assert_same_as_old(Report("x", {"grid": grid, "square": [row[:1] * len(grid) for row in grid]}, ()))

@@ -1,8 +1,8 @@
-"""Byte-for-byte checks of the CLI's reports on the bundled data and on one
-fixed n = 5 market.
+"""Byte-for-byte checks of the CLI's reports on the bundled data and on two
+fixed markets, n = 5 and n = 12.
 
 Each file under ``tests/golden/`` is one report as ``matchgames`` writes it
-to stdout, except ``market-n5.json``, the n = 5 input.  After a change that
+to stdout, except ``market-n5.json`` and ``market-n12.json``, the inputs.  After a change that
 is meant to alter a report, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -23,6 +23,10 @@ UNION = str(DATA / "union_game.json")
 # A fixed n = 5 market (negative, zero and p/q cells, 8 compromise members):
 # its situations and least_satisfied lists are long enough for the record template.
 MARKET_N5 = str(GOLDEN / "market-n5.json")
+# A fixed tie-heavy n = 12 market (int cells 0..3): its assignment grids have
+# rows long enough for the scalar memo, and every side and objective has many
+# optimal matchings, so the lex-smallest tie-break rotates the first one found.
+MARKET_N12 = str(GOLDEN / "market-n12.json")
 
 COMMANDS = {
     **{
@@ -30,7 +34,7 @@ COMMANDS = {
             "assign", "--market", path, "--side", side,
             *(["--minimize"] if objective == "min" else []),
         ]
-        for market, path in (("labor", LABOR), ("jobs", JOBS))
+        for market, path in (("labor", LABOR), ("jobs", JOBS), ("n12", MARKET_N12))
         for side in ("workers", "enterprises")
         for objective in ("max", "min")
     },
