@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, permutations
+from itertools import permutations
 from operator import sub
 
 from .core import (
@@ -138,10 +138,10 @@ def _lex_smallest(costs: list[list[int]], x: list[int], y: list[int], v: list[in
     an alternating path over the later rows, each row on that cycle taking the
     next one's column.  Rows that fail stay in ``seen`` for all of row i's
     candidates, so each row costs O(tight edges)."""
-    tight, columns = [], range(len(x))
+    tight = []
     for row, j in zip(costs, x):
         reduced = list(map(sub, row, v))
-        tight.append(list(compress(columns, map(reduced[j].__eq__, reduced))))
+        tight.append([k for k, r in enumerate(reduced) if r == reduced[j]])
     seen = [-1] * len(x)
     for i, target in enumerate(x):  # x[i] as the earlier rows left it
         for j in tight[i]:

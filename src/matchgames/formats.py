@@ -422,8 +422,8 @@ def _render_block(lines: list[str], key: str, value: Any, indent: str, texts: An
     ):
         lines.append(f"{indent}{key}:")
         rows = list(map(texts, value))
-        width = max(map(len, chain.from_iterable(rows)))
-        lines.extend([indent + "  " + "  ".join(map(str.rjust, row, repeat(width))) for row in rows])
+        width = max([len(c) for row in rows for c in row])
+        lines.extend([indent + "  " + "  ".join([c.rjust(width) for c in row]) for row in rows])
     elif isinstance(value, (list, tuple)):
         lines.append(f"{indent}{key}: " + ", ".join(texts(value)))
     else:

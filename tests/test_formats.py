@@ -121,7 +121,7 @@ class TestParseMarket:
             parse_market(json.dumps(doc))
 
     def test_repeated_literals_parse_once_per_grid(self):
-        # A parsed literal is reused within its grid, but True is not the
+        # A parsed literal is reused within its market, but True is not the
         # integer 1, a list is no key, and an error names the row it is in.
         doc = '{"workers": ["w0", "w1"], "enterprises": ["e0", "e1"], "A": %s, "B": [[1, 1], [1, 1]]}'
         market = parse_market(doc % '[[1, "1/2"], ["1/2", 1]]')
@@ -864,10 +864,3 @@ class TestRationalGridOracle:
         assert sorted(calls, key=repr) == sorted(["1/2", 1, "2/3", 7, 9], key=repr)  # each once
         assert market.worker_utilities.entries[0][0] is market.enterprise_utilities.entries[0][1]
 
-
-class TestLongTextGrids:
-    @settings(max_examples=150, deadline=None)
-    @given(grid=st.lists(st.lists(scalars, min_size=1, max_size=14), min_size=1, max_size=4))
-    def test_padding_against_the_old_writer(self, grid):
-        # Rows of 8 or more scalars take _texts' memo; every cell is padded to the widest text.
-        assert_same_as_old(Report("x", {"grid": grid, "square": [row[:1] * len(grid) for row in grid]}, ()))
