@@ -13,10 +13,8 @@ from matchgames import (
     StrategyProfile,
     build_table,
     compromise_set,
-    enumerate_equilibria,
     format_rational,
     ideal_point,
-    least_satisfied,
     parse_market,
     verify_nash,
 )
@@ -43,15 +41,14 @@ def main():
     members = [list(m) for m in compromise.members]
     print(f"compromise set: {members}  (optimal regret {format_rational(compromise.optimal_regret)})")
 
-    for member in compromise.members:
-        player, payoff = least_satisfied(table, member)
+    for member, (player, payoff) in zip(compromise.members, compromise.least_satisfied):
         print(f"least satisfied in {list(member)}: player {player + 1}, guaranteed payoff {format_rational(payoff)}")
 
     print("\nequilibrium check (any unilateral change breaks the assignment, paying zero):")
     for matching, _ in table.rows:
         verdict = verify_nash(instance, StrategyProfile.from_matching(matching))
         print(f"  situation {list(matching)}: {'equilibrium' if verdict.equilibrium else 'NOT an equilibrium'}")
-    print(f"equilibria found: {len(enumerate_equilibria(instance))} of {len(table.rows)} situations")
+    print(f"equilibria found: {len(table.equilibria())} of {len(table.rows)} situations")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .core import (
     Matching,
     SizeTooLarge,
     UtilityMatrix,
-    bounded_lcm,
+    integer_rows,
 )
 
 
@@ -47,18 +47,8 @@ def matching_total(matrix: UtilityMatrix, matching: Matching) -> Fraction:
 
 
 def _integer_costs(matrix: UtilityMatrix, objective: Objective) -> tuple[list[list[int]], int]:
-    """Entries times their common denominator, negated to maximize, and that denominator.
-
-    Scales each distinct entry object once (see UtilityMatrix.distinct_entries), with one
-    denominator pass and one division per distinct denominator (near MAX_DENOMINATOR_BITS a
-    division is slow); each cost row is one C-level map from its cells' ids to those ints."""
-    distinct = matrix.distinct_entries()
-    denominators = {v.denominator for v in distinct.values()}
-    den = bounded_lcm(denominators)
-    sign = -1 if objective is Objective.MAXIMIZE else 1
-    factor = {q: sign * (den // q) for q in denominators}
-    scaled = {key: v.numerator * factor[v.denominator] for key, v in distinct.items()}
-    return [list(map(scaled.__getitem__, map(id, row))) for row in matrix.entries], den
+    """Entries times their common denominator, negated to maximize, and that denominator."""
+    return integer_rows(matrix.entries, -1 if objective is Objective.MAXIMIZE else 1)
 
 
 def _shortest_path_assignment(costs: list[list[int]]) -> tuple[list[int], list[int], list[int]]:

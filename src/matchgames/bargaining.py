@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
-from .core import MatchGamesError, RationalLike, as_rational, format_rational
+from .core import MatchGamesError, RationalLike, as_rational, format_rational, integer_rows
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
@@ -161,15 +160,14 @@ def _hull(points: list[Point]) -> list[Point]:
     """Convex hull by monotone chain, counterclockwise from the
     lexicographically smallest vertex, collinear points removed.
 
-    The chain runs on the points scaled to integers by the lcm of their
-    coordinates' denominators, which keeps their order and every cross
-    product's sign; the vertices returned are the given points.
+    The chain runs on the points scaled to integers by core.integer_rows (DenominatorTooLarge
+    past its bound, from three points on), which keeps their order and every cross product's
+    sign; the vertices returned are the given points.
     """
     points = sorted(set(points))
     if len(points) <= 2:
         return points
-    scale = lcm(*[c.denominator for point in points for c in point])
-    scaled = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)) for x, y in points]
+    scaled = list(map(tuple, integer_rows(points)[0]))
     given = dict(zip(scaled, points))
     hull: list[tuple[int, int]] = []
     for run in (scaled, scaled[::-1]):  # the lower chain, then the upper one

@@ -25,7 +25,7 @@ ENUMERATION_CAP = 8
 MAX_LITERAL_LENGTH = 1000
 MAX_LITERAL_EXPONENT = 1000
 
-# Exact assignment multiplies a matrix by its common denominator, where distinct denominators' bits add up.
+# integer_rows multiplies values by their common denominator, where distinct denominators' bits add up.
 MAX_DENOMINATOR_BITS = 32768
 
 
@@ -46,7 +46,8 @@ class DimensionMismatch(MatchGamesError):
 
 
 class DenominatorTooLarge(MatchGamesError):
-    """A matrix's common denominator is longer than MAX_DENOMINATOR_BITS."""
+    """Values scaled to integers (a utility matrix, a hull's points) have a common
+    denominator longer than MAX_DENOMINATOR_BITS."""
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -212,28 +213,23 @@ class UtilityMatrix:
             col_labels=self.col_labels,
         )
 
-    def distinct_entries(self) -> dict[int, Fraction]:
-        """Each entry object once, keyed by its id(), unique while the matrix holds the object.
-        A parsed market shares one Fraction per literal, so this is one entry per literal."""
-        distinct: dict[int, Fraction] = {}
-        for row in self.entries:
-            distinct.update(zip(map(id, row), row))
-        return distinct
 
-    def common_denominator(self) -> int:
-        """Least common multiple of all entry denominators, up to MAX_DENOMINATOR_BITS, read
-        once per distinct entry object (see distinct_entries)."""
-        return bounded_lcm({v.denominator for v in self.distinct_entries().values()})
-
-
-def bounded_lcm(denominators: Iterable[int]) -> int:
-    """Least common multiple of denominators; DenominatorTooLarge past MAX_DENOMINATOR_BITS bits."""
+def integer_rows(rows: Sequence[Sequence[Fraction]], sign: int = 1) -> tuple[list[list[int]], int]:
+    """Rows of rationals times their common denominator and ``sign``, and that denominator;
+    DenominatorTooLarge as soon as the lcm passes MAX_DENOMINATOR_BITS.  Each distinct value
+    object (keyed by its id(), unique while ``rows`` holds it) is scaled once, with one
+    division per distinct denominator; each int row is one C-level map over its cells' ids."""
+    distinct: dict[int, Fraction] = {}
+    for row in rows:
+        distinct.update(zip(map(id, row), row))
+    denominators = {v.denominator for v in distinct.values()}
     den = 1
     for q in denominators:
-        den = math.lcm(den, q)
-        if den.bit_length() > MAX_DENOMINATOR_BITS:
+        if (den := math.lcm(den, q)).bit_length() > MAX_DENOMINATOR_BITS:
             raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")
-    return den
+    factor = {q: sign * (den // q) for q in denominators}
+    scaled = {key: v.numerator * factor[v.denominator] for key, v in distinct.items()}
+    return [list(map(scaled.__getitem__, map(id, row))) for row in rows], den
 
 
 @dataclass(frozen=True)

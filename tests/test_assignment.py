@@ -363,8 +363,6 @@ class TestIntegerCostsOracle:
         labels = [f"x{i}" for i in range(n)]
         parsed = parse_market(json.dumps({"workers": labels, "enterprises": labels, "A": literals, "B": literals}))
         distinct = UtilityMatrix.from_rows([[Fraction(pool[k].numerator, pool[k].denominator) for k in row] for row in picks])
-        assert len(shared.distinct_entries()) <= len(pool)
-        assert len(distinct.distinct_entries()) == n * n
         for matrix in (shared, parsed.worker_utilities, parsed.enterprise_utilities, distinct):
             assert _integer_costs(matrix, objective) == old_integer_costs(matrix, objective)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from matchgames import (
     BimatrixGame,
+    DenominatorTooLarge,
     DisagreementOutsideHull,
     DisagreementPoint,
     MixedStrategy,
@@ -20,6 +21,7 @@ from matchgames import (
     pareto_frontier,
 )
 from matchgames.bargaining import _hull
+from matchgames.core import MAX_DENOMINATOR_BITS
 from matchgames.datasets import union_game
 
 F = Fraction
@@ -429,6 +431,19 @@ class TestAgainstOldSearch:
         hull = _hull(given)
         assert hull == old_hull(given)
         assert all(any(v is p for p in given) for v in hull)
+
+    @pytest.mark.parametrize("extra_bits", [-1, 0, 1, 2])
+    def test_common_denominator_near_the_bound(self, extra_bits):
+        # lcm(3, 2**k) = 3 * 2**k has k + 2 bits: just under, at, and just over MAX_DENOMINATOR_BITS.
+        k = MAX_DENOMINATOR_BITS - 2 + extra_bits
+        big = F(-5, 2**k)
+        given = [(big, F(1, 3)), (F(2), big), (F(-7, 6), F(5, 4)), (F(1, 3), F(2)), (big, big), (F(1, 3), F(1, 3))]
+        if extra_bits > 0:
+            with pytest.raises(DenominatorTooLarge):
+                _hull(given)
+        else:
+            hull = _hull(given)
+            assert hull == old_hull(given) and len(hull) == 4
 
     @pytest.mark.parametrize("where", ["vertex", "edge", "extension", "inside", "near", "anywhere"])
     @settings(max_examples=200, deadline=None)

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgames import (
+    DenominatorTooLarge,
     DisagreementPoint,
     MatchGamesError,
     RenderMode,
     Side,
     cmd_assign,
     cmd_bargain,
+    feasible_hull,
     nash_solution,
     parse_bimatrix,
     parse_market,
@@ -300,6 +302,7 @@ class TestOversizeNumbers:
         assert captured.out == ""
         assert captured.err.startswith("matchgames: error: ")
         assert captured.err.count("\n") == 1, captured.err
+        return captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -370,6 +373,22 @@ class TestOversizeNumbers:
         start = time.perf_counter()
         self.assert_input_error(["assign", "--market", str(path), "--side", "workers"], capsys)
         assert time.perf_counter() - start < 1.0
+
+    def test_long_common_denominator_in_the_hull_is_refused_fast(self, tmp_path, capsys):
+        # 128 payoffs "k/q" with distinct odd 991-digit q, each within the literal bound; any two q
+        # share at most a factor of their small difference, so their common denominator would run to
+        # about 420,000 bits, and the hull's cross products to twice that.
+        cells = iter(f"{k}/{10**990 + 2 * k - 1}" for k in range(1, 129))
+        labels = [f"s{i}" for i in range(8)]
+        game = {"row_labels": labels, "col_labels": labels, "payoffs": [[[next(cells), next(cells)] for _ in labels] for _ in labels]}
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game))
+        start = time.perf_counter()
+        err = self.assert_input_error(["bargain", "--game", str(path), "--disagreement", "0", "0"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert err == "matchgames: error: the entries' common denominator has more than 32768 bits\n"
+        with pytest.raises(DenominatorTooLarge):
+            feasible_hull(parse_bimatrix(path.read_text()).game)
 
 
 # Short literals of every accepted kind, and the characters most likely to

@@ -18,7 +18,7 @@ from matchgames import (
     as_rational,
     format_rational,
 )
-from matchgames.core import MAX_DENOMINATOR_BITS
+from matchgames.core import MAX_DENOMINATOR_BITS, integer_rows
 
 
 def compose(first: Matching, then: Matching) -> Matching:
@@ -178,15 +178,16 @@ class TestUtilityMatrix:
 
     def test_common_denominator(self):
         m = UtilityMatrix.from_rows([["1/2", "1/3"], [1, "5/6"]])
-        assert m.common_denominator() == 6
+        assert integer_rows(m.entries) == ([[3, 2], [6, 5]], 6)
+        assert integer_rows(m.entries, -1) == ([[-3, -2], [-6, -5]], 6)
 
     def test_common_denominator_bound(self):
         at_bound = Fraction(1, 2 ** (MAX_DENOMINATOR_BITS - 1))
-        assert UtilityMatrix.from_rows([[at_bound]]).common_denominator().bit_length() == MAX_DENOMINATOR_BITS
+        assert integer_rows(UtilityMatrix.from_rows([[at_bound]]).entries)[1].bit_length() == MAX_DENOMINATOR_BITS
         # Each denominator is in bound; their lcm, 3 * 2**(bits - 1), is not.
         m = UtilityMatrix.from_rows([[at_bound, Fraction(1, 3)]] * 2)
         with pytest.raises(DenominatorTooLarge):
-            m.common_denominator()
+            integer_rows(m.entries)
 
 
 class TestGameInstance:
