@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
-from .core import MatchGamesError, RationalLike, as_rational, format_rational, integer_rows
+from .core import MatchGamesError, RationalLike, as_rational, format_rational
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
@@ -152,28 +153,32 @@ def maximin_2x2(game: BimatrixGame, player: Player) -> tuple[MixedStrategy, Frac
     return MixedStrategy(weights=(weight, 1 - weight)), value
 
 
-def _cross(origin: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
-    return (a[0] - origin[0]) * (b[1] - origin[1]) - (a[1] - origin[1]) * (b[0] - origin[0])
+def _turn(o: tuple[int, int, int], a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
+    """For points written (x*w, y*w, w), w > 0: w_o*w_a*w_b times the cross product of a - o and b - o."""
+    (ox, oy, ow), (ax, ay, aw), (bx, by, bw) = o, a, b
+    return ox * (ay * bw - aw * by) - oy * (ax * bw - aw * bx) + ow * (ax * by - ay * bx)
 
 
 def _hull(points: list[Point]) -> list[Point]:
     """Convex hull by monotone chain, counterclockwise from the
     lexicographically smallest vertex, collinear points removed.
 
-    The chain runs on the points scaled to integers by core.integer_rows (DenominatorTooLarge
-    past its bound, from three points on), which keeps their order and every cross product's
-    sign; the vertices returned are the given points.
+    Each point (x, y) enters the chain as the ints (x*w, y*w, w), w the lcm of its own two denominators,
+    so no common denominator is formed (see _turn); the vertices returned are the given points.
     """
     points = sorted(set(points))
     if len(points) <= 2:
         return points
-    scaled = list(map(tuple, integer_rows(points)[0]))
-    given = dict(zip(scaled, points))
-    hull: list[tuple[int, int]] = []
-    for run in (scaled, scaled[::-1]):  # the lower chain, then the upper one
-        chain: list[tuple[int, int]] = []
+    given = {}
+    for point in points:
+        x, y = point
+        w = lcm(x.denominator, y.denominator)
+        given[x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w] = point
+    hull: list[tuple[int, int, int]] = []
+    for run in (given, reversed(given)):  # the lower chain, then the upper one
+        chain: list[tuple[int, int, int]] = []
         for p in run:
-            while len(chain) > 1 and _cross(chain[-2], chain[-1], p) <= 0:
+            while len(chain) > 1 and _turn(chain[-2], chain[-1], p) <= 0:
                 chain.pop()
             chain.append(p)
         hull += chain[:-1]

@@ -25,7 +25,7 @@ ENUMERATION_CAP = 8
 MAX_LITERAL_LENGTH = 1000
 MAX_LITERAL_EXPONENT = 1000
 
-# integer_rows multiplies values by their common denominator, where distinct denominators' bits add up.
+# The assignment solvers scale a matrix by its entries' common denominator, where distinct denominators' bits add up.
 MAX_DENOMINATOR_BITS = 32768
 
 
@@ -46,8 +46,7 @@ class DimensionMismatch(MatchGamesError):
 
 
 class DenominatorTooLarge(MatchGamesError):
-    """Values scaled to integers (a utility matrix, a hull's points) have a common
-    denominator longer than MAX_DENOMINATOR_BITS."""
+    """A utility matrix's entries have a common denominator longer than MAX_DENOMINATOR_BITS."""
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -55,9 +54,8 @@ def as_rational(value: RationalLike) -> Fraction:
 
     Accepts ints, Fractions, and strings in ``"p/q"``, integer, or decimal
     form ("3/2", "7", "0.25").  Floats are converted through their shortest
-    decimal repr, so 0.1 becomes exactly 1/10.  A string longer than
-    MAX_LITERAL_LENGTH or with an exponent beyond MAX_LITERAL_EXPONENT is
-    rejected with ValueError.
+    decimal repr, so 0.1 becomes exactly 1/10.  A string longer than MAX_LITERAL_LENGTH, with an
+    exponent beyond MAX_LITERAL_EXPONENT, or with "_" or inner whitespace is rejected with ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -73,6 +71,8 @@ def as_rational(value: RationalLike) -> Fraction:
             raise ValueError(f"numeric literal of {len(text)} characters is longer than {MAX_LITERAL_LENGTH}")
         if ("e" in text or "E" in text) and _exponent_too_large(text):
             raise ValueError(f"exponent of {text!r} is beyond ±{MAX_LITERAL_EXPONENT}")
+        if "_" in text or len(text.split(maxsplit=1)) > 1:  # Fraction reads these on some Pythons only
+            raise ValueError(f"cannot interpret {value!r} as a rational")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -212,24 +212,6 @@ class UtilityMatrix:
             row_labels=self.row_labels,
             col_labels=self.col_labels,
         )
-
-
-def integer_rows(rows: Sequence[Sequence[Fraction]], sign: int = 1) -> tuple[list[list[int]], int]:
-    """Rows of rationals times their common denominator and ``sign``, and that denominator;
-    DenominatorTooLarge as soon as the lcm passes MAX_DENOMINATOR_BITS.  Each distinct value
-    object (keyed by its id(), unique while ``rows`` holds it) is scaled once, with one
-    division per distinct denominator; each int row is one C-level map over its cells' ids."""
-    distinct: dict[int, Fraction] = {}
-    for row in rows:
-        distinct.update(zip(map(id, row), row))
-    denominators = {v.denominator for v in distinct.values()}
-    den = 1
-    for q in denominators:
-        if (den := math.lcm(den, q)).bit_length() > MAX_DENOMINATOR_BITS:
-            raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")
-    factor = {q: sign * (den // q) for q in denominators}
-    scaled = {key: v.numerator * factor[v.denominator] for key, v in distinct.items()}
-    return [list(map(scaled.__getitem__, map(id, row))) for row in rows], den
 
 
 @dataclass(frozen=True)

@@ -362,8 +362,8 @@ def _decode(value: Any, rational: bool, parsed: dict[str, Fraction], depth: int 
         return [_decode(v, rational, parsed, depth + 1) for v in value]
     if not rational or str not in set(map(type, value)):
         return value
-    for text in set(value).difference(parsed):
-        if type(text) is str:
+    for text in dict.fromkeys(value):  # in list order, so an error names the first bad string
+        if type(text) is str and text not in parsed:
             parsed[text] = _rational(text)
     return list(map(parsed.get, value, value))
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from matchgames import (
     BimatrixGame,
-    DenominatorTooLarge,
     DisagreementOutsideHull,
     DisagreementPoint,
     MixedStrategy,
@@ -434,16 +433,60 @@ class TestAgainstOldSearch:
 
     @pytest.mark.parametrize("extra_bits", [-1, 0, 1, 2])
     def test_common_denominator_near_the_bound(self, extra_bits):
-        # lcm(3, 2**k) = 3 * 2**k has k + 2 bits: just under, at, and just over MAX_DENOMINATOR_BITS.
+        # lcm(3, 2**k) = 3 * 2**k has k + 2 bits: just under, at, and just over the assignment
+        # solvers' MAX_DENOMINATOR_BITS, which the hull, forming no common denominator, does not have.
         k = MAX_DENOMINATOR_BITS - 2 + extra_bits
         big = F(-5, 2**k)
         given = [(big, F(1, 3)), (F(2), big), (F(-7, 6), F(5, 4)), (F(1, 3), F(2)), (big, big), (F(1, 3), F(1, 3))]
-        if extra_bits > 0:
-            with pytest.raises(DenominatorTooLarge):
-                _hull(given)
+        hull = _hull(given)
+        assert hull == old_hull(given) and len(hull) == 4
+
+    @pytest.mark.parametrize("shared", ["within a point", "across points", "by none"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_long_denominators_match_the_fraction_search(self, shared, data):
+        # Up to nine points in [-2, 2]^2 whose denominators run to about 10**40: one per point for
+        # both coordinates, three shared by all points, or one per coordinate; then midpoints of
+        # some pairs, which sit on an edge or inside.
+        longs = st.integers(1, 10**40)
+        count = data.draw(st.integers(1, 9))
+        if shared == "within a point":
+            dens = [(q, q) for q in data.draw(st.lists(longs, min_size=count, max_size=count))]
+        elif shared == "across points":
+            pool = st.sampled_from(data.draw(st.lists(longs, min_size=3, max_size=3)))
+            dens = [(data.draw(pool), data.draw(pool)) for _ in range(count)]
         else:
-            hull = _hull(given)
-            assert hull == old_hull(given) and len(hull) == 4
+            dens = [(data.draw(longs), data.draw(longs)) for _ in range(count)]
+        given = [tuple(F(data.draw(st.integers(-2 * q, 2 * q)), q) for q in pair) for pair in dens]
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(given), st.sampled_from(given)), max_size=3))
+        given += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in pairs]
+        a, b = data.draw(st.sampled_from(given)), data.draw(st.sampled_from(given))
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        self.assert_same_as_old_search(given, [a, mid, (mid[0], mid[1] + F(1, data.draw(longs)))])
+
+    def test_long_distinct_denominators_match_the_fraction_search(self):
+        # The 8x8 game of 128 payoffs "k/q", q distinct odd 991-digit numbers, that test_cli.py
+        # arbitrates; the old bound refused it.
+        cells = iter(F(k, 10**990 + 2 * k - 1) for k in range(1, 129))
+        given = [(next(cells), next(cells)) for _ in range(64)]
+        first = given[0]
+        self.assert_same_as_old_search(given, [first, (first[0], first[1] - F(1, 10**990)), (F(0), F(0))])
+
+    @staticmethod
+    def assert_same_as_old_search(given, disagreements):
+        hull = _hull(given)
+        assert hull == old_hull(given)
+        assert all(any(v is p for p in given) for v in hull)
+        game = BimatrixGame(payoffs=(tuple(given),))
+        for d in disagreements:
+            assert hull_contains(hull, d) == old_hull_contains(hull, d)
+            expected = old_nash_solution(game, d)
+            if expected is None:
+                with pytest.raises(DisagreementOutsideHull):
+                    nash_solution(game, DisagreementPoint(*d))
+            else:
+                outcome = nash_solution(game, DisagreementPoint(*d))
+                assert (outcome.pareto_frontier, outcome.nash_product, outcome.solution) == expected
 
     @pytest.mark.parametrize("where", ["vertex", "edge", "extension", "inside", "near", "anywhere"])
     @settings(max_examples=200, deadline=None)

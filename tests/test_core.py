@@ -18,7 +18,8 @@ from matchgames import (
     as_rational,
     format_rational,
 )
-from matchgames.core import MAX_DENOMINATOR_BITS, integer_rows
+from matchgames.assignment import Objective, _integer_costs
+from matchgames.core import MAX_DENOMINATOR_BITS
 
 
 def compose(first: Matching, then: Matching) -> Matching:
@@ -32,6 +33,7 @@ class TestAsRational:
         assert as_rational("3/2") == Fraction(3, 2)
         assert as_rational("0.25") == Fraction(1, 4)
         assert as_rational("-7") == Fraction(-7)
+        assert as_rational(" 1/2\n") == as_rational("\t0.5 ") == Fraction(1, 2)  # outer whitespace is stripped
 
     def test_float_uses_decimal_repr(self):
         assert as_rational(0.1) == Fraction(1, 10)
@@ -45,6 +47,12 @@ class TestAsRational:
             as_rational(None)
         with pytest.raises(TypeError):
             as_rational(True)
+
+    # Fraction(str) reads "_" from Python 3.11 and spaces around "/" from 3.12; every one is refused.
+    @pytest.mark.parametrize("text", ["1_000", "1/2_0", "1_0.5", "0.5_0", "1e1_0", "1 / 2", "1/ 2", "1 /2", "1\t/2", "1\u00a0/2", "1 000"])
+    def test_same_literals_on_every_python(self, text):
+        with pytest.raises(ValueError, match="cannot interpret"):
+            as_rational(text)
 
     def test_format_rational(self):
         assert format_rational(Fraction(3, 2)) == "3/2"
@@ -178,16 +186,16 @@ class TestUtilityMatrix:
 
     def test_common_denominator(self):
         m = UtilityMatrix.from_rows([["1/2", "1/3"], [1, "5/6"]])
-        assert integer_rows(m.entries) == ([[3, 2], [6, 5]], 6)
-        assert integer_rows(m.entries, -1) == ([[-3, -2], [-6, -5]], 6)
+        assert _integer_costs(m, Objective.MINIMIZE) == ([[3, 2], [6, 5]], 6)
+        assert _integer_costs(m, Objective.MAXIMIZE) == ([[-3, -2], [-6, -5]], 6)
 
     def test_common_denominator_bound(self):
         at_bound = Fraction(1, 2 ** (MAX_DENOMINATOR_BITS - 1))
-        assert integer_rows(UtilityMatrix.from_rows([[at_bound]]).entries)[1].bit_length() == MAX_DENOMINATOR_BITS
+        assert _integer_costs(UtilityMatrix.from_rows([[at_bound]]), Objective.MINIMIZE)[1].bit_length() == MAX_DENOMINATOR_BITS
         # Each denominator is in bound; their lcm, 3 * 2**(bits - 1), is not.
         m = UtilityMatrix.from_rows([[at_bound, Fraction(1, 3)]] * 2)
         with pytest.raises(DenominatorTooLarge):
-            integer_rows(m.entries)
+            _integer_costs(m, Objective.MAXIMIZE)
 
 
 class TestGameInstance:

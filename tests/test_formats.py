@@ -1,7 +1,10 @@
 import json
+import os
 import random
 import re
 import string
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -133,6 +136,13 @@ class TestParseMarket:
         for grid, row, bad in [('[[1, "2"], ["x", "y"]]', 1, "x"), ('[["1/0", "y"], [3, "x"]]', 0, "1/0"), ('[[1, "2"], [2, "x"]]', 1, "x")]:
             with pytest.raises(SchemaError, match=rf"market\.A\[{row}\]: .*'{bad}'"):
                 parse_market(doc % grid)
+
+    def test_literals_read_alike_on_every_python(self):
+        # Fraction(str) reads "1_000" from Python 3.11 and "1 / 2" from 3.12; the parser refuses both everywhere.
+        doc = '{"workers": ["w0", "w1"], "enterprises": ["e0", "e1"], "A": [[1, 2], [3, "%s"]], "B": [[1, 1], [1, 1]]}'
+        for literal in ("1_000", "1/2_0", "1 / 2", "1/ 2"):
+            with pytest.raises(SchemaError, match=rf"market\.A\[1\]: cannot interpret '{literal}'"):
+                parse_market(doc % literal)
 
     def test_missing_key_rejected(self):
         with pytest.raises(SchemaError):
@@ -283,6 +293,16 @@ class TestReports:
         # Parts past as_rational's 1000-character literal bound still parse.
         big = parse_report(doc % ("7" * 600 + "/" + "3" * 600)).payload["total"]
         assert big == Fraction(int("7" * 600), int("3" * 600))
+
+    def test_first_bad_string_is_named_under_every_hash_seed(self):
+        # New texts in a list are read in list order, not in an order the hash seed decides.
+        doc = json.dumps({"command": "x", "notes": [], "payload": {"payoffs": ["1/2", "bad-a", "bad-b", "bad-c", "bad-d"]}})
+        script = f"from matchgames import parse_report\ntry:\n    parse_report({doc!r})\nexcept Exception as exc:\n    print(exc)"
+        env = {**os.environ, "PYTHONPATH": str(Path(formats.__file__).parents[1])}
+        for seed in ("1", "2", "3", "4", "5", "6"):
+            result = subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            assert "'bad-a'" in result.stdout, (seed, result.stdout)
 
     def test_report_nested_to_the_bound_parses(self):
         # The document and its payload are two of the MAX_REPORT_DEPTH levels.
