@@ -69,17 +69,13 @@ from .situations import (
     CompromiseResult,
     IdealPoint,
     MalformedProfile,
-    MatchingNotInTable,
     NashVerdict,
     SituationTable,
     StrategyProfile,
     build_table,
     compromise_set,
-    enumerate_equilibria,
     ideal_point,
-    least_satisfied,
     profile_payoffs,
-    situation_payoffs,
     verify_nash,
 )
 

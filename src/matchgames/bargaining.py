@@ -66,15 +66,6 @@ class BimatrixGame:
     def outcome_points(self) -> list[Point]:
         return [pair for row in self.payoffs for pair in row]
 
-    def swap_players(self) -> BimatrixGame:
-        """Exchange the players: transpose the grid and swap each payoff pair."""
-        return BimatrixGame(
-            payoffs=tuple(
-                tuple((self.payoffs[r][c][1], self.payoffs[r][c][0]) for r in range(self.rows))
-                for c in range(self.cols)
-            )
-        )
-
 
 @dataclass(frozen=True)
 class MixedStrategy:

@@ -36,9 +36,9 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # argparse reads "-3" and "-0.5" as values but "-1/4" as an option;
-        # widen its negative-number pattern to the "-p/q" form.
-        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        # argparse takes "-1/4", "-1e0" and "-1." for options; anything that
+        # starts like a negative number is a value here, and as_rational judges it.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     # argparse exits with status 2 on bad usage; the CLI contract reserves
     # 2 for size-cap errors, so reroute usage problems through exit code 1.

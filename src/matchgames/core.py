@@ -132,10 +132,6 @@ class Matching:
             inv[enterprise] = worker
         return Matching(tuple(inv))
 
-    @staticmethod
-    def identity(n: int) -> Matching:
-        return Matching(tuple(range(n)))
-
 
 def all_matchings(n: int) -> tuple[Matching, ...]:
     """All n! matchings of size n, in lexicographic order of the image.
@@ -200,18 +196,6 @@ class UtilityMatrix:
 
     def entry(self, row: int, col: int) -> Fraction:
         return self.entries[row][col]
-
-    def max_entry(self) -> Fraction:
-        return max(v for row in self.entries for v in row)
-
-    def shifted(self, constant: RationalLike) -> UtilityMatrix:
-        """A copy with ``constant`` added to every entry."""
-        c = as_rational(constant)
-        return UtilityMatrix(
-            entries=tuple(tuple(v + c for v in row) for row in self.entries),
-            row_labels=self.row_labels,
-            col_labels=self.col_labels,
-        )
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from operator import getitem
 
 from .core import (
+    DimensionMismatch,
     GameInstance,
     Matching,
     MatchGamesError,
@@ -28,21 +29,8 @@ from .core import (
 EQUILIBRIUM_ENUMERATION_CAP = 5
 
 
-class MatchingNotInTable(MatchGamesError):
-    """The queried matching is not a row of the situation table."""
-
-
 class MalformedProfile(MatchGamesError):
     """A strategy profile has wrong arity or out-of-range choices."""
-
-
-def situation_payoffs(instance: GameInstance, matching: Matching) -> tuple[Fraction, ...]:
-    """Length-2n payoff profile of one situation, worker-keyed on both halves."""
-    a = instance.worker_utilities
-    b = instance.enterprise_utilities
-    workers = tuple(a.entry(i, matching[i]) for i in range(instance.n))
-    enterprises = tuple(b.entry(matching[k], k) for k in range(instance.n))
-    return workers + enterprises
 
 
 @dataclass(frozen=True)
@@ -55,13 +43,6 @@ class SituationTable:
     @property
     def n(self) -> int:
         return self.instance.n
-
-    def profile_for(self, matching: Matching) -> tuple[Fraction, ...]:
-        # Every matching of size n is a row, so its profile is computed
-        # directly; only a matching of another size is missing.
-        if matching.n != self.n:
-            raise MatchingNotInTable(f"matching {matching.image} is not a row of this table")
-        return situation_payoffs(self.instance, matching)
 
     def equilibria(self) -> tuple[Matching, ...]:
         """Matchings of the rows that are Nash equilibria, in row order.
@@ -147,10 +128,14 @@ def compromise_set(table: SituationTable) -> CompromiseResult:
 def least_satisfied(table: SituationTable, matching: Matching) -> tuple[int, Fraction]:
     """The player furthest below their ideal in a situation, with their payoff.
 
-    Ties break toward the lowest player index.  Raises MatchingNotInTable if
-    the matching is not a row of the table.
+    Ties break toward the lowest player index.  The profile is read off A's
+    rows and B's columns, as in build_table.  Raises DimensionMismatch if the
+    matching's size is not the table's.
     """
-    profile = table.profile_for(matching)
+    if matching.n != table.n:
+        raise DimensionMismatch(f"matching of size {matching.n} on a size-{table.n} table")
+    lines = (*table.instance.worker_utilities.entries, *zip(*table.instance.enterprise_utilities.entries))
+    profile = tuple(map(getitem, lines, matching.image * 2))
     regrets = [best - paid for best, paid in zip(ideal_point(table).values, profile)]
     player = regrets.index(max(regrets))
     return player, profile[player]

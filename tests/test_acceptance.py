@@ -22,10 +22,8 @@ from matchgames import (
     bargain,
     build_table,
     compromise_set,
-    enumerate_equilibria,
     feasible_hull,
     ideal_point,
-    least_satisfied,
     matching_total,
     maximin_2x2,
     parse_report,
@@ -41,6 +39,7 @@ from matchgames.datasets import (
     labor_market,
     union_game,
 )
+from matchgames.situations import enumerate_equilibria, least_satisfied
 
 F = Fraction
 
@@ -60,6 +59,11 @@ EXPECTED_TABLE = {
 IDEAL = (94, 86, 54, 94, 85, 38)
 
 
+def _swap_players(game):
+    """The game with the players exchanged: the grid transposed and each payoff pair swapped."""
+    return BimatrixGame(payoffs=tuple(tuple((k2, k1) for k1, k2 in column) for column in zip(*game.payoffs)))
+
+
 def announce(number, text):
     print(f"criterion {number:2d}: PASS - {text}")
 
@@ -68,8 +72,8 @@ def test_criterion_01_payoff_table():
     table = build_table(labor_market())
     assert len(table.rows) == 6
     for image, expected in EXPECTED_TABLE.items():
-        assert table.profile_for(Matching(image)) == tuple(F(v) for v in expected), image
-    assert table.profile_for(Matching((0, 1, 2))) == (76, 41, 54, 94, 32, 38)
+        assert dict(table.rows)[Matching(image)] == tuple(F(v) for v in expected), image
+    assert dict(table.rows)[Matching((0, 1, 2))] == (76, 41, 54, 94, 32, 38)
     announce(1, "situation table reproduces all six payoff rows exactly")
 
 
@@ -186,7 +190,7 @@ def test_criterion_10_bargaining_axioms():
             continue
         checked += 1
 
-        swapped = bargain(game.swap_players())
+        swapped = bargain(_swap_players(game))
         assert swapped.solution == (outcome.solution[1], outcome.solution[0])
 
         lam1, mu1 = F(rng.randint(1, 4)), F(rng.randint(-4, 4))

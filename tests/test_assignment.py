@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import sub
 from typing import Any
 
 import pytest
@@ -23,7 +24,7 @@ from matchgames import (
     solve_bruteforce,
     solve_hungarian,
 )
-from matchgames.assignment import _integer_costs
+from matchgames.assignment import _integer_costs, _lex_smallest, _shortest_path_assignment
 from matchgames.core import MAX_DENOMINATOR_BITS
 from matchgames.datasets import REPORTED_JOB_DISTRIBUTION, job_market
 
@@ -70,7 +71,7 @@ class TestWorkedExamples:
         matrix = UtilityMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         result = solve_hungarian(matrix, Objective.MAXIMIZE)
         assert result.total_value == 3
-        assert result.matching == Matching.identity(3)
+        assert result.matching == Matching(tuple(range(3)))
 
     def test_one_by_one(self):
         matrix = UtilityMatrix.from_rows([[5]])
@@ -125,13 +126,18 @@ class TestOracleEquivalence:
                 assert fast.total_value == slow.total_value
 
 
+def _shifted(matrix, constant):
+    """A copy of ``matrix`` with ``constant`` added to every entry."""
+    return UtilityMatrix.from_rows([[v + constant for v in row] for row in matrix.entries])
+
+
 class TestStructuralProperties:
     def test_objective_duality(self):
         rng = random.Random(3)
         for _ in range(30):
             n = rng.randint(2, 6)
             matrix = random_matrix(rng, n)
-            top = matrix.max_entry()
+            top = max(map(max, matrix.entries))
             reflected = UtilityMatrix.from_rows([[top - v for v in row] for row in matrix.entries])
             max_result = solve_hungarian(matrix, Objective.MAXIMIZE)
             min_result = solve_hungarian(reflected, Objective.MINIMIZE)
@@ -145,7 +151,7 @@ class TestStructuralProperties:
             matrix = random_matrix(rng, n)
             shift = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
             base = solve_hungarian(matrix, Objective.MAXIMIZE)
-            shifted = solve_hungarian(matrix.shifted(shift), Objective.MAXIMIZE)
+            shifted = solve_hungarian(_shifted(matrix, shift), Objective.MAXIMIZE)
             assert shifted.total_value == base.total_value + n * shift
             assert shifted.matching == base.matching
 
@@ -169,7 +175,7 @@ class TestStructuralProperties:
     def test_tie_break_all_equal_entries(self):
         matrix = UtilityMatrix.from_rows([[7] * 4] * 4)
         for solver in (solve_hungarian, solve_bruteforce):
-            assert solver(matrix).matching == Matching.identity(4)
+            assert solver(matrix).matching == Matching(tuple(range(4)))
 
     def test_bruteforce_cap(self):
         matrix = UtilityMatrix.from_rows([[0] * 9] * 9)
@@ -377,3 +383,72 @@ class TestIntegerCostsOracle:
             expected = cost_outcome(matrix, objective, old_integer_costs)
             assert cost_outcome(matrix, objective, _integer_costs) == expected
             assert isinstance(expected, str) == (extra_bits > 0)
+
+
+# Dual certificates (complementary slackness): an optimality check in O(n^2)
+# at any n, where the brute force stops at n = 8.  They prove the total, not
+# the lex-smallest tie-break.
+def certify(costs: list[list[int]], image: list[int], v: list[int]) -> None:
+    """Assert that ``image`` is a minimum-cost perfect matching of ``costs``.
+
+    With u_i = min_j (c_ij - v_j), every u_i + v_j <= c_ij, so no perfect
+    matching costs less than sum(u) + sum(v); one whose every pair is tight,
+    c_ij - v_j = u_i, costs exactly that.
+    """
+    assert sorted(image) == list(range(len(costs)))
+    for row, j in zip(costs, image):
+        assert row[j] - v[j] == min(map(sub, row, v))
+
+
+def certify_solve(matrix: UtilityMatrix, objective: Objective) -> None:
+    costs, _ = _integer_costs(matrix, objective)
+    x, y, v = _shortest_path_assignment(costs)
+    certify(costs, _lex_smallest(costs, x, y, v), v)
+
+
+CERTIFIED = {
+    "random": lambda rng, i, j: rng.randint(0, 99),
+    "tie-heavy": lambda rng, i, j: rng.randint(0, 3),
+    "i*j": lambda rng, i, j: i * j,
+}
+
+
+class TestDualCertificate:
+    """solve_hungarian's matching, after the tie-break, is tight under its own column duals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        kind=st.sampled_from(sorted(CERTIFIED)),
+        rational=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        objective=st.sampled_from(list(Objective)),
+    )
+    def test_random_matrices(self, n, kind, rational, seed, objective):
+        rng = random.Random(seed)
+        cell = CERTIFIED[kind]
+        rows = [[cell(rng, i, j) for j in range(n)] for i in range(n)]
+        if rational:  # "p/q" cells over small denominators
+            rows = [[Fraction(value, rng.randint(1, 3)) for value in row] for row in rows]
+        certify_solve(UtilityMatrix.from_rows(rows), objective)
+
+    def test_refuses_a_matching_that_is_not_optimal(self):
+        costs, _ = _integer_costs(UtilityMatrix.from_rows(WORKER_EFFICIENCY), Objective.MAXIMIZE)
+        x, y, v = _shortest_path_assignment(costs)
+        with pytest.raises(AssertionError):
+            certify(costs, [0, 1, 2], v)  # 40 + 12 + 18 = 70, below the optimum 78
+
+    # i*j at n = 300 is the slowest solve (about 2 s to minimize), so it runs once.
+    @pytest.mark.parametrize(
+        ("n", "kind", "objective"),
+        [
+            (n, kind, objective)
+            for n in (200, 300)
+            for kind in sorted(CERTIFIED)
+            for objective in Objective
+            if (n, kind, objective) != (300, "i*j", Objective.MINIMIZE)
+        ],
+    )
+    def test_large_matrices(self, n, kind, objective):
+        rng = random.Random(n)
+        certify_solve(UtilityMatrix.from_rows([[CERTIFIED[kind](rng, i, j) for j in range(n)] for i in range(n)]), objective)

@@ -26,6 +26,11 @@ from matchgames.datasets import union_game
 F = Fraction
 
 
+def _swap_players(game):
+    """The game with the players exchanged: the grid transposed and each payoff pair swapped."""
+    return BimatrixGame(payoffs=tuple(tuple((k2, k1) for k1, k2 in column) for column in zip(*game.payoffs)))
+
+
 def random_game(rng, low=-9, high=9):
     return BimatrixGame.from_rows(
         [
@@ -249,7 +254,7 @@ class TestBargain:
             checked += 1
 
             # symmetry: exchanging the players swaps the solution coordinates
-            swapped = bargain(game.swap_players())
+            swapped = bargain(_swap_players(game))
             assert swapped.solution == (outcome.solution[1], outcome.solution[0])
 
             # positive affine covariance on player 1's payoffs

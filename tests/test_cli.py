@@ -44,6 +44,14 @@ def union_path(demo_data_dir):
     return str(demo_data_dir / "union_game.json")
 
 
+# A 2x2 game with negative payoffs, in which (1, -1/4) and (1, 0) are feasible.
+SIGNED_GAME = {
+    "row_labels": ["r1", "r2"],
+    "col_labels": ["c1", "c2"],
+    "payoffs": [[[6, 2], [0, -1]], [[-1, 0], [2, 6]]],
+}
+
+
 def run_machine(args, capsys):
     code = main(args + ["--output", "machine"])
     captured = capsys.readouterr()
@@ -144,13 +152,8 @@ class TestSubcommands:
         assert parse_report(out_file.read_text()).payload["solution"] == [4, 4]
 
     def test_bargain_negative_fraction_disagreement(self, tmp_path, capsys):
-        doc = {
-            "row_labels": ["r1", "r2"],
-            "col_labels": ["c1", "c2"],
-            "payoffs": [[[6, 2], [0, -1]], [[-1, 0], [2, 6]]],
-        }
         path = tmp_path / "signed.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(SIGNED_GAME))
         code, out = run_machine(
             ["bargain", "--game", str(path), "--disagreement", "1", "-1/4"], capsys
         )
@@ -158,9 +161,21 @@ class TestSubcommands:
         report = parse_report(out)
         assert report.payload["disagreement"] == [1, Fraction(-1, 4)]
         expected = nash_solution(
-            parse_bimatrix(json.dumps(doc)).game, DisagreementPoint(v1=Fraction(1), v2=Fraction(-1, 4))
+            parse_bimatrix(json.dumps(SIGNED_GAME)).game, DisagreementPoint(v1=Fraction(1), v2=Fraction(-1, 4))
         )
         assert report.payload["solution"] == list(expected.solution)
+
+    # argparse's own pattern takes an exponent or a trailing point for an option.
+    @pytest.mark.parametrize(
+        ("literal", "value"),
+        [("-25e-2", Fraction(-1, 4)), ("-2.5E-1", Fraction(-1, 4)), ("-.25e0", Fraction(-1, 4)), ("-0.", 0)],
+    )
+    def test_bargain_negative_literal_disagreement(self, tmp_path, capsys, literal, value):
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps(SIGNED_GAME))
+        code, out = run_machine(["bargain", "--game", str(path), "--disagreement", "1", literal], capsys)
+        assert code == EXIT_OK
+        assert parse_report(out).payload["disagreement"] == [1, value]
 
     def test_text_output_default(self, union_path, capsys):
         code = main(["bargain", "--game", union_path])
@@ -182,12 +197,7 @@ class TestConsecutiveCalls:
         assert parse_report(out).payload["objective"] == "maximize"
 
     def test_disagreement_then_maximin(self, tmp_path, capsys):
-        # Negative payoffs make the point (1, -1/4) feasible.
-        doc = json.dumps({
-            "row_labels": ["r1", "r2"],
-            "col_labels": ["c1", "c2"],
-            "payoffs": [[[6, 2], [0, -1]], [[-1, 0], [2, 6]]],
-        })
+        doc = json.dumps(SIGNED_GAME)
         path = tmp_path / "signed.json"
         path.write_text(doc)
         code, _ = run_machine(["bargain", "--game", str(path), "--disagreement", "1", "-1/4"], capsys)
@@ -324,7 +334,7 @@ class TestOversizeNumbers:
         self.assert_input_error(["assign", "--market", str(path), "--side", "workers"], capsys)
 
     # "1_000" and "1 / 2" are refused on every Python, though Fraction reads them from 3.11 and 3.12.
-    @pytest.mark.parametrize("value", ["1e5000", "abc", "1_000", "1 / 2"])
+    @pytest.mark.parametrize("value", ["1e5000", "abc", "1_000", "1 / 2", "-1x"])
     def test_bad_disagreement(self, union_path, value, capsys):
         err = self.assert_input_error(["bargain", "--game", union_path, "--disagreement", value, "0"], capsys)
         assert err.startswith("matchgames: error: argument --disagreement: ")  # refused as read, not as infeasible

@@ -5,13 +5,14 @@ Each file under ``tests/golden/`` is one report as ``matchgames`` writes it
 to stdout, except ``market-n5.json`` and ``market-n12.json``, the inputs.  After a change that
 is meant to alter a report, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py --check`` compares instead, without
+pytest, and exits 1 naming the first case that differs.
 """
 
 import io
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
-
-import pytest
 
 from matchgames.cli import EXIT_OK, main
 
@@ -60,13 +61,24 @@ def _render(name: str, mode: str) -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize(("name", "mode"), CASES)
+def pytest_generate_tests(metafunc):  # parametrizes without importing pytest here
+    metafunc.parametrize(("name", "mode"), CASES)
+
+
 def test_report_bytes_match_golden(name, mode):
     expected = _golden_path(name, mode).read_bytes()
     assert _render(name, mode).encode("utf-8") == expected
 
 
 if __name__ == "__main__":
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] and not check:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     GOLDEN.mkdir(exist_ok=True)
     for name, mode in CASES:
-        _golden_path(name, mode).write_bytes(_render(name, mode).encode("utf-8"))
+        rendered = _render(name, mode).encode("utf-8")
+        if not check:
+            _golden_path(name, mode).write_bytes(rendered)
+        elif rendered != _golden_path(name, mode).read_bytes():
+            sys.exit(f"{name} ({mode}) differs from {_golden_path(name, mode)}")
+    print(f"{len(CASES)} cases {'checked' if check else 'written'}")

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from matchgames import (
     EQUILIBRIUM_ENUMERATION_CAP,
+    DimensionMismatch,
     GameInstance,
     MalformedProfile,
     Matching,
-    MatchingNotInTable,
     SizeTooLarge,
     StrategyProfile,
     UtilityMatrix,
@@ -19,14 +19,12 @@ from matchgames import (
     build_table,
     cmd_game,
     compromise_set,
-    enumerate_equilibria,
     ideal_point,
-    least_satisfied,
     profile_payoffs,
-    situation_payoffs,
     verify_nash,
 )
 from matchgames.datasets import labor_market
+from matchgames.situations import enumerate_equilibria, least_satisfied
 
 # Expected payoff table for the bundled labor market, keyed by matching image.
 # The row for [2,0,1] carries 59 = B[2][0] in its fourth slot; the reference
@@ -49,6 +47,20 @@ def tiny_instance():
     )
 
 
+def situation_payoffs(instance: GameInstance, matching: Matching) -> tuple[Fraction, ...]:
+    """Length-2n payoff profile of one situation, worker-keyed on both halves, one entry at a time."""
+    a = instance.worker_utilities
+    b = instance.enterprise_utilities
+    workers = tuple(a.entry(i, matching[i]) for i in range(instance.n))
+    enterprises = tuple(b.entry(matching[k], k) for k in range(instance.n))
+    return workers + enterprises
+
+
+def _shifted(matrix, constant):
+    """A copy of ``matrix`` with ``constant`` added to every entry."""
+    return UtilityMatrix.from_rows([[v + constant for v in row] for row in matrix.entries])
+
+
 def random_instance(rng, n, low=0, high=99):
     grid = lambda: [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
     return GameInstance(
@@ -62,16 +74,16 @@ class TestBuildTable:
         table = build_table(labor_market)
         assert len(table.rows) == 6
         for image, expected in EXPECTED_PROFILES.items():
-            profile = table.profile_for(Matching(image))
+            profile = dict(table.rows)[Matching(image)]
             assert profile == tuple(Fraction(v) for v in expected), image
 
     def test_identity_row(self, labor_market):
         table = build_table(labor_market)
-        assert table.profile_for(Matching.identity(3)) == (76, 41, 54, 94, 32, 38)
+        assert dict(table.rows)[Matching(tuple(range(3)))] == (76, 41, 54, 94, 32, 38)
 
     def test_compromise_member_row(self, labor_market):
         table = build_table(labor_market)
-        assert table.profile_for(Matching((0, 2, 1))) == (76, 86, 13, 94, 85, 18)
+        assert dict(table.rows)[Matching((0, 2, 1))] == (76, 86, 13, 94, 85, 18)
 
     def test_single_player_market(self):
         table = build_table(tiny_instance())
@@ -95,11 +107,6 @@ class TestBuildTable:
         with pytest.raises(SizeTooLarge):
             build_table(random_instance(rng, 9))
 
-    def test_profile_for_unknown_matching(self, labor_market):
-        table = build_table(labor_market)
-        with pytest.raises(MatchingNotInTable):
-            table.profile_for(Matching((1, 0)))
-
 
 class TestIdealPoint:
     def test_reference_value(self, labor_market):
@@ -115,7 +122,7 @@ class TestIdealPoint:
             enterprise_utilities=UtilityMatrix.from_rows([[9, 0], [0, 9]]),
         )
         table = build_table(instance)
-        assert ideal_point(table).values == table.profile_for(Matching.identity(2))
+        assert ideal_point(table).values == dict(table.rows)[Matching(tuple(range(2)))]
 
     def test_attained_and_bounding(self):
         rng = random.Random(3)
@@ -187,8 +194,8 @@ class TestCompromiseSet:
             instance = random_instance(rng, n)
             shift = Fraction(rng.randint(-30, 30), rng.randint(1, 4))
             shifted = GameInstance(
-                worker_utilities=instance.worker_utilities.shifted(shift),
-                enterprise_utilities=instance.enterprise_utilities.shifted(shift),
+                worker_utilities=_shifted(instance.worker_utilities, shift),
+                enterprise_utilities=_shifted(instance.enterprise_utilities, shift),
             )
             base_table, shifted_table = build_table(instance), build_table(shifted)
             base_ideal = ideal_point(base_table).values
@@ -214,11 +221,11 @@ class TestLeastSatisfied:
             enterprise_utilities=UtilityMatrix.from_rows([[4, 4], [4, 4]]),
         )
         table = build_table(instance)
-        assert least_satisfied(table, Matching.identity(2)) == (0, 4)
+        assert least_satisfied(table, Matching(tuple(range(2)))) == (0, 4)
 
     def test_unknown_matching(self, labor_market):
         table = build_table(labor_market)
-        with pytest.raises(MatchingNotInTable):
+        with pytest.raises(DimensionMismatch):
             least_satisfied(table, Matching((0, 1)))
 
 
@@ -258,7 +265,7 @@ class TestProfiles:
 
 class TestVerifyNash:
     def test_consistent_identity_profile(self, labor_market):
-        verdict = verify_nash(labor_market, StrategyProfile.from_matching(Matching.identity(3)))
+        verdict = verify_nash(labor_market, StrategyProfile.from_matching(Matching(tuple(range(3)))))
         assert verdict.equilibrium
 
     def test_all_consistent_profiles_are_equilibria_small(self):
@@ -370,13 +377,6 @@ class TestClosedFormsAgainstTable:
         assert [matching for matching, _ in table.rows] == list(all_matchings(instance.n))
         for matching, profile in table.rows:
             assert profile == situation_payoffs(instance, matching)
-
-    @settings(max_examples=60, deadline=None)
-    @given(instances(max_n=5))
-    def test_profile_for_is_the_row_of_the_matching(self, instance):
-        table = build_table(instance)
-        for position, matching in enumerate(all_matchings(instance.n)):
-            assert table.profile_for(matching) == table.rows[position][1]
 
     @settings(max_examples=100, deadline=None)
     @given(instances(max_n=4))
