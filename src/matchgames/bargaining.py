@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .core import MatchGamesError, RationalLike, as_rational, format_rational
@@ -154,17 +154,18 @@ def _hull(points: list[Point]) -> list[Point]:
     """Convex hull by monotone chain, counterclockwise from the
     lexicographically smallest vertex, collinear points removed.
 
-    Each point (x, y) enters the chain as the ints (x*w, y*w, w), w the lcm of its own two denominators,
-    so no common denominator is formed (see _turn); the vertices returned are the given points.
+    Each point (x, y) enters the chain as the ints (x*w, y*w, w // g), w the lcm of its denominators and g the gcd
+    of all w's: one scale g > 0 for all points, so every turn keeps its sign (see _turn). Returns the given objects.
     """
     points = sorted(set(points))
     if len(points) <= 2:
         return points
+    ws = [lcm(x.denominator, y.denominator) for x, y in points]
+    g = gcd(*ws)
     given = {}
-    for point in points:
+    for point, w in zip(points, ws):
         x, y = point
-        w = lcm(x.denominator, y.denominator)
-        given[x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w] = point
+        given[x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w // g] = point
     hull: list[tuple[int, int, int]] = []
     for run in (given, reversed(given)):  # the lower chain, then the upper one
         chain: list[tuple[int, int, int]] = []

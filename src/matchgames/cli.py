@@ -8,6 +8,7 @@ input), 2 enumeration-size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from fractions import Fraction
@@ -117,21 +118,27 @@ def _run(args: argparse.Namespace) -> Report:
 
 
 def main(argv: list[str] | None = None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()  # a request leaves no reference cycle for it to free (tests/test_cli.py checks)
     try:
-        args = _PARSER.parse_args(argv)
-        rendered = render_report(_run(args), RenderMode(args.output))
-    except (_UsageError, MatchGamesError) as exc:
-        print(f"matchgames: error: {exc}", file=sys.stderr)
-        return EXIT_SIZE if isinstance(exc, SizeTooLarge) else EXIT_INPUT
-    try:
-        if args.out:
-            Path(args.out).write_text(rendered, encoding="utf-8")
-        else:
-            sys.stdout.write(rendered)  # encodes the whole report before writing any of it
-    except (OSError, UnicodeEncodeError) as exc:
-        print(f"matchgames: error: cannot write {args.out or 'the report to stdout'}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
+        try:
+            args = _PARSER.parse_args(argv)
+            rendered = render_report(_run(args), RenderMode(args.output))
+        except (_UsageError, MatchGamesError) as exc:
+            print(f"matchgames: error: {exc}", file=sys.stderr)
+            return EXIT_SIZE if isinstance(exc, SizeTooLarge) else EXIT_INPUT
+        try:
+            if args.out:
+                Path(args.out).write_text(rendered, encoding="utf-8")
+            else:
+                sys.stdout.write(rendered)  # encodes the whole report before writing any of it
+        except (OSError, UnicodeEncodeError) as exc:
+            print(f"matchgames: error: cannot write {args.out or 'the report to stdout'}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        return EXIT_OK
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -392,7 +392,7 @@ def parse_report(data: str | bytes) -> Report:
     return Report(command=command, payload=payload, notes=notes)
 
 
-# The text of each scalar type a report holds; _render_text's other does the rest.
+# The text of each scalar type a report holds; _text_other does the rest.
 _TEXT_SCALARS = {str: str, int: int.__repr__, Fraction: format_rational, bool: {True: "yes", False: "no"}.__getitem__}
 
 
@@ -430,13 +430,15 @@ def _render_block(lines: list[str], key: str, value: Any, indent: str, texts: An
         lines.append(f"{indent}{key}: {texts([value])[0]}")
 
 
-def _render_text(report: Report) -> str:
-    def other(value: Any) -> str:
-        if isinstance(value, (list, tuple)):
-            return "(" + ", ".join(texts(value)) + ")"
-        return format_rational(value) if isinstance(value, Fraction) else str(value)
+def _text_other(memo: dict[int, str], value: Any) -> str:
+    if isinstance(value, (list, tuple)):
+        return "(" + ", ".join(_texts(memo, _TEXT_SCALARS, partial(_text_other, memo), value)) + ")"
+    return format_rational(value) if isinstance(value, Fraction) else str(value)
 
-    texts = partial(_texts, {}, _TEXT_SCALARS, other)  # one memo per render
+
+def _render_text(report: Report) -> str:
+    memo: dict[int, str] = {}  # one per render; nothing refers back to texts, so no reference cycle
+    texts = partial(_texts, memo, _TEXT_SCALARS, partial(_text_other, memo))
     lines = [f"== {report.command} =="]
     for key, value in report.payload.items():
         _render_block(lines, key, value, "", texts)

@@ -20,7 +20,7 @@ from matchgames import (
     pareto_frontier,
 )
 from matchgames.bargaining import _hull
-from matchgames.core import MAX_DENOMINATOR_BITS
+from matchgames.core import MAX_DENOMINATOR_BITS, as_rational
 from matchgames.datasets import union_game
 
 F = Fraction
@@ -476,6 +476,17 @@ class TestAgainstOldSearch:
         given = [(next(cells), next(cells)) for _ in range(64)]
         first = given[0]
         self.assert_same_as_old_search(given, [first, (first[0], first[1] - F(1, 10**990)), (F(0), F(0))])
+
+    def test_shared_long_denominator_matches_the_fraction_search(self):
+        # An 8x8 game of 1000-character decimals "±m e-999", m of 994 digits and prime to 10, so every
+        # coordinate has the denominator 10**999: the points share one w, which _hull divides out.
+        rng = random.Random(17)
+        literals = (f"{rng.choice('+-')}{rng.randrange(10**992, 10**993)}{rng.choice('1379')}e-999" for _ in range(128))
+        cells = iter(map(as_rational, literals))
+        given = [(next(cells), next(cells)) for _ in range(64)]
+        assert {c.denominator for point in given for c in point} == {10**999}
+        first = given[0]
+        self.assert_same_as_old_search(given, [first, (first[0], first[1] - F(1, 10**999)), (F(0), F(0))])
 
     @staticmethod
     def assert_same_as_old_search(given, disagreements):

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -26,7 +27,9 @@ from matchgames import (
     parse_report,
     render_report,
 )
+from matchgames import cli
 from matchgames.cli import EXIT_INPUT, EXIT_OK, EXIT_SIZE, main
+from test_golden import CASES, COMMANDS, UNION
 
 
 @pytest.fixture
@@ -401,6 +404,95 @@ class TestOversizeNumbers:
         err = self.assert_input_error(["bargain", "--game", str(path), "--disagreement", "0", "0"], capsys)
         assert time.perf_counter() - start < 1.0
         assert err.endswith("is not a feasible payoff vector\n")
+
+
+def failing_requests(tmp_path):
+    """(argv, exit code) of requests that fail past argument parsing, text and machine."""
+    bad_json, bad_cell, big = tmp_path / "bad.json", tmp_path / "cell.json", tmp_path / "big.json"
+    bad_json.write_text("{nope")
+    bad_cell.write_text(json.dumps({"workers": ["w"], "enterprises": ["e"], "A": [["1/0"]], "B": [[1]]}))
+    labels = list("abcdefghi")  # n = 9, past the situation-table cap
+    big.write_text(json.dumps({"workers": labels, "enterprises": labels, "A": [[1] * 9] * 9, "B": [[1] * 9] * 9}))
+    # Each 1/q is within the literal bound; the total's denominator is past the print limit.
+    qs = [10**990 + k for k in (1, 3, 7, 9, 13)]
+    huge_total = write_market(tmp_path, [[f"1/{q}" if i == j else 0 for j in range(5)] for i, q in enumerate(qs)])
+    requests = [
+        (["game", "--market", str(bad_json)], EXIT_INPUT),
+        (["assign", "--market", str(bad_cell), "--side", "workers"], EXIT_INPUT),
+        (["assign", "--market", str(tmp_path / "missing.json"), "--side", "workers"], EXIT_INPUT),
+        (["assign", "--market", huge_total, "--side", "workers"], EXIT_INPUT),
+        (["bargain", "--game", UNION, "--disagreement", "3/2", "-1/4"], EXIT_INPUT),
+        (["game", "--market", str(big)], EXIT_SIZE),
+    ]
+    return [(argv + ["--output", mode], code) for argv, code in requests for mode in ("text", "machine")]
+
+
+def run_quietly(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestCollector:
+    """main pauses the cyclic collector for each request, which is safe only because no request
+    leaves a reference cycle, and hands the collector back in the state it found it."""
+
+    @staticmethod
+    def garbage_after(argv):
+        """(exit code, objects the collector frees) of one request, the collector off throughout."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            code = run_quietly(argv)
+            return code, gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize(("name", "mode"), CASES)
+    def test_golden_request_leaves_no_cycle(self, name, mode):
+        assert self.garbage_after([*COMMANDS[name], "--output", mode]) == (EXIT_OK, 0)
+
+    def test_failing_request_leaves_no_cycle(self, tmp_path):
+        for argv, code in failing_requests(tmp_path):
+            assert self.garbage_after(argv) == (code, 0), argv
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_on_every_way_out(self, enabled, tmp_path, union_path, monkeypatch):
+        requests = [
+            (["bargain", "--game", union_path], EXIT_OK),
+            *failing_requests(tmp_path),
+            (["frobnicate"], EXIT_INPUT),
+            (["bargain", "--game", union_path, "--out", str(tmp_path)], EXIT_INPUT),  # a write error
+        ]
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in requests:
+                assert run_quietly(argv) == code, argv
+                assert gc.isenabled() is enabled, argv
+
+            def broken(*args):
+                raise RuntimeError("unexpected")
+
+            monkeypatch.setattr(cli, "cmd_bargain", broken)
+            with pytest.raises(RuntimeError, match="unexpected"):
+                run_quietly(["bargain", "--game", union_path])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_is_off_during_the_request(self, union_path, monkeypatch):
+        seen = []
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return cmd_bargain(*args)
+
+        monkeypatch.setattr(cli, "cmd_bargain", recording)
+        assert gc.isenabled()
+        assert run_quietly(["bargain", "--game", union_path]) == EXIT_OK
+        assert seen == [False] and gc.isenabled()
 
 
 # Short literals of every accepted kind, and the characters most likely to
