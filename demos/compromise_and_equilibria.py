@@ -32,7 +32,7 @@ def main():
         print(f"  situation {list(matching)}:  {cells}")
 
     ideal = ideal_point(table)
-    print(f"\nideal point: {[format_rational(v) for v in ideal.values]}")
+    print(f"\nideal point: {[format_rational(v) for v in ideal]}")
 
     compromise = compromise_set(table)
     print("\nmax regret per situation:")

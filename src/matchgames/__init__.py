@@ -67,7 +67,6 @@ from .formats import (
 from .situations import (
     EQUILIBRIUM_ENUMERATION_CAP,
     CompromiseResult,
-    IdealPoint,
     MalformedProfile,
     NashVerdict,
     SituationTable,

@@ -17,13 +17,7 @@ from pathlib import Path
 from .assignment import Objective
 from .commands import Side, cmd_assign, cmd_bargain, cmd_game, cmd_pipeline
 from .core import MatchGamesError, SizeTooLarge, as_rational
-from .formats import (
-    RenderMode,
-    Report,
-    parse_bimatrix,
-    parse_market,
-    render_report,
-)
+from .formats import RenderMode, parse_bimatrix, parse_market, render_report
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -71,9 +65,15 @@ def _build_parser() -> _Parser:
     assign.add_argument("--market", required=True, metavar="FILE")
     assign.add_argument("--side", required=True, choices=[s.value for s in Side])
     assign.add_argument("--minimize", action="store_true", help="minimize instead of maximize")
+    assign.set_defaults(
+        run=lambda args: cmd_assign(
+            parse_market(_read(args.market)), Side(args.side), Objective.MINIMIZE if args.minimize else Objective.MAXIMIZE
+        )
+    )
 
     game = sub.add_parser("game", parents=[common], help="situation table, compromise set, equilibria")
     game.add_argument("--market", required=True, metavar="FILE")
+    game.set_defaults(run=lambda args: cmd_game(parse_market(_read(args.market))))
 
     bargain = sub.add_parser("bargain", parents=[common], help="maximin threats and Nash arbitration")
     bargain.add_argument("--game", required=True, metavar="FILE")
@@ -84,10 +84,18 @@ def _build_parser() -> _Parser:
         metavar=("V1", "V2"),
         help="skip the maximin step and use this disagreement point",
     )
+    bargain.set_defaults(
+        run=lambda args: cmd_bargain(
+            parse_bimatrix(_read(args.game)), tuple(args.disagreement) if args.disagreement else None
+        )
+    )
 
     pipeline = sub.add_parser("pipeline", parents=[common], help="assign both sides, diagnose, bargain")
     pipeline.add_argument("--market", required=True, metavar="FILE")
     pipeline.add_argument("--union-game", required=True, metavar="FILE")
+    pipeline.set_defaults(
+        run=lambda args: cmd_pipeline(parse_market(_read(args.market)), parse_bimatrix(_read(args.union_game)))
+    )
 
     return parser
 
@@ -103,27 +111,13 @@ def _read(path: str) -> bytes:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _run(args: argparse.Namespace) -> Report:
-    if args.subcommand == "assign":
-        objective = Objective.MINIMIZE if args.minimize else Objective.MAXIMIZE
-        return cmd_assign(parse_market(_read(args.market)), Side(args.side), objective)
-    if args.subcommand == "game":
-        return cmd_game(parse_market(_read(args.market)))
-    if args.subcommand == "bargain":
-        override = tuple(args.disagreement) if args.disagreement else None
-        return cmd_bargain(parse_bimatrix(_read(args.game)), override)
-    if args.subcommand == "pipeline":
-        return cmd_pipeline(parse_market(_read(args.market)), parse_bimatrix(_read(args.union_game)))
-    raise _UsageError(f"unknown subcommand {args.subcommand!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()  # a request leaves no reference cycle for it to free (tests/test_cli.py checks)
     try:
         try:
             args = _PARSER.parse_args(argv)
-            rendered = render_report(_run(args), RenderMode(args.output))
+            rendered = render_report(args.run(args), RenderMode(args.output))
         except (_UsageError, MatchGamesError) as exc:
             print(f"matchgames: error: {exc}", file=sys.stderr)
             return EXIT_SIZE if isinstance(exc, SizeTooLarge) else EXIT_INPUT

@@ -36,13 +36,6 @@ class Side(Enum):
     ENTERPRISES = "enterprises"
 
 
-def _same_market(market: GameInstance, instance: GameInstance) -> bool:
-    return (
-        market.worker_utilities.entries == instance.worker_utilities.entries
-        and market.enterprise_utilities.entries == instance.enterprise_utilities.entries
-    )
-
-
 # Built once: each report compares its market against both bundled ones.
 _BUNDLED_NOTES = (
     (datasets.labor_market(), datasets.LABOR_MARKET_NOTES),
@@ -51,8 +44,9 @@ _BUNDLED_NOTES = (
 
 
 def _dataset_notes(market: GameInstance) -> tuple[str, ...]:
+    grids = (market.worker_utilities.entries, market.enterprise_utilities.entries)
     for instance, notes in _BUNDLED_NOTES:
-        if _same_market(market, instance):
+        if grids == (instance.worker_utilities.entries, instance.enterprise_utilities.entries):
             return notes
     return ()
 
@@ -123,7 +117,7 @@ def cmd_game(market: GameInstance) -> Report:
             {"image": list(matching.image), "payoffs": list(profile)}
             for matching, profile in table.rows
         ],
-        "ideal_point": list(compromise.ideal.values),
+        "ideal_point": list(compromise.ideal),
         "compromise": {
             "optimal_regret": compromise.optimal_regret,
             "members": [list(m.image) for m in compromise.members],

@@ -65,15 +65,8 @@ def build_table(instance: GameInstance) -> SituationTable:
     return SituationTable(instance=instance, rows=tuple(zip(matchings, profiles)))
 
 
-@dataclass(frozen=True)
-class IdealPoint:
-    """Per-player maxima over all situations; every coordinate is attained."""
-
-    values: tuple[Fraction, ...]
-
-
-def ideal_point(table: SituationTable) -> IdealPoint:
-    """Coordinatewise maximum of the payoff table.
+def ideal_point(table: SituationTable) -> tuple[Fraction, ...]:
+    """Coordinatewise maximum of the payoff table; every coordinate is attained.
 
     Every pair (i, j) lies in some perfect matching, so the maxima are the
     row maxima of A (workers) followed by the column maxima of B (the
@@ -81,14 +74,14 @@ def ideal_point(table: SituationTable) -> IdealPoint:
     """
     rows = table.instance.worker_utilities.entries
     columns = zip(*table.instance.enterprise_utilities.entries)
-    return IdealPoint(values=tuple(max(line) for line in (*rows, *columns)))
+    return tuple(max(line) for line in (*rows, *columns))
 
 
 @dataclass(frozen=True)
 class CompromiseResult:
     """Minimax-regret optimum: the situations minimizing the worst shortfall."""
 
-    ideal: IdealPoint  # the point regrets are measured from
+    ideal: tuple[Fraction, ...]  # the point regrets are measured from
     optimal_regret: Fraction
     members: tuple[Matching, ...]
     regret_by_situation: tuple[Fraction, ...]  # max regret per table row, row order
@@ -97,7 +90,7 @@ class CompromiseResult:
 
 def compromise_set(table: SituationTable) -> CompromiseResult:
     """Situations minimizing max_i (ideal_i - payoff_i); all ties included."""
-    ideal = ideal_point(table).values
+    ideal = ideal_point(table)
     a = table.instance.worker_utilities.entries
     b = table.instance.enterprise_utilities.entries
     n = table.n
@@ -117,7 +110,7 @@ def compromise_set(table: SituationTable) -> CompromiseResult:
     # is the lowest-index player at that rank, paid their ideal minus it.
     players = [[line[j] for line, j in zip(ranks, m.image * 2)].index(optimum) for m in members]
     return CompromiseResult(
-        ideal=IdealPoint(ideal),
+        ideal=ideal,
         optimal_regret=values[optimum],
         members=members,
         regret_by_situation=tuple(values[r] for r in max_ranks),
@@ -136,7 +129,7 @@ def least_satisfied(table: SituationTable, matching: Matching) -> tuple[int, Fra
         raise DimensionMismatch(f"matching of size {matching.n} on a size-{table.n} table")
     lines = (*table.instance.worker_utilities.entries, *zip(*table.instance.enterprise_utilities.entries))
     profile = tuple(map(getitem, lines, matching.image * 2))
-    regrets = [best - paid for best, paid in zip(ideal_point(table).values, profile)]
+    regrets = [best - paid for best, paid in zip(ideal_point(table), profile)]
     player = regrets.index(max(regrets))
     return player, profile[player]
 
@@ -179,12 +172,6 @@ class StrategyProfile:
             self.worker_choices[self.enterprise_choices[e]] == e for e in range(self.n)
         )
 
-    def matching(self) -> Matching:
-        """The matching realized by a consistent profile."""
-        if not self.is_consistent():
-            raise MalformedProfile("profile is not consistent; it realizes no matching")
-        return Matching(self.worker_choices)
-
 
 def profile_payoffs(instance: GameInstance, profile: StrategyProfile) -> tuple[Fraction, ...]:
     """Payoffs by player (workers then enterprises, each by own index).
@@ -214,17 +201,6 @@ class NashVerdict:
     better_choice: int | None = None
 
 
-def _with_choice(profile: StrategyProfile, player: int, choice: int) -> StrategyProfile:
-    n = profile.n
-    if player < n:
-        workers = list(profile.worker_choices)
-        workers[player] = choice
-        return StrategyProfile(tuple(workers), profile.enterprise_choices)
-    enterprises = list(profile.enterprise_choices)
-    enterprises[player - n] = choice
-    return StrategyProfile(profile.worker_choices, tuple(enterprises))
-
-
 def verify_nash(instance: GameInstance, profile: StrategyProfile) -> NashVerdict:
     """Check whether any single player can strictly gain by changing their choice.
 
@@ -233,17 +209,13 @@ def verify_nash(instance: GameInstance, profile: StrategyProfile) -> NashVerdict
     """
     current = profile_payoffs(instance, profile)
     n = instance.n
-    for player in range(2 * n):
-        own_choice = (
-            profile.worker_choices[player]
-            if player < n
-            else profile.enterprise_choices[player - n]
-        )
+    choices = profile.worker_choices + profile.enterprise_choices
+    for player, own_choice in enumerate(choices):
         for choice in range(n):
             if choice == own_choice:
                 continue
-            deviated = _with_choice(profile, player, choice)
-            if profile_payoffs(instance, deviated)[player] > current[player]:
+            deviated = (*choices[:player], choice, *choices[player + 1 :])
+            if profile_payoffs(instance, StrategyProfile(deviated[:n], deviated[n:]))[player] > current[player]:
                 return NashVerdict(equilibrium=False, deviating_player=player, better_choice=choice)
     return NashVerdict(equilibrium=True)
 

@@ -78,7 +78,7 @@ def test_criterion_01_payoff_table():
 
 
 def test_criterion_02_ideal_point():
-    assert ideal_point(build_table(labor_market())).values == IDEAL
+    assert ideal_point(build_table(labor_market())) == IDEAL
     announce(2, f"ideal point is {IDEAL}")
 
 
@@ -98,7 +98,7 @@ def test_criterion_03_compromise_set():
 def test_criterion_04_nash_universality():
     equilibria = enumerate_equilibria(labor_market())
     assert len(equilibria) == 6
-    assert {e.matching().image for e in equilibria} == set(permutations(range(3)))
+    assert {e.worker_choices for e in equilibria} == set(permutations(range(3)))
 
     rng = random.Random(1234)
     for _ in range(50):

@@ -236,6 +236,9 @@ class TestExitCodes:
     def test_bad_usage(self, capsys):
         assert main(["assign", "--side", "workers"]) == EXIT_INPUT
         assert main(["frobnicate"]) == EXIT_INPUT
+        # no subcommand: argparse stops before any subcommand's run is looked up
+        assert main([]) == EXIT_INPUT
+        assert main(["--output", "machine"]) == EXIT_INPUT
 
     def test_size_cap(self, tmp_path, capsys):
         n = 9

@@ -110,10 +110,10 @@ class TestBuildTable:
 
 class TestIdealPoint:
     def test_reference_value(self, labor_market):
-        assert ideal_point(build_table(labor_market)).values == (94, 86, 54, 94, 85, 38)
+        assert ideal_point(build_table(labor_market)) == (94, 86, 54, 94, 85, 38)
 
     def test_single_situation(self):
-        assert ideal_point(build_table(tiny_instance())).values == (7, 9)
+        assert ideal_point(build_table(tiny_instance())) == (7, 9)
 
     def test_dominant_matching(self):
         # Identity collects every large entry, so its row is the ideal point.
@@ -122,13 +122,13 @@ class TestIdealPoint:
             enterprise_utilities=UtilityMatrix.from_rows([[9, 0], [0, 9]]),
         )
         table = build_table(instance)
-        assert ideal_point(table).values == dict(table.rows)[Matching(tuple(range(2)))]
+        assert ideal_point(table) == dict(table.rows)[Matching(tuple(range(2)))]
 
     def test_attained_and_bounding(self):
         rng = random.Random(3)
         for _ in range(20):
             table = build_table(random_instance(rng, rng.randint(2, 4)))
-            ideal = ideal_point(table).values
+            ideal = ideal_point(table)
             for i, bound in enumerate(ideal):
                 column = [profile[i] for _, profile in table.rows]
                 assert bound == max(column)
@@ -159,7 +159,7 @@ class TestCompromiseSet:
         rng = random.Random(4)
         for _ in range(20):
             table = build_table(random_instance(rng, rng.randint(2, 4)))
-            ideal = ideal_point(table).values
+            ideal = ideal_point(table)
             for _, profile in table.rows:
                 assert all(ideal[i] - profile[i] >= 0 for i in range(len(ideal)))
 
@@ -198,8 +198,8 @@ class TestCompromiseSet:
                 enterprise_utilities=_shifted(instance.enterprise_utilities, shift),
             )
             base_table, shifted_table = build_table(instance), build_table(shifted)
-            base_ideal = ideal_point(base_table).values
-            shifted_ideal = ideal_point(shifted_table).values
+            base_ideal = ideal_point(base_table)
+            shifted_ideal = ideal_point(shifted_table)
             assert shifted_ideal == tuple(v + shift for v in base_ideal)
             assert compromise_set(shifted_table).members == compromise_set(base_table).members
 
@@ -233,7 +233,7 @@ class TestProfiles:
     def test_from_matching_is_consistent(self):
         profile = StrategyProfile.from_matching(Matching((0, 2, 1)))
         assert profile.is_consistent()
-        assert profile.matching() == Matching((0, 2, 1))
+        assert Matching(profile.worker_choices) == Matching((0, 2, 1))
 
     def test_inconsistent_profiles(self):
         assert not StrategyProfile((0, 0, 1), (0, 1, 2)).is_consistent()
@@ -244,8 +244,6 @@ class TestProfiles:
             StrategyProfile((0, 1), (0,)).validate()
         with pytest.raises(MalformedProfile):
             StrategyProfile((0, 3), (0, 1)).validate()
-        with pytest.raises(MalformedProfile):
-            StrategyProfile((1, 1), (0, 1)).matching()
 
     def test_inconsistent_pays_zero_to_everyone(self, labor_market):
         payoffs = profile_payoffs(labor_market, StrategyProfile((0, 0, 1), (0, 1, 2)))
@@ -290,6 +288,24 @@ class TestVerifyNash:
         assert verdict.deviating_player == 1
         assert verdict.better_choice == 1
 
+    @pytest.mark.parametrize(
+        ("a", "b", "image", "verdict"),
+        [
+            # enterprise 1 (player 3) is paid -3 with worker 1; naming worker 0 pays it 0
+            ([[1, 2], [3, 4]], [[5, 6], [7, -3]], (0, 1), (False, 3, 0)),
+            # worker 1 (paid -1) and enterprise 0 (player 2, paid -5) can both gain; worker 1 comes first
+            ([[1, 2], [3, -1]], [[-5, 6], [7, 4]], (0, 1), (False, 1, 0)),
+            # only enterprise 2 (player 5), paid -2 with worker 2, can gain
+            ([[1, 2, 3], [3, 4, 5], [1, 1, 1]], [[5, 6, 1], [7, 4, 1], [2, 2, -2]], (1, 0, 2), (False, 5, 0)),
+        ],
+    )
+    def test_first_deviator_in_player_order(self, a, b, image, verdict):
+        instance = GameInstance(
+            worker_utilities=UtilityMatrix.from_rows(a), enterprise_utilities=UtilityMatrix.from_rows(b)
+        )
+        found = verify_nash(instance, StrategyProfile.from_matching(Matching(image)))
+        assert (found.equilibrium, found.deviating_player, found.better_choice) == verdict
+
     def test_zero_utility_inconsistent_profile_can_be_equilibrium(self):
         instance = GameInstance(
             worker_utilities=UtilityMatrix.from_rows([[0, 0], [0, 0]]),
@@ -307,7 +323,7 @@ class TestEnumerateEquilibria:
     def test_reference_market_all_six(self, labor_market):
         equilibria = enumerate_equilibria(labor_market)
         assert len(equilibria) == 6
-        assert {e.matching().image for e in equilibria} == {
+        assert {e.worker_choices for e in equilibria} == {
             image for image in permutations(range(3))
         }
 
@@ -350,13 +366,13 @@ class TestClosedFormsAgainstTable:
     def test_ideal_point_is_coordinatewise_table_max(self, instance):
         table = build_table(instance)
         profiles = [profile for _, profile in table.rows]
-        assert ideal_point(table).values == tuple(max(column) for column in zip(*profiles))
+        assert ideal_point(table) == tuple(max(column) for column in zip(*profiles))
 
     @settings(max_examples=60, deadline=None)
     @given(instances(max_n=6))
     def test_regret_by_situation_is_the_per_player_max(self, instance):
         table = build_table(instance)
-        ideal = ideal_point(table).values
+        ideal = ideal_point(table)
         regrets = tuple(
             max(ideal[i] - profile[i] for i in range(2 * instance.n)) for _, profile in table.rows
         )
