@@ -60,8 +60,6 @@ from .formats import (
     parse_bimatrix,
     parse_market,
     parse_report,
-    render_bimatrix,
-    render_market,
     render_report,
 )
 from .situations import (

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, permutations
 from math import lcm
-from operator import sub
+from operator import getitem, sub
 
 from .core import (
     ENUMERATION_CAP,
@@ -45,7 +45,7 @@ def matching_total(matrix: UtilityMatrix, matching: Matching) -> Fraction:
     """Exact sum of matrix entries selected by a matching."""
     if matching.n != matrix.n:
         raise DimensionMismatch(f"matching of size {matching.n} on a size-{matrix.n} matrix")
-    return sum((matrix.entry(i, j) for i, j in enumerate(matching.image)), Fraction(0))
+    return sum(map(getitem, matrix.entries, matching.image), Fraction(0))
 
 
 def _integer_costs(matrix: UtilityMatrix, objective: Objective) -> tuple[list[list[int]], int]:

@@ -63,9 +63,6 @@ class BimatrixGame:
     def cols(self) -> int:
         return len(self.payoffs[0])
 
-    def outcome_points(self) -> list[Point]:
-        return [pair for row in self.payoffs for pair in row]
-
 
 @dataclass(frozen=True)
 class MixedStrategy:
@@ -179,7 +176,7 @@ def _hull(points: list[Point]) -> list[Point]:
 
 def feasible_hull(game: BimatrixGame) -> list[Point]:
     """Convex hull of the outcome payoff pairs, as `_hull` orders it."""
-    return _hull(game.outcome_points())
+    return _hull([pair for row in game.payoffs for pair in row])
 
 
 def hull_contains(hull: list[Point] | tuple[Point, ...], point: Point) -> bool:

@@ -49,16 +49,17 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
+    # Both parsers take these, before or after the subcommand.  No defaults, so the
+    # subcommand's parser keeps a value given before it; main's namespace holds them.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument(
         "--output",
         choices=[mode.value for mode in RenderMode],
-        default=RenderMode.TEXT.value,
-        help="report rendering: human text or machine-readable JSON",
+        help="report rendering: human text (the default) or machine-readable JSON",
     )
     common.add_argument("--out", metavar="FILE", help="write the report to FILE instead of stdout")
 
-    parser = _Parser(prog="matchgames", description="Solvers for bilateral assignment markets.")
+    parser = _Parser(prog="matchgames", description="Solvers for bilateral assignment markets.", parents=[common])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     assign = sub.add_parser("assign", parents=[common], help="solve one side's optimal assignment")
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()  # a request leaves no reference cycle for it to free (tests/test_cli.py checks)
     try:
         try:
-            args = _PARSER.parse_args(argv)
+            args = _PARSER.parse_args(argv, argparse.Namespace(output=RenderMode.TEXT.value, out=None))
             rendered = render_report(args.run(args), RenderMode(args.output))
         except (_UsageError, MatchGamesError) as exc:
             print(f"matchgames: error: {exc}", file=sys.stderr)

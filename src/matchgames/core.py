@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence, Union
 
-RationalLike = Union[int, float, str, Fraction]
+RationalLike = Union[int, str, Fraction]
 
 # Full enumeration of matchings is refused above this size (8! = 40320 rows
 # is the ceiling for desk-scale tables and brute-force oracles).
@@ -53,8 +53,8 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce a value to an exact rational.
 
     Accepts ints, Fractions, and strings in ``"p/q"``, integer, or decimal
-    form ("3/2", "7", "0.25").  Floats are converted through their shortest
-    decimal repr, so 0.1 becomes exactly 1/10.  A string longer than MAX_LITERAL_LENGTH, with an
+    form ("3/2", "7", "0.25"); any other type, a float or a bool included, is
+    a TypeError, so no floating point enters.  A string longer than MAX_LITERAL_LENGTH, with an
     exponent beyond MAX_LITERAL_EXPONENT, or with "_" or inner whitespace is rejected with ValueError.
     """
     if isinstance(value, Fraction):
@@ -63,8 +63,6 @@ def as_rational(value: RationalLike) -> Fraction:
         raise TypeError(f"cannot interpret {value!r} as a rational")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
     if isinstance(value, str):
         text = value.strip()
         if len(text) > MAX_LITERAL_LENGTH:
@@ -193,9 +191,6 @@ class UtilityMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def entry(self, row: int, col: int) -> Fraction:
-        return self.entries[row][col]
 
 
 @dataclass(frozen=True)

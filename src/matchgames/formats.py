@@ -4,7 +4,7 @@ Input files are JSON.  Numbers may be integers, decimal literals, or "p/q"
 strings; all three parse to exact rationals (decimals are read as printed, so
 0.1 means 1/10).
 
-Machine output (reports, markets, bimatrix games) is canonical JSON, written
+Machine output (a report) is canonical JSON, written
 in one pass: keys sorted, two-space indent with ",\n" and ": " separators,
 "[]" and "{}" for empty containers, strings ASCII-escaped, tuples written as
 lists, and every rational an integer or a "p/q" string, never a decimal.
@@ -29,7 +29,7 @@ from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from .bargaining import BimatrixGame
 from .core import (
@@ -62,7 +62,8 @@ class BimatrixFile:
     game: BimatrixGame
 
 
-def _load_json(data: str | bytes, decode: Callable[[Any], Any] = lambda doc: doc) -> Any:
+def _load_json(data: str | bytes, decode: Callable[[Any], Any] = lambda doc: doc,
+               loads: Callable[[str], Any] = partial(json.loads, parse_float=as_rational)) -> Any:
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -70,7 +71,7 @@ def _load_json(data: str | bytes, decode: Callable[[Any], Any] = lambda doc: doc
             raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     try:
         # parse_float receives the literal text, so decimals stay exact; decode runs under these handlers.
-        return decode(json.loads(data, parse_float=as_rational))
+        return decode(loads(data))
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -295,26 +296,6 @@ def _write_json(value: Any, indent: str, memo: dict[int, str]) -> str:
     return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def render_market(market: GameInstance) -> str:
-    """Serialize a market back to canonical JSON (round-trips exactly)."""
-    doc = {
-        "workers": market.worker_utilities.row_labels,
-        "enterprises": market.worker_utilities.col_labels,
-        "A": market.worker_utilities.entries,
-        "B": market.enterprise_utilities.entries,
-    }
-    return _write_json(doc, "", {}) + "\n"
-
-
-def render_bimatrix(bimatrix: BimatrixFile) -> str:
-    doc = {
-        "row_labels": bimatrix.row_labels,
-        "col_labels": bimatrix.col_labels,
-        "payoffs": bimatrix.game.payoffs,
-    }
-    return _write_json(doc, "", {}) + "\n"
-
-
 class RenderMode(Enum):
     TEXT = "text"
     MACHINE = "machine"
@@ -383,9 +364,15 @@ def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
         raise ReportTooLarge(f"cannot render the {report.command} report: {exc}") from exc
 
 
+def _not_in_a_report(text: str) -> NoReturn:
+    raise SchemaError(f"report: the JSON number {text[:40]} is not an integer; write a rational as \"p/q\"")
+
+
 def parse_report(data: str | bytes) -> Report:
-    """Parse a machine report back into a Report; SchemaError for a non-"p/q" string under _RATIONAL_KEYS."""
-    doc = _load_json(data, partial(_decode, rational=False, parsed={}))
+    """Parse a machine report back into a Report; SchemaError for a non-"p/q" string under _RATIONAL_KEYS,
+    or for a decimal, exponent, NaN or Infinity anywhere: the writer prints none, so it would not read back."""
+    loads = partial(json.loads, parse_float=_not_in_a_report, parse_constant=_not_in_a_report)
+    doc = _load_json(data, partial(_decode, rational=False, parsed={}), loads)
     command = _require(doc, "command", str, "report")
     payload = _require(doc, "payload", dict, "report")
     notes = _string_list(_require(doc, "notes", list, "report"), "report.notes")

@@ -3,9 +3,9 @@
 Workers 0..n-1 and enterprises n..2n-1 are the players.  A situation is a
 matching p; worker i is paid A[i][p(i)].  Payoff tables key the enterprise
 side by worker: column n+k reports the payoff of whichever enterprise is
-matched to worker k, i.e. B[p(k)][k].  Equilibrium checks use the players'
-own choices directly (enterprise e is paid B[e][chosen worker]); only the
-table layout uses the worker-keyed view.
+matched to worker k, i.e. B[p(k)][k]; _payoff_lines writes that layout once.
+Profile checks use the players' own choices directly (enterprise e is paid
+B[e][chosen worker]).
 """
 
 from __future__ import annotations
@@ -50,16 +50,22 @@ class SituationTable:
         Sign rule: any unilateral deviation breaks consistency and pays the
         deviator 0, so a situation is an equilibrium iff none of its 2n
         payoffs is below 0, or n = 1 and nobody has a choice to change.
-        Worker i and the enterprise matched to i are paid A[i][j] and B[j][i].
+        Worker i and the enterprise matched to i are paid from lines i and n + i.
         """
-        a, b = self.instance.worker_utilities.entries, self.instance.enterprise_utilities.entries
-        ok = [[a[i][j] >= 0 and b[j][i] >= 0 for j in range(self.n)] for i in range(self.n)]
-        return tuple(m for m, _ in self.rows if self.n == 1 or all(map(list.__getitem__, ok, m.image)))
+        lines, n = _payoff_lines(self.instance), self.n
+        ok = [[min(x, y) >= 0 for x, y in zip(lines[i], lines[n + i])] for i in range(n)]
+        return tuple(m for m, _ in self.rows if n == 1 or all(map(list.__getitem__, ok, m.image)))
+
+
+def _payoff_lines(instance: GameInstance) -> tuple[tuple[Fraction, ...], ...]:
+    """One payoff line per player, A's rows then B's columns: in situation p,
+    player t is paid lines[t][p(t mod n)]."""
+    return (*instance.worker_utilities.entries, *zip(*instance.enterprise_utilities.entries))
 
 
 def build_table(instance: GameInstance) -> SituationTable:
-    """Complete situation table, profiles read off A's rows and B's columns; SizeTooLarge past the cap."""
-    lines = (*instance.worker_utilities.entries, *zip(*instance.enterprise_utilities.entries))
+    """Complete situation table, profiles read off _payoff_lines; SizeTooLarge past the cap."""
+    lines = _payoff_lines(instance)
     matchings = all_matchings(instance.n)
     profiles = [tuple(map(getitem, lines, m.image * 2)) for m in matchings]
     return SituationTable(instance=instance, rows=tuple(zip(matchings, profiles)))
@@ -72,9 +78,7 @@ def ideal_point(table: SituationTable) -> tuple[Fraction, ...]:
     row maxima of A (workers) followed by the column maxima of B (the
     enterprise matched to worker k earns B[e][k]).
     """
-    rows = table.instance.worker_utilities.entries
-    columns = zip(*table.instance.enterprise_utilities.entries)
-    return tuple(max(line) for line in (*rows, *columns))
+    return tuple(map(max, _payoff_lines(table.instance)))
 
 
 @dataclass(frozen=True)
@@ -91,14 +95,11 @@ class CompromiseResult:
 def compromise_set(table: SituationTable) -> CompromiseResult:
     """Situations minimizing max_i (ideal_i - payoff_i); all ties included."""
     ideal = ideal_point(table)
-    a = table.instance.worker_utilities.entries
-    b = table.instance.enterprise_utilities.entries
     n = table.n
-    # Worker i and the enterprise matched to i are paid A[i][p(i)] and
-    # B[p(i)][i], so the 2n^2 player regrets cover every situation.  Rows
+    # Worker i and the enterprise matched to i are paid from lines i and
+    # n + i at p(i), so the 2n^2 player regrets cover every situation.  Rows
     # are scanned on the ranks of their distinct values, as ints.
-    regrets = [[ideal[i] - a[i][j] for j in range(n)] for i in range(n)]
-    regrets += [[ideal[n + i] - b[j][i] for j in range(n)] for i in range(n)]
+    regrets = [[best - paid for paid in line] for best, line in zip(ideal, _payoff_lines(table.instance))]
     values = sorted(set().union(*regrets))
     rank = {value: r for r, value in enumerate(values)}
     ranks = [[rank[value] for value in line] for line in regrets]
@@ -121,14 +122,13 @@ def compromise_set(table: SituationTable) -> CompromiseResult:
 def least_satisfied(table: SituationTable, matching: Matching) -> tuple[int, Fraction]:
     """The player furthest below their ideal in a situation, with their payoff.
 
-    Ties break toward the lowest player index.  The profile is read off A's
-    rows and B's columns, as in build_table.  Raises DimensionMismatch if the
+    Ties break toward the lowest player index.  The profile is read off
+    _payoff_lines, as in build_table.  Raises DimensionMismatch if the
     matching's size is not the table's.
     """
     if matching.n != table.n:
         raise DimensionMismatch(f"matching of size {matching.n} on a size-{table.n} table")
-    lines = (*table.instance.worker_utilities.entries, *zip(*table.instance.enterprise_utilities.entries))
-    profile = tuple(map(getitem, lines, matching.image * 2))
+    profile = tuple(map(getitem, _payoff_lines(table.instance), matching.image * 2))
     regrets = [best - paid for best, paid in zip(ideal_point(table), profile)]
     player = regrets.index(max(regrets))
     return player, profile[player]
@@ -182,14 +182,11 @@ def profile_payoffs(instance: GameInstance, profile: StrategyProfile) -> tuple[F
     profile.validate()
     if profile.n != instance.n:
         raise MalformedProfile(f"profile of size {profile.n} on a size-{instance.n} instance")
-    zero = Fraction(0)
     if not profile.is_consistent():
-        return (zero,) * (2 * instance.n)
-    a = instance.worker_utilities
-    b = instance.enterprise_utilities
-    workers = tuple(a.entry(i, profile.worker_choices[i]) for i in range(instance.n))
-    enterprises = tuple(b.entry(e, profile.enterprise_choices[e]) for e in range(instance.n))
-    return workers + enterprises
+        return (Fraction(0),) * (2 * instance.n)
+    workers = map(getitem, instance.worker_utilities.entries, profile.worker_choices)
+    enterprises = map(getitem, instance.enterprise_utilities.entries, profile.enterprise_choices)
+    return (*workers, *enterprises)
 
 
 @dataclass(frozen=True)

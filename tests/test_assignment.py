@@ -169,7 +169,7 @@ class TestStructuralProperties:
             matrix = random_matrix(rng, n)
             result = solve_hungarian(matrix)
             assert result.total_value == sum(
-                matrix.entry(i, j) for i, j in enumerate(result.matching.image)
+                matrix.entries[i][j] for i, j in enumerate(result.matching.image)
             )
 
     def test_tie_break_all_equal_entries(self):

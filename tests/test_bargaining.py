@@ -120,7 +120,7 @@ class TestFeasibleHull:
         for _ in range(60):
             game = random_game(rng)
             hull = feasible_hull(game)
-            points = game.outcome_points()
+            points = [pair for row in game.payoffs for pair in row]
             assert set(hull) <= set(points)
             for p in points:
                 assert hull_contains(hull, p)
@@ -415,7 +415,7 @@ def game_and_disagreement(draw, where):
     }.get(where, st.fractions(0, 1, max_denominator=7)))
     d = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
     if where == "inside":
-        d = convex_combination(draw, game.outcome_points(), least_weight=1)
+        d = convex_combination(draw, [pair for row in game.payoffs for pair in row], least_weight=1)
     elif where == "near":
         nudge = st.sampled_from([Fraction(-1, 50), Fraction(0), Fraction(1, 50)])
         d = (d[0] + draw(nudge), d[1] + draw(nudge))
@@ -431,7 +431,7 @@ class TestAgainstOldSearch:
     @given(game=exact_games(), extra=st.lists(points, max_size=3))
     def test_integer_hull_matches_fraction_hull(self, game, extra):
         # Same vertices, in the same order, as the same objects that were given.
-        given = game.outcome_points() + extra
+        given = [pair for row in game.payoffs for pair in row] + extra
         hull = _hull(given)
         assert hull == old_hull(given)
         assert all(any(v is p for p in given) for v in hull)
@@ -525,7 +525,7 @@ class TestAgainstOldSearch:
         # Why nash_solution needs no error for an empty individually rational
         # region: a feasible d is always weakly dominated by a frontier point.
         game = data.draw(exact_games())
-        d = convex_combination(data.draw, game.outcome_points(), least_weight=0)
+        d = convex_combination(data.draw, [pair for row in game.payoffs for pair in row], least_weight=0)
         outcome = nash_solution(game, DisagreementPoint(*d))
         assert outcome.solution[0] >= d[0] and outcome.solution[1] >= d[1]
         assert outcome.nash_product >= 0

@@ -29,7 +29,7 @@ from matchgames import (
 )
 from matchgames import cli
 from matchgames.cli import EXIT_INPUT, EXIT_OK, EXIT_SIZE, main
-from test_golden import CASES, COMMANDS, UNION
+from test_golden import CASES, COMMANDS, UNION, _golden_path
 
 
 @pytest.fixture
@@ -217,6 +217,41 @@ class TestConsecutiveCalls:
         assert capsys.readouterr().out == ""
         assert main(["bargain", "--game", union_path]) == EXIT_OK
         assert capsys.readouterr().out == out_file.read_text()
+
+
+class TestOptionPosition:
+    """--output and --out go before or after the subcommand, with the same bytes
+    either way; when both positions give a value, the one after it wins."""
+
+    @pytest.mark.parametrize("mode", ["text", "machine"])
+    @pytest.mark.parametrize("name", ["assign-jobs-enterprises-min", "game-labor", "bargain-disagreement", "pipeline"])
+    def test_output_before_the_subcommand(self, name, mode, capsys):
+        assert main(["--output", mode, *COMMANDS[name]]) == EXIT_OK
+        assert capsys.readouterr().out.encode("utf-8") == _golden_path(name, mode).read_bytes()
+
+    def test_value_after_the_subcommand_wins(self, capsys):
+        for before, after in (("text", "machine"), ("machine", "text")):
+            assert main(["--output", before, *COMMANDS["game-labor"], "--output", after]) == EXIT_OK
+            assert capsys.readouterr().out.encode("utf-8") == _golden_path("game-labor", after).read_bytes()
+        # Nothing given before one call is left over for the next.
+        assert main(COMMANDS["game-labor"]) == EXIT_OK
+        assert capsys.readouterr().out.encode("utf-8") == _golden_path("game-labor", "text").read_bytes()
+
+    def test_out_before_the_subcommand(self, tmp_path, capsys):
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        golden = _golden_path("bargain", "machine").read_bytes()
+        assert main(["--out", str(before), "--output", "machine", *COMMANDS["bargain"]]) == EXIT_OK
+        assert before.read_bytes() == golden
+        before.unlink()
+        assert main(["--out", str(before), *COMMANDS["bargain"], "--output", "machine", "--out", str(after)]) == EXIT_OK
+        assert not before.exists() and after.read_bytes() == golden
+        assert capsys.readouterr().out == ""
+
+    def test_errors_name_the_right_word(self, capsys):
+        assert main(["--output", "machine", "frobnicate"]) == EXIT_INPUT
+        assert "'frobnicate'" in capsys.readouterr().err
+        assert main(["--output", "json", *COMMANDS["bargain"]]) == EXIT_INPUT
+        assert "'json'" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from matchgames import (
+    BimatrixGame,
     DenominatorTooLarge,
     DimensionMismatch,
     GameInstance,
@@ -35,8 +36,15 @@ class TestAsRational:
         assert as_rational("-7") == Fraction(-7)
         assert as_rational(" 1/2\n") == as_rational("\t0.5 ") == Fraction(1, 2)  # outer whitespace is stripped
 
-    def test_float_uses_decimal_repr(self):
-        assert as_rational(0.1) == Fraction(1, 10)
+    def test_float_is_refused(self):
+        # Decimals reach the solvers as text ("0.1" is exactly 1/10); a float never does.
+        for build in (
+            lambda: as_rational(0.1),
+            lambda: UtilityMatrix.from_rows([[0.5]]),
+            lambda: BimatrixGame.from_rows([[(0.5, 1)]]),
+        ):
+            with pytest.raises(TypeError, match="cannot interpret 0.[15] as a rational"):
+                build()
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -166,8 +174,8 @@ class TestAllMatchings:
 class TestUtilityMatrix:
     def test_from_rows_coerces(self):
         m = UtilityMatrix.from_rows([[1, "3/2"], ["0.5", 2]])
-        assert m.entry(0, 1) == Fraction(3, 2)
-        assert m.entry(1, 0) == Fraction(1, 2)
+        assert m.entries[0][1] == Fraction(3, 2)
+        assert m.entries[1][0] == Fraction(1, 2)
         assert m.n == 2
 
     def test_rejects_non_square(self):
@@ -183,7 +191,7 @@ class TestUtilityMatrix:
     def test_shifted(self):
         m = UtilityMatrix.from_rows([[1, 2], [3, 4]])
         shifted = UtilityMatrix.from_rows([[v + Fraction(1, 2) for v in row] for row in m.entries])
-        assert shifted.entry(0, 0) == Fraction(3, 2)
+        assert shifted.entries[0][0] == Fraction(3, 2)
 
     def test_common_denominator(self):
         m = UtilityMatrix.from_rows([["1/2", "1/3"], [1, "5/6"]])

@@ -51,8 +51,8 @@ def situation_payoffs(instance: GameInstance, matching: Matching) -> tuple[Fract
     """Length-2n payoff profile of one situation, worker-keyed on both halves, one entry at a time."""
     a = instance.worker_utilities
     b = instance.enterprise_utilities
-    workers = tuple(a.entry(i, matching[i]) for i in range(instance.n))
-    enterprises = tuple(b.entry(matching[k], k) for k in range(instance.n))
+    workers = tuple(a.entries[i][matching[i]] for i in range(instance.n))
+    enterprises = tuple(b.entries[matching[k]][k] for k in range(instance.n))
     return workers + enterprises
 
 
@@ -173,8 +173,8 @@ class TestCompromiseSet:
             b = instance.enterprise_utilities
             profiles = {}
             for image in permutations(range(n)):
-                workers = [a.entry(i, image[i]) for i in range(n)]
-                enterprises = [b.entry(image[k], k) for k in range(n)]
+                workers = [a.entries[i][image[i]] for i in range(n)]
+                enterprises = [b.entries[image[k]][k] for k in range(n)]
                 profiles[image] = workers + enterprises
             ideal = [max(p[i] for p in profiles.values()) for i in range(2 * n)]
             worst = {
