@@ -16,19 +16,22 @@ dicts of one str key set whose value at each key is a str, int or Fraction, or
 a non-empty list or tuple of them of one length, is written from one template:
 item 0's text with "%s" for each scalar, repeated once per item and filled by
 one "%" (see _records; the text writer also needs one key order).  Every other
-list is written item by item.  parse_report decodes by field (see _RATIONAL_KEYS).
+list is written item by item.  parse_report reads each command's payload by its
+layout (see _PAYLOADS).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import NoneType
 from typing import Any, Callable, NoReturn
 
 from .bargaining import BimatrixGame
@@ -62,8 +65,18 @@ class BimatrixFile:
     game: BimatrixGame
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """json.loads's object_pairs_hook: the object, or SchemaError for a key it holds twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise SchemaError(f"the key {next(k for k in counts if counts[k] > 1)[:40]!r} appears more than once in one object")
+    return obj
+
+
 def _load_json(data: str | bytes, decode: Callable[[Any], Any] = lambda doc: doc,
-               loads: Callable[[str], Any] = partial(json.loads, parse_float=as_rational)) -> Any:
+               loads: Callable[[str], Any] = partial(json.loads, parse_float=as_rational,
+                                                     object_pairs_hook=_unique_keys)) -> Any:
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -77,8 +90,7 @@ def _load_json(data: str | bytes, decode: Callable[[Any], Any] = lambda doc: doc
     except RecursionError as exc:
         raise ParseError("input is nested too deeply") from exc
     except ValueError as exc:
-        # A decimal past as_rational's bounds, or an integer past the
-        # interpreter's int-digit limit.
+        # A decimal past as_rational's bounds, or an integer (a report's "p/q" parts too) past the int-digit limit.
         raise ParseError(f"input has an oversize number: {exc}") from exc
 
 
@@ -93,20 +105,13 @@ def _require(obj: dict, key: str, kind: type, where: str) -> Any:
     return value
 
 
-def _string_list(values: Any, where: str) -> tuple[str, ...]:
+def _label_list(values: Any, where: str) -> tuple[str, ...]:
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise SchemaError(f"{where}: expected an array of strings")
+    if len(set(values)) < len(values):
+        counts = Counter(values)
+        raise SchemaError(f"{where}: label {next(k for k in counts if counts[k] > 1)!r} appears more than once")
     return tuple(values)
-
-
-def _label_list(values: Any, where: str) -> tuple[str, ...]:
-    labels = _string_list(values, where)
-    seen = set()
-    for label in labels:
-        if label in seen:
-            raise SchemaError(f"{where}: label {label!r} appears more than once")
-        seen.add(label)
-    return labels
 
 
 def _rational_cell(value: Any, where: str) -> Fraction:
@@ -310,43 +315,82 @@ class Report:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-# The payload keys the commands fill with rationals.  parse_report makes a string a Fraction only
-# under one of them, at any depth; every other string, labels included, stays a string.
-_RATIONAL_KEYS = frozenset({"total", "payoffs", "ideal_point", "optimal_regret", "max_regret_by_situation", "payoff",
-    "strategy", "value", "disagreement", "hull_vertices", "pareto_frontier", "solution", "nash_product"})
+# The payload each command writes.  A kind is Fraction (an int or a "p/q" string, read as a Fraction), int, str or
+# bool; [kind], a list of them; {key: kind}, an object with exactly those keys; or a tuple of alternatives, NoneType
+# (null) or objects told apart by their keys.
+_PAYLOADS: dict[str, dict[str, Any]] = {
+    "assign": {"side": str, "objective": str, "row_labels": [str], "col_labels": [str], "matching": [int],
+               "assignment_grid": [[int]], "total": Fraction},
+    "game": {
+        "n": int, "workers": [str], "enterprises": [str], "situations": [{"image": [int], "payoffs": [Fraction]}],
+        "ideal_point": [Fraction],
+        "compromise": {"optimal_regret": Fraction, "members": [[int]], "max_regret_by_situation": [Fraction]},
+        "least_satisfied": [{"situation": [int], "player": int, "payoff": Fraction}],
+        "equilibria": (
+            {"enumerated": bool, "situation_count": int, "equilibrium_count": int, "all_situations_equilibria": bool},
+            {"enumerated": bool, "situation_count": int, "reason": str},
+        ),
+    },
+    "bargain": {
+        "row_labels": [str], "col_labels": [str],
+        "maximin": (NoneType, {"player1": {"strategy": [Fraction], "value": Fraction},
+                               "player2": {"strategy": [Fraction], "value": Fraction}}),
+        "disagreement": [Fraction], "hull_vertices": [[Fraction]], "pareto_frontier": [[[Fraction]]],
+        "solution": [Fraction], "nash_product": Fraction,
+    },
+}
+_PAYLOADS["pipeline"] = {"workers_assignment": _PAYLOADS["assign"], "enterprises_assignment": _PAYLOADS["assign"],
+                         "mismatch": {"workers": [int], "count": int, "coincide": bool}, "bargaining": _PAYLOADS["bargain"]}
 
 
-def _rational(text: str) -> Fraction:
-    """The rational a report string under a _RATIONAL_KEYS key encodes: "p/q", ASCII integer parts, q > 0."""
-    p, _, q = text.partition("/")
-    if not (text.isascii() and p.removeprefix("-").isdigit() and q.isdigit() and q.strip("0")):
-        raise SchemaError(f"report: expected a \"p/q\" string under a rational key, got {text[:40]!r}")
-    return Fraction(int(p), int(q))
-
-
-# The deepest nesting parse_report accepts, counting every object and list from the document
-# itself down; every command's report is at most 6 deep.  The bound does not depend on the interpreter.
-MAX_REPORT_DEPTH = 64
-
-
-def _decode(value: Any, rational: bool, parsed: dict[str, Fraction], depth: int = 1) -> Any:
-    """value with its strings made Fractions where rational is set or a key in _RATIONAL_KEYS
-    sets it; parsed maps each text already read in a list to its Fraction, so each is read once
-    there; depth is value's nesting depth, were it a container."""
-    if type(value) is not dict and type(value) is not list:
-        return _rational(value) if rational and type(value) is str else value
-    if depth > MAX_REPORT_DEPTH:
-        raise ParseError(f"report is nested more than {MAX_REPORT_DEPTH} deep")
-    if type(value) is dict:
-        return {k: _decode(v, rational or k in _RATIONAL_KEYS, parsed, depth + 1) for k, v in value.items()}
-    if any(map(isinstance, value, repeat((dict, list)))):
-        return [_decode(v, rational, parsed, depth + 1) for v in value]
-    if not rational or str not in set(map(type, value)):
-        return value
-    for text in dict.fromkeys(value):  # in list order, so an error names the first bad string
-        if type(text) is str and text not in parsed:
-            parsed[text] = _rational(text)
-    return list(map(parsed.get, value, value))
+def _read(kind: Any, values: list, path: str) -> list:
+    """values, each of kind (see _PAYLOADS), with the strings at Fraction positions made Fractions;
+    values itself if it has none.  One call reads a column: the items of a list's lists as one list,
+    a list's objects key by key.  path names the values' place, "[]" standing for any list index."""
+    if type(kind) is tuple:  # each value as the alternative of its shape (its keys, or its type), else the last
+        out = []
+        for value in values:
+            shape = value.keys() if type(value) is dict else type(value)
+            fits = [k for k in kind if (k.keys() if type(k) is dict else k) == shape]
+            out += _read(fits[0] if fits else kind[-1], [value], path)
+        return out
+    expected = type(kind) if type(kind) in (list, dict) else kind
+    allowed = {int, str} if expected is Fraction else {expected}
+    types = set(map(type, values))
+    if not types <= allowed:
+        name = 'an int or a "p/q" string' if expected is Fraction else expected.__name__
+        got = next(t for t in map(type, values) if t not in allowed)
+        raise SchemaError(f"{path}: expected {name}, got {got.__name__}")
+    if type(kind) is list:
+        flat = list(chain.from_iterable(values))
+        read = _read(kind[0], flat, path + "[]")
+        if read is flat:
+            return values
+        items = iter(read)
+        return [list(islice(items, len(value))) for value in values]
+    if type(kind) is dict:
+        for keys in map(dict.keys, values):
+            if keys != kind.keys():
+                missing, extra = kind.keys() - keys, keys - kind.keys()
+                problem = f"missing key {min(missing)!r}" if missing else f"unexpected key {min(extra)[:40]!r}"
+                raise SchemaError(f"{path}: {problem}")
+        for key, sub in kind.items():
+            column = list(map(itemgetter(key), values))
+            read = _read(sub, column, f"{path}.{key}")
+            if read is not column:
+                for value, v in zip(values, read):
+                    value[key] = v
+        return values
+    if expected is not Fraction or str not in types:
+        return values
+    texts = {}  # each distinct "p/q" (ASCII integer parts, q > 0) once, in list order: errors name the first bad one
+    for text in dict.fromkeys(values):
+        if type(text) is str:
+            p, _, q = text.partition("/")
+            if not (text.isascii() and p.removeprefix("-").isdigit() and q.isdigit() and q.strip("0")):
+                raise SchemaError(f'{path}: expected an int or a "p/q" string, got {text[:40]!r}')
+            texts[text] = Fraction(int(p), int(q))
+    return list(map(texts.get, values, values))
 
 
 def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
@@ -368,15 +412,19 @@ def _not_in_a_report(text: str) -> NoReturn:
     raise SchemaError(f"report: the JSON number {text[:40]} is not an integer; write a rational as \"p/q\"")
 
 
-def parse_report(data: str | bytes) -> Report:
-    """Parse a machine report back into a Report; SchemaError for a non-"p/q" string under _RATIONAL_KEYS,
-    or for a decimal, exponent, NaN or Infinity anywhere: the writer prints none, so it would not read back."""
-    loads = partial(json.loads, parse_float=_not_in_a_report, parse_constant=_not_in_a_report)
-    doc = _load_json(data, partial(_decode, rational=False, parsed={}), loads)
+def _read_report(doc: Any) -> Report:
     command = _require(doc, "command", str, "report")
-    payload = _require(doc, "payload", dict, "report")
-    notes = _string_list(_require(doc, "notes", list, "report"), "report.notes")
-    return Report(command=command, payload=payload, notes=notes)
+    if command not in _PAYLOADS:
+        raise SchemaError(f"report: unknown command {command[:40]!r}")
+    doc = _read({"command": str, "payload": _PAYLOADS[command], "notes": [str]}, [doc], "report")[0]
+    return Report(command=command, payload=doc["payload"], notes=tuple(doc["notes"]))
+
+
+def parse_report(data: str | bytes) -> Report:
+    """Parse a machine report back into a Report: SchemaError unless its payload has exactly the layout its
+    command writes (see _PAYLOADS), and for a decimal, exponent, NaN or Infinity anywhere, which no writer prints."""
+    loads = partial(json.loads, parse_float=_not_in_a_report, parse_constant=_not_in_a_report, object_pairs_hook=_unique_keys)
+    return _load_json(data, _read_report, loads)
 
 
 # The text of each scalar type a report holds; _text_other does the rest.

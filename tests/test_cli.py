@@ -21,6 +21,8 @@ from matchgames import (
     Side,
     cmd_assign,
     cmd_bargain,
+    cmd_game,
+    cmd_pipeline,
     nash_solution,
     parse_bimatrix,
     parse_market,
@@ -267,6 +269,13 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text('{"workers": [], "enterprises": [], "A": [], "B": []}')
         assert main(["game", "--market", str(path)]) == EXIT_INPUT
+
+    def test_repeated_key(self, tmp_path, capsys):
+        # json.loads alone would answer from the second "A", with exit 0.
+        path = tmp_path / "twice.json"
+        path.write_text('{"workers": ["w", "v"], "enterprises": ["e", "f"], "A": [[1, 2], [3, 4]], "A": [[4, 3], [2, 1]], "B": [[1, 2], [3, 4]]}')
+        assert main(["assign", "--market", str(path), "--side", "workers"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "matchgames: error: the key 'A' appears more than once in one object\n"
 
     def test_bad_usage(self, capsys):
         assert main(["assign", "--side", "workers"]) == EXIT_INPUT
@@ -533,6 +542,8 @@ class TestCollector:
         assert seen == [False] and gc.isenabled()
 
 
+UNION_GAME = Path(UNION).read_text()
+
 # Short literals of every accepted kind, and the characters most likely to
 # break JSON, numbers and argument parsing when spliced into a document;
 # "\udcff" is written as the invalid UTF-8 byte 0xff.  No "h", so no
@@ -579,9 +590,15 @@ def hostile_files(draw):
             ),
         }
     )
-    report = render_report(cmd_assign(parse_market(market), Side.WORKERS))
+    instance, union = parse_market(market), parse_bimatrix(UNION_GAME)
+    reports = [
+        cmd_assign(instance, Side.WORKERS),
+        cmd_game(instance),
+        cmd_bargain(union, draw(st.sampled_from([None, ("3/2", "3/2")]))),
+        cmd_pipeline(instance, union),
+    ]
     disagreement = draw(st.lists(st.text(JUNK, min_size=1, max_size=4), min_size=2, max_size=2))
-    return draw(spliced(market)), draw(spliced(bimatrix)), draw(spliced(report)), disagreement
+    return draw(spliced(market)), draw(spliced(bimatrix)), [draw(spliced(render_report(r))) for r in reports], disagreement
 
 
 @pytest.fixture(scope="module")
@@ -592,10 +609,10 @@ def hostile_dir(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(files=hostile_files())
 def test_hostile_input_ends_in_a_report_or_a_matchgames_error(hostile_dir, files):
-    """Junk spliced into market, bimatrix and report files: every subcommand
-    in both modes exits 0, 1 or 2, and parse_report raises only
-    MatchGamesError."""
-    market, bimatrix, report, disagreement = files
+    """Junk spliced into market, bimatrix and report files (one report of each
+    command): every subcommand in both modes exits 0, 1 or 2, and
+    parse_report raises only MatchGamesError."""
+    market, bimatrix, reports, disagreement = files
     market_path, game_path = hostile_dir / "market.json", hostile_dir / "game.json"
     market_path.write_bytes(as_bytes(market))
     game_path.write_bytes(as_bytes(bimatrix))
@@ -611,10 +628,11 @@ def test_hostile_input_ends_in_a_report_or_a_matchgames_error(hostile_dir, files
         for mode in ("text", "machine"):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(argv + ["--output", mode]) in (EXIT_OK, EXIT_INPUT, EXIT_SIZE)
-    try:
-        parse_report(as_bytes(report))
-    except MatchGamesError:
-        pass
+    for report in reports:
+        try:
+            parse_report(as_bytes(report))
+        except MatchGamesError:
+            pass
 
 
 def test_module_entry_point(demo_data_dir):

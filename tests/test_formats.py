@@ -35,7 +35,7 @@ from matchgames import (
     render_report,
 )
 from matchgames import formats
-from matchgames.formats import _RATIONAL_KEYS, MAX_REPORT_DEPTH, ReportTooLarge, _records
+from matchgames.formats import ReportTooLarge, _records
 
 MARKET_DOC = """
 {
@@ -60,6 +60,27 @@ def nesting(value):
     if isinstance(value, dict):
         value = list(value.values())
     return 1 + max(map(nesting, value), default=0) if isinstance(value, list) else 0
+
+
+def edited(report, path, text):
+    """The machine text of report with the value at path (keys and list indexes from the
+    document down) replaced by the JSON text, or deleted when text is None."""
+    doc = json.loads(render_report(report, RenderMode.MACHINE))
+    holder = doc
+    for step in path[:-1]:
+        holder = holder[step]
+    if text is None:
+        del holder[path[-1]]
+        return json.dumps(doc)
+    holder[path[-1]] = "@@"
+    return json.dumps(doc).replace('"@@"', text)
+
+
+def seeded_market(n, seed):
+    rng = random.Random(seed)
+    grid = lambda: [[rng.randint(-9, 99) for _ in range(n)] for _ in range(n)]
+    return parse_market(json.dumps({"workers": [f"w{i}" for i in range(n)], "enterprises": [f"e{i}" for i in range(n)],
+                                    "A": grid(), "B": grid()}))
 
 
 def random_market(rng):
@@ -146,6 +167,11 @@ class TestParseMarket:
         with pytest.raises(SchemaError):
             parse_market('{"workers": ["w"], "enterprises": ["e"], "A": [[1]]}')
 
+    def test_repeated_key_rejected(self):
+        # json.loads alone would answer from the second "A".
+        with pytest.raises(SchemaError, match="'A' appears more than once"):
+            parse_market('{"workers": ["w"], "enterprises": ["e"], "A": [[1]], "A": [[2]], "B": [[1]]}')
+
     def test_duplicate_labels_rejected(self):
         for key, labels, repeated in [
             ("workers", ["a", "a", "b"], "a"),
@@ -189,6 +215,10 @@ class TestParseBimatrix:
         assert bimatrix.game.payoffs[0][0] == (6, 2)
         assert bimatrix.game.payoffs[1][1] == (2, 6)
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(SchemaError, match="'row_labels' appears more than once"):
+            parse_bimatrix(UNION_DOC.replace('"row_labels": ["r1", "r2"]', '"row_labels": ["r1", "r2"], "row_labels": ["a", "b"]'))
+
     def test_round_trip(self):
         bimatrix = parse_bimatrix(UNION_DOC.replace("6, 2", '"-1/2", 2'))
         payoffs = [[list(map(format_rational, pair)) for pair in row] for row in bimatrix.game.payoffs]
@@ -227,6 +257,9 @@ class TestReports:
             cmd_bargain(union, disagreement_override=("3/2", "3/2")),
             cmd_pipeline(market1, union),
         ]
+
+    def _first(self, command):
+        return next(r for r in self._all_reports() if r.command == command)
 
     def test_machine_round_trip(self):
         for report in self._all_reports():
@@ -281,21 +314,42 @@ class TestReports:
     def test_parse_report_rejects_junk(self):
         with pytest.raises(ParseError):
             parse_report("{oops")
-        with pytest.raises(SchemaError):
-            parse_report('{"command": "assign"}')
+        # A report no command writes: an unknown command, or a layout that is not its command's.
+        for doc in ('{"command": "assign"}', '{"command": "frobnicate", "payload": {"total": "1/2", "x": [1]}, "notes": []}',
+                    '{"command": "game", "payload": {}, "notes": []}'):
+            with pytest.raises(SchemaError):
+                parse_report(doc)
 
     def test_parse_report_rejects_deep_payload(self):
-        payload = "[" * 500 + "]" * 500
-        with pytest.raises(ParseError):
-            parse_report('{"command": "game", "notes": [], "payload": {"deep": ' + payload + "}}")
+        # No command writes a list at a rational position: deep or not, it is the wrong kind;
+        # deeper than json.loads can follow, it is a ParseError.
+        report = cmd_assign(parse_market(MARKET_DOC), Side.WORKERS)
+        for depth, error in ((500, SchemaError), (100_000, ParseError)):
+            with pytest.raises(error):
+                parse_report(edited(report, ("payload", "total"), "[" * depth + "]" * depth))
 
     def test_parse_report_rejects_oversize_number(self):
-        doc = '{"command": "x", "notes": [], "payload": {"total": "%s"}}'
+        report = cmd_assign(parse_market(MARKET_DOC), Side.WORKERS)
         with pytest.raises(ParseError, match="oversize number"):
-            parse_report(doc % ("1/" + "9" * 5000))
+            parse_report(edited(report, ("payload", "total"), '"1/' + "9" * 5000 + '"'))
         # Parts past as_rational's 1000-character literal bound still parse.
-        big = parse_report(doc % ("7" * 600 + "/" + "3" * 600)).payload["total"]
+        big = parse_report(edited(report, ("payload", "total"), '"' + "7" * 600 + "/" + "3" * 600 + '"')).payload["total"]
         assert big == Fraction(int("7" * 600), int("3" * 600))
+
+    @pytest.mark.parametrize(
+        "command, path",
+        [
+            ("assign", ("payload", "total")),
+            ("game", ("payload", "ideal_point", 2)),
+            ("game", ("payload", "situations", 4, "payoffs", 1)),
+            ("pipeline", ("payload", "bargaining", "pareto_frontier", 0, 1, 0)),
+        ],
+    )
+    def test_oversize_part_is_a_parse_error_at_every_rational_position(self, command, path):
+        # int() refuses the 5000-digit denominator with ValueError, inside the JSON read.
+        report = self._first(command)
+        with pytest.raises(ParseError, match="oversize number"):
+            parse_report(edited(report, path, '"1/' + "9" * 5000 + '"'))
 
     @pytest.mark.parametrize(
         ("payload", "number"),
@@ -314,23 +368,15 @@ class TestReports:
             parse_report(doc)
 
     def test_first_bad_string_is_named_under_every_hash_seed(self):
-        # New texts in a list are read in list order, not in an order the hash seed decides.
-        doc = json.dumps({"command": "x", "notes": [], "payload": {"payoffs": ["1/2", "bad-a", "bad-b", "bad-c", "bad-d"]}})
+        # New texts in a column are read in list order, not in an order the hash seed decides.
+        bad = '["1/2", "bad-a", "bad-b", "bad-c", "bad-d"]'
+        doc = edited(cmd_game(parse_market(MARKET_DOC)), ("payload", "situations", 1, "payoffs"), bad)
         script = f"from matchgames import parse_report\ntry:\n    parse_report({doc!r})\nexcept Exception as exc:\n    print(exc)"
         env = {**os.environ, "PYTHONPATH": str(Path(formats.__file__).parents[1])}
         for seed in ("1", "2", "3", "4", "5", "6"):
             result = subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True)
             assert result.returncode == 0, result.stderr
-            assert "'bad-a'" in result.stdout, (seed, result.stdout)
-
-    def test_report_nested_to_the_bound_parses(self):
-        # The document and its payload are two of the MAX_REPORT_DEPTH levels.
-        doc = '{"command": "game", "notes": [], "payload": {"deep": %s}}'
-        depth = MAX_REPORT_DEPTH - 2
-        report = parse_report(doc % ("[" * depth + "]" * depth))
-        assert render_report(report, RenderMode.MACHINE).count("[") == depth + 1  # notes is one more
-        with pytest.raises(ParseError, match=f"nested more than {MAX_REPORT_DEPTH} deep"):
-            parse_report(doc % ("[" * (depth + 1) + "]" * (depth + 1)))
+            assert "report.payload.situations[].payoffs[]" in result.stdout and "'bad-a'" in result.stdout, (seed, result.stdout)
 
     def test_command_reports_are_well_within_the_bound(self, labor_market, union_game):
         union = BimatrixFile(("a", "b"), ("c", "d"), union_game)
@@ -349,23 +395,76 @@ class TestReports:
 
     @pytest.mark.parametrize("text", ["abc", "5", "1/0", "1/2/3", "1.5", "1e999999999", "+1/2", " 1/2", "1_0/3", "-/2", "１/2"])
     def test_foreign_string_under_rational_key_rejected(self, text):
-        for payload in ({"total": text}, {"bargaining": {"hull_vertices": [[0, 1], [text, 2]]}}):
-            doc = json.dumps({"command": "x", "notes": [], "payload": payload})
+        for command, path, named in (
+            ("assign", ("payload", "total"), "report.payload.total:"),
+            ("pipeline", ("payload", "bargaining", "hull_vertices", 1, 0), "report.payload.bargaining.hull_vertices[][]:"),
+        ):
+            doc = edited(self._first(command), path, json.dumps(text))
             start = time.perf_counter()
-            with pytest.raises((SchemaError, ParseError)):
+            with pytest.raises(SchemaError, match=re.escape(named)):
                 parse_report(doc)
             assert time.perf_counter() - start < 0.5  # no exponent or decimal is ever expanded
 
     def test_strings_outside_rational_keys_stay_strings(self):
-        payload = {"v": "1/2", "workers": ["-4/7"], "reason": "3/4", "maximin": {"player1": {"note": "5/6"}}}
-        doc = json.dumps({"command": "x", "notes": ["1/2"], "payload": payload})
-        assert parse_report(doc) == Report("x", payload, ("1/2",))
-        decoded = parse_report(doc.replace('"v"', '"value"')).payload
-        assert decoded["value"] == Fraction(1, 2) and type(decoded["value"]) is Fraction
+        # Labels, notes and reasons that read as rationals stay strings; at a Fraction position the same text is one.
+        doc = json.loads(MARKET_DOC)
+        doc["workers"], doc["enterprises"] = ["1/2", "-4/7", "w"], ["-4/7", "e", "1/2"]
+        game = cmd_game(parse_market(json.dumps(doc)))
+        equilibria = {"enumerated": False, "situation_count": 6, "reason": "3/4"}
+        report = Report("game", {**game.payload, "equilibria": equilibria}, ("1/2",))
+        decoded = parse_report(render_report(report, RenderMode.MACHINE))
+        assert decoded == report
+        labels = [*decoded.payload["workers"], *decoded.payload["enterprises"], *decoded.notes, decoded.payload["equilibria"]["reason"]]
+        assert labels == ["1/2", "-4/7", "w", "-4/7", "e", "1/2", "1/2", "3/4"] and {type(v) for v in labels} == {str}
+        value = parse_report(render_report(cmd_bargain(parse_bimatrix(UNION_DOC)))).payload["maximin"]["player1"]["value"]
+        assert value == Fraction(3, 2) and type(value) is Fraction
+
+    @pytest.mark.parametrize(
+        "command, path, text, message",
+        [
+            ("game", ("command",), '"frobnicate"', "report: unknown command 'frobnicate'"),
+            ("game", ("payload",), "{}", "report.payload: missing key 'compromise'"),
+            ("game", ("payload", "compromise", "optimal_regret"), None, "report.payload.compromise: missing key 'optimal_regret'"),
+            ("game", ("payload", "situations", 3, "image"), None, "report.payload.situations[]: missing key 'image'"),
+            ("assign", ("payload", "x"), "[1]", "report.payload: unexpected key 'x'"),
+            ("assign", ("stats",), "{}", "report: unexpected key 'stats'"),
+            ("game", ("payload", "situations", 2, "extra"), "1", "report.payload.situations[]: unexpected key 'extra'"),
+            ("game", ("payload", "n"), '"3"', "report.payload.n: expected int, got str"),
+            ("game", ("payload", "situations", 5, "image", 1), '"1"', "report.payload.situations[].image[]: expected int, got str"),
+            ("game", ("payload", "equilibria", "enumerated"), None, "report.payload.equilibria: missing key 'enumerated'"),
+            ("game", ("payload", "equilibria", "enumerated"), "1", "report.payload.equilibria.enumerated: expected bool, got int"),
+            ("assign", ("payload", "total"), "true", 'report.payload.total: expected an int or a "p/q" string, got bool'),
+            ("assign", ("payload", "assignment_grid", 1), "7", "report.payload.assignment_grid[]: expected list, got int"),
+            ("bargain", ("payload", "maximin"), "[]", "report.payload.maximin: expected dict, got list"),
+            ("bargain", ("payload", "maximin", "player2", "value"), "null", 'report.payload.maximin.player2.value: expected an int'),
+            ("pipeline", ("payload", "bargaining", "solution"), "3", "report.payload.bargaining.solution: expected list, got int"),
+            ("pipeline", ("notes",), "[1]", "report.notes[]: expected str, got int"),
+        ],
+    )
+    def test_layout_errors_name_their_path(self, command, path, text, message):
+        report = self._first(command)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            parse_report(edited(report, path, text))
+
+    def test_repeated_key_rejected(self):
+        report = render_report(cmd_game(parse_market(MARKET_DOC)), RenderMode.MACHINE)
+        for old, new in (('"n": 3', '"n": 3,\n  "n": 4'), ('"image": [', '"payoffs": [], "image": [')):
+            assert old in report
+            with pytest.raises(SchemaError, match="appears more than once"):
+                parse_report(report.replace(old, new, 1))
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_game_round_trip_at_the_edges(self, n):
+        # n = 1: one situation, always an equilibrium; n = 6: equilibria not enumerated, with a reason.
+        report = cmd_game(seeded_market(n, 6))
+        assert report.payload["equilibria"]["enumerated"] is (n == 1)
+        rendered = render_report(report, RenderMode.MACHINE)
+        decoded = parse_report(rendered)
+        assert decoded == report and render_report(decoded, RenderMode.MACHINE) == rendered
 
 
-# The decoder parse_report used before it decoded by field, kept verbatim as
-# an oracle: on every report the commands write, both must agree.
+# The decoder parse_report used before it read reports by their layout, kept
+# verbatim as an oracle: on every report the commands write, both must agree.
 _RATIONAL_RE = re.compile(r"^-?\d+/[1-9]\d*$")
 
 # Payload keys that hold labels; their strings are never decoded.
@@ -387,18 +486,6 @@ def decode_values(value: Any) -> Any:
     if isinstance(value, list):
         return [decode_values(v) for v in value]
     return value
-
-
-def fraction_keys(value, under=None):
-    """The key just above each Fraction in value that no _RATIONAL_KEYS key encloses
-    (None for one with no key above it); empty when every Fraction is under one."""
-    if isinstance(value, Fraction):
-        return set() if under in _RATIONAL_KEYS else {under}
-    if isinstance(value, dict):
-        return set().union(*[fraction_keys(v, under if under in _RATIONAL_KEYS else k) for k, v in value.items()])
-    if isinstance(value, (list, tuple)):
-        return set().union(*[fraction_keys(v, under) for v in value])
-    return set()
 
 
 labels = st.sampled_from(["1/2", "-4/7", "0", "3/1", 'q"', "\\", "é", "日本", "w"]) | st.text(
@@ -423,7 +510,8 @@ def games(draw):
 
 
 class TestDecodeByField:
-    """parse_report against the regex decoder it replaced."""
+    """parse_report against the regex decoder it replaced: the round trip leaves every
+    Fraction where the commands put it, and the oracle reads the same values."""
 
     @settings(max_examples=60, deadline=None)
     @given(market=markets(), game=games(), override=st.booleans())
@@ -437,13 +525,11 @@ class TestDecodeByField:
                 reports.append(build())
             except DisagreementOutsideHull:
                 pass
-        assert _LABEL_KEYS.isdisjoint(_RATIONAL_KEYS)
         for report in reports:
             rendered = render_report(report, RenderMode.MACHINE)
             # One bool: pytest would diff two whole payloads at every shrink step.
             agree = parse_report(rendered) == report and decode_values(json.loads(rendered)["payload"]) == report.payload
             assert agree, report.command
-            assert fraction_keys(report.payload) == set(), report.command
 
 
 # The writers that rendered every report before the one-pass writers, kept

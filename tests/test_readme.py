@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from matchgames import cli
+from matchgames import cli, formats
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -40,3 +40,23 @@ def test_command_line_example_runs(line, monkeypatch, capsys):
     monkeypatch.chdir(README.parent)
     assert cli.main(shlex.split(line)[1:]) == cli.EXIT_OK
     assert capsys.readouterr().out
+
+
+def _keys(kind) -> set[str]:
+    """Every object key in a report layout, at any depth."""
+    if isinstance(kind, dict):
+        return set(kind).union(*map(_keys, kind.values()))
+    if isinstance(kind, (list, tuple)):
+        return set().union(*map(_keys, kind))
+    return set()
+
+
+def test_report_layout_table_names_every_payload_key():
+    rows = [line for line in README.read_text(encoding="utf-8").splitlines() if line.startswith("  | `")]
+    by_command = {row.split("`")[1]: row for row in rows}
+    assert set(by_command) == set(formats._PAYLOADS)
+    for command, layout in formats._PAYLOADS.items():
+        # pipeline's row names its two nested payloads by command, not key by key.
+        nested = _keys(formats._PAYLOADS["assign"]) | _keys(formats._PAYLOADS["bargain"]) if command == "pipeline" else set()
+        missing = {key for key in _keys(layout) - nested if f"`{key}`" not in by_command[command]}
+        assert not missing, (command, missing)
