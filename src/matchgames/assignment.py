@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import permutations
 from math import lcm
 from operator import getitem, sub
 
@@ -50,17 +50,17 @@ def matching_total(matrix: UtilityMatrix, matching: Matching) -> Fraction:
 
 def _integer_costs(matrix: UtilityMatrix, objective: Objective) -> tuple[list[list[int]], int]:
     """Entries times their common denominator, negated to maximize, and that denominator; DenominatorTooLarge
-    as soon as the lcm passes MAX_DENOMINATOR_BITS.  Each distinct entry object (keyed by its id(), unique
-    while the matrix holds it) is scaled once, one division per distinct denominator; each row is one map."""
-    distinct = dict(zip(map(id, chain.from_iterable(matrix.entries)), chain.from_iterable(matrix.entries)))
-    denominators = {v.denominator for v in distinct.values()}
+    as soon as the lcm passes MAX_DENOMINATOR_BITS.  Each distinct entry object in matrix._distinct (parse_market's,
+    from its literal memo, or else found in the entries on first solve) is scaled once, one division per distinct
+    denominator, and keyed by its id(), unique while the matrix holds it; each cost row is one map over its cells."""
+    denominators = {v.denominator for v in matrix._distinct}
     den = 1
     for q in denominators:
         if (den := lcm(den, q)).bit_length() > MAX_DENOMINATOR_BITS:
             raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")
     sign = -1 if objective is Objective.MAXIMIZE else 1
     factor = {q: sign * (den // q) for q in denominators}
-    scaled = {key: v.numerator * factor[v.denominator] for key, v in distinct.items()}
+    scaled = {id(v): v.numerator * factor[v.denominator] for v in matrix._distinct}
     return [list(map(scaled.__getitem__, map(id, row))) for row in matrix.entries], den
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Sequence, Union
 
@@ -56,6 +57,8 @@ def as_rational(value: RationalLike) -> Fraction:
     form ("3/2", "7", "0.25"); any other type, a float or a bool included, is
     a TypeError, so no floating point enters.  A string longer than MAX_LITERAL_LENGTH, with an
     exponent beyond MAX_LITERAL_EXPONENT, or with "_" or inner whitespace is rejected with ValueError.
+    An ASCII "-?digits" or "-?digits/digits" is Fraction(int(p), int(q)), without Fraction(text)'s regex:
+    the same value, or the same ValueError ("1/0", a digit run past the interpreter's int-digit limit).
     """
     if isinstance(value, Fraction):
         return value
@@ -67,12 +70,14 @@ def as_rational(value: RationalLike) -> Fraction:
         text = value.strip()
         if len(text) > MAX_LITERAL_LENGTH:
             raise ValueError(f"numeric literal of {len(text)} characters is longer than {MAX_LITERAL_LENGTH}")
-        if ("e" in text or "E" in text) and _exponent_too_large(text):
+        p, slash, q = text.partition("/")
+        digits = text.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash)
+        if not digits and ("e" in text or "E" in text) and _exponent_too_large(text):
             raise ValueError(f"exponent of {text!r} is beyond ±{MAX_LITERAL_EXPONENT}")
-        if "_" in text or len(text.split(maxsplit=1)) > 1:  # Fraction reads these on some Pythons only
+        if not digits and ("_" in text or len(text.split(maxsplit=1)) > 1):  # Fraction reads these on some Pythons only
             raise ValueError(f"cannot interpret {value!r} as a rational")
         try:
-            return Fraction(text)
+            return Fraction(int(p), int(q or 1)) if digits else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot interpret {value!r} as a rational") from exc
     raise TypeError(f"cannot interpret {value!r} as a rational")
@@ -191,6 +196,12 @@ class UtilityMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def _distinct(self) -> list[Fraction]:
+        """Each entry object once, by identity, for the assignment solvers; parse_market sets it from its literal
+        memo.  Not a field: eq, hash and repr skip it, and dataclasses.replace's new matrix derives its own."""
+        return list({id(v): v for row in self.entries for v in row}.values())
 
 
 @dataclass(frozen=True)

@@ -65,33 +65,34 @@ class BimatrixFile:
     game: BimatrixGame
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+def _unique_keys(kind: str, pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """json.loads's object_pairs_hook: the object, or SchemaError for a key it holds twice."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         counts = Counter(key for key, _ in pairs)
-        raise SchemaError(f"the key {next(k for k in counts if counts[k] > 1)[:40]!r} appears more than once in one object")
+        raise SchemaError(f"{kind}: the key {next(k for k in counts if counts[k] > 1)[:40]!r} appears more than once in one object")
     return obj
 
 
-def _load_json(data: str | bytes, decode: Callable[[Any], Any] = lambda doc: doc,
-               loads: Callable[[str], Any] = partial(json.loads, parse_float=as_rational,
-                                                     object_pairs_hook=_unique_keys)) -> Any:
+def _load_json(data: str | bytes, kind: str, decode: Callable[[Any], Any] = lambda doc: doc,
+               parse_float: Callable[[str], Any] = as_rational, parse_constant: Callable[[str], Any] | None = None) -> Any:
+    """decode of the JSON document in data; each error names the file's kind ("market", "bimatrix", "report")."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from exc
+            raise ParseError(f"{kind}: input is not valid UTF-8: {exc}") from exc
     try:
         # parse_float receives the literal text, so decimals stay exact; decode runs under these handlers.
-        return decode(loads(data))
+        return decode(json.loads(data, parse_float=parse_float, parse_constant=parse_constant,
+                                 object_pairs_hook=partial(_unique_keys, kind)))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"input is not valid JSON: {exc}") from exc
+        raise ParseError(f"{kind}: input is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise ParseError("input is nested too deeply") from exc
+        raise ParseError(f"{kind}: input is nested too deeply") from exc
     except ValueError as exc:
         # A decimal past as_rational's bounds, or an integer (a report's "p/q" parts too) past the int-digit limit.
-        raise ParseError(f"input has an oversize number: {exc}") from exc
+        raise ParseError(f"{kind}: input has an oversize number: {exc}") from exc
 
 
 def _require(obj: dict, key: str, kind: type, where: str) -> Any:
@@ -123,20 +124,25 @@ def _rational_cell(value: Any, where: str) -> Fraction:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _rational_grid(values: Any, n: int, where: str, parsed: dict[int | str, Fraction]) -> tuple[tuple[Fraction, ...], ...]:
-    """The n x n grid at where.  parsed maps each int and str literal already read in the market
-    to its Fraction: a grid of them parses only its new distinct literals, then maps each row."""
+def _utility_matrix(values: Any, rows: tuple[str, ...], cols: tuple[str, ...], where: str,
+                    parsed: dict[int | str, Fraction]) -> UtilityMatrix:
+    """The matrix of the n x n grid at where, n = len(rows).  parsed maps each int and str literal already read
+    in the market to its Fraction: a grid of them parses only its new distinct literals, maps each row, and
+    hands the matrix its distinct entry objects, one per literal, which it would otherwise find on first solve."""
+    n = len(rows)
     if not isinstance(values, list) or len(values) != n:
         raise SchemaError(f"{where}: expected {n} rows")
     shaped = all(isinstance(row, list) and len(row) == n for row in values)
     if shaped and set(map(type, chain.from_iterable(values))) <= {int, str}:
-        new = set(chain.from_iterable(values)).difference(parsed)
+        new = (literals := set(chain.from_iterable(values))).difference(parsed)
         try:
             parsed.update(zip(new, map(as_rational, new)))  # only successes are kept
-            return tuple(tuple(map(parsed.__getitem__, row)) for row in values)
+            matrix = UtilityMatrix(tuple(tuple(map(parsed.__getitem__, row)) for row in values), rows, cols)
+            vars(matrix)["_distinct"] = list(map(parsed.__getitem__, literals))
+            return matrix
         except ValueError:
             pass  # read again below, cell by cell, to name the first bad literal and its row
-    rows = []  # a bool (True is not 1), a decimal, a container or a bad shape: cell by cell
+    grid = []  # a bool (True is not 1), a decimal, a container or a bad shape: cell by cell
     for i, row in enumerate(values):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{where}: row {i} must have {n} entries")
@@ -148,8 +154,8 @@ def _rational_grid(values: Any, n: int, where: str, parsed: dict[int | str, Frac
             if v not in parsed:
                 parsed[v] = _rational_cell(v, f"{where}[{i}]")
             cells.append(parsed[v])
-        rows.append(tuple(cells))
-    return tuple(rows)
+        grid.append(tuple(cells))
+    return UtilityMatrix(tuple(grid), rows, cols)
 
 
 def parse_market(data: str | bytes) -> GameInstance:
@@ -159,7 +165,7 @@ def parse_market(data: str | bytes) -> GameInstance:
     worker utilities A, enterprises its column labels.  A and B share one
     literal memo: each distinct int or string cell is parsed once per market.
     """
-    doc = _load_json(data)
+    doc = _load_json(data, "market")
     workers = _label_list(_require(doc, "workers", list, "market"), "market.workers")
     enterprises = _label_list(_require(doc, "enterprises", list, "market"), "market.enterprises")
     n = len(workers)
@@ -168,17 +174,15 @@ def parse_market(data: str | bytes) -> GameInstance:
     if len(enterprises) != n:
         raise SchemaError(f"market: {n} workers but {len(enterprises)} enterprises")
     parsed: dict[int | str, Fraction] = {}  # one literal memo for both grids
-    a = _rational_grid(_require(doc, "A", list, "market"), n, "market.A", parsed)
-    b = _rational_grid(_require(doc, "B", list, "market"), n, "market.B", parsed)
     return GameInstance(
-        worker_utilities=UtilityMatrix(entries=a, row_labels=workers, col_labels=enterprises),
-        enterprise_utilities=UtilityMatrix(entries=b, row_labels=enterprises, col_labels=workers),
+        worker_utilities=_utility_matrix(_require(doc, "A", list, "market"), workers, enterprises, "market.A", parsed),
+        enterprise_utilities=_utility_matrix(_require(doc, "B", list, "market"), enterprises, workers, "market.B", parsed),
     )
 
 
 def parse_bimatrix(data: str | bytes) -> BimatrixFile:
     """Parse and validate a bimatrix-game file."""
-    doc = _load_json(data)
+    doc = _load_json(data, "bimatrix")
     row_labels = _label_list(_require(doc, "row_labels", list, "bimatrix"), "bimatrix.row_labels")
     col_labels = _label_list(_require(doc, "col_labels", list, "bimatrix"), "bimatrix.col_labels")
     payoffs = _require(doc, "payoffs", list, "bimatrix")
@@ -423,8 +427,7 @@ def _read_report(doc: Any) -> Report:
 def parse_report(data: str | bytes) -> Report:
     """Parse a machine report back into a Report: SchemaError unless its payload has exactly the layout its
     command writes (see _PAYLOADS), and for a decimal, exponent, NaN or Infinity anywhere, which no writer prints."""
-    loads = partial(json.loads, parse_float=_not_in_a_report, parse_constant=_not_in_a_report, object_pairs_hook=_unique_keys)
-    return _load_json(data, _read_report, loads)
+    return _load_json(data, "report", _read_report, parse_float=_not_in_a_report, parse_constant=_not_in_a_report)
 
 
 # The text of each scalar type a report holds; _text_other does the rest.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -354,6 +355,23 @@ pool_values = st.lists(
 )
 
 
+@st.composite
+def market_grids(draw):
+    """A market's A and B as JSON writes them: ints and "p/q" literals, unnormalised "2/4" beside
+    "1/2" among them, and in about one grid of three a decimal, which takes the per-cell path."""
+    n = draw(st.integers(1, 8))
+    cell = st.one_of(
+        st.integers(-20, 20),
+        st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 9)),
+        st.sampled_from(["1/2", "2/4", "-3/6", "7", "0.5"]),
+    )
+    grids = [[[draw(cell) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    for grid in grids:
+        if draw(st.integers(0, 2)) == 0:
+            grid[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.5, -2.25, 3.0]))
+    return grids
+
+
 class TestIntegerCostsOracle:
     """_integer_costs, which scales each distinct entry object once, against the per-cell scaling."""
 
@@ -371,6 +389,24 @@ class TestIntegerCostsOracle:
         distinct = UtilityMatrix.from_rows([[Fraction(pool[k].numerator, pool[k].denominator) for k in row] for row in picks])
         for matrix in (shared, parsed.worker_utilities, parsed.enterprise_utilities, distinct):
             assert _integer_costs(matrix, objective) == old_integer_costs(matrix, objective)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grids=market_grids(), objective=st.sampled_from(list(Objective)))
+    def test_parsed_markets_and_replaced_entries(self, grids, objective):
+        # parse_market hands a grid of int and str literals its distinct entry objects, one per
+        # literal ("2/4" and "1/2" are two); a grid with a decimal takes the per-cell path and
+        # derives them on first solve.  dataclasses.replace's matrix must derive its own: the old
+        # matrix's objects are not its entries, and a stale list would miss them or their denominators.
+        a, b = grids
+        labels = [f"x{i}" for i in range(len(a))]
+        market = parse_market(json.dumps({"workers": labels, "enterprises": labels, "A": a, "B": b}))
+        for parsed in (market.worker_utilities, market.enterprise_utilities):
+            shifted = dataclasses.replace(parsed, entries=tuple(tuple(v + Fraction(1, 7) for v in row) for row in parsed.entries))
+            transposed = dataclasses.replace(parsed, entries=tuple(zip(*parsed.entries)))
+            for matrix in (parsed, shifted, transposed):
+                assert _integer_costs(matrix, objective) == old_integer_costs(matrix, objective)
+                assert sorted(map(id, matrix._distinct)) == sorted({id(v) for row in matrix.entries for v in row})
+            assert shifted == UtilityMatrix.from_rows(shifted.entries, parsed.row_labels, parsed.col_labels)
 
     @pytest.mark.parametrize("extra_bits", [-1, 0, 1, 2])
     @pytest.mark.parametrize("objective", list(Objective))

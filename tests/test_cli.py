@@ -31,6 +31,7 @@ from matchgames import (
 )
 from matchgames import cli
 from matchgames.cli import EXIT_INPUT, EXIT_OK, EXIT_SIZE, main
+from matchgames.core import MAX_DENOMINATOR_BITS
 from test_golden import CASES, COMMANDS, UNION, _golden_path
 
 
@@ -275,7 +276,34 @@ class TestExitCodes:
         path = tmp_path / "twice.json"
         path.write_text('{"workers": ["w", "v"], "enterprises": ["e", "f"], "A": [[1, 2], [3, 4]], "A": [[4, 3], [2, 1]], "B": [[1, 2], [3, 4]]}')
         assert main(["assign", "--market", str(path), "--side", "workers"]) == EXIT_INPUT
-        assert capsys.readouterr().err == "matchgames: error: the key 'A' appears more than once in one object\n"
+        assert capsys.readouterr().err == "matchgames: error: market: the key 'A' appears more than once in one object\n"
+
+    @pytest.mark.parametrize("broken", ["market", "bimatrix"])
+    def test_json_errors_name_the_file(self, tmp_path, market_path, union_path, broken, capsys):
+        # pipeline reads two files: an error in either names the one it comes from.
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        paths = {"market": market_path, "bimatrix": union_path, broken: str(bad)}
+        assert main(["pipeline", "--market", paths["market"], "--union-game", paths["bimatrix"]]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"matchgames: error: {broken}: input is not valid JSON: ")
+        bad.write_text('{"row_labels": ["a"], "row_labels": ["b"]}')
+        assert main(["pipeline", "--market", paths["market"], "--union-game", paths["bimatrix"]]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"matchgames: error: {broken}: the key 'row_labels' appears more than once in one object\n"
+
+    def test_one_grid_never_bounds_the_other_sides_solve(self, tmp_path, capsys):
+        # A and B share one literal memo, and B holds A's literals too; only B's twelve "1/q",
+        # q a distinct prime's power of about 2900 bits (under 900 digits), pass the bound together.
+        qs = [p ** int(2900 / math.log2(p)) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]
+        a = [["1/2", 3, "2/3", 0], [1, "5/4", 2, "1/2"], [4, 0, "7/3", 1], ["3/4", 2, 1, "1/6"]]
+        big = iter(f"1/{q}" for q in qs)
+        b = [[next(big) for _ in range(4)] for _ in range(3)] + [a[0]]
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({"workers": list("wxyz"), "enterprises": list("efgh"), "A": a, "B": b}))
+        assert main(["assign", "--market", str(path), "--side", "workers"]) == EXIT_OK
+        assert main(["game", "--market", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["assign", "--market", str(path), "--side", "enterprises"]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"matchgames: error: the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits\n"
 
     def test_bad_usage(self, capsys):
         assert main(["assign", "--side", "workers"]) == EXIT_INPUT

@@ -1,10 +1,11 @@
 import dataclasses
 import re
+import sys
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from matchgames import (
     BimatrixGame,
@@ -20,11 +21,46 @@ from matchgames import (
     format_rational,
 )
 from matchgames.assignment import Objective, _integer_costs
-from matchgames.core import MAX_DENOMINATOR_BITS
+from matchgames.core import MAX_DENOMINATOR_BITS, MAX_LITERAL_EXPONENT, MAX_LITERAL_LENGTH, _exponent_too_large
 
 
 def compose(first: Matching, then: Matching) -> Matching:
     return Matching(tuple(then[first[i]] for i in range(first.n)))
+
+
+def fraction_of_text(value: str) -> Fraction:
+    """as_rational's string path before it read "-?digits(/digits)?" by its integer parts: the
+    same bounds, then Fraction(text.strip()) for every text."""
+    text = value.strip()
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise ValueError(f"numeric literal of {len(text)} characters is longer than {MAX_LITERAL_LENGTH}")
+    if ("e" in text or "E" in text) and _exponent_too_large(text):
+        raise ValueError(f"exponent of {text!r} is beyond ±{MAX_LITERAL_EXPONENT}")
+    if "_" in text or len(text.split(maxsplit=1)) > 1:
+        raise ValueError(f"cannot interpret {value!r} as a rational")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot interpret {value!r} as a rational") from exc
+
+
+def literal_outcome(read, text):
+    try:
+        value = read(text)
+        return type(value), value
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+literal_texts = st.one_of(
+    st.text(alphabet="0123456789-+/. _eE\t\u0663\u00b2\uff11", max_size=12),
+    st.sampled_from(["1/0", "-0/0", "+3", "5/", "/5", "-", "--1", "1/-2", "-0", "007/010", "1 /2", "1/ 2", "1 2",
+                     "\u0663/\u0664", "\u00b2", "\uff11/2", " -12/8 ", "\t7\n", "1/2/3", "3.", ".5/2"]),
+    # Digit runs past 640 digits, and literals of 1000 and 1001 characters.
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-"]), st.integers(1, 700).map("7".__mul__), st.integers(1, 700).map("3".__mul__)),
+    st.builds("{}{}".format, st.sampled_from(["", "-"]), st.integers(990, 1001).map("9".__mul__)),
+    st.integers(1, 998).map(lambda k: "1" * k + "/" + "3" * (998 - k) + "1"),
+)
 
 
 class TestAsRational:
@@ -61,6 +97,20 @@ class TestAsRational:
     def test_same_literals_on_every_python(self, text):
         with pytest.raises(ValueError, match="cannot interpret"):
             as_rational(text)
+
+    @pytest.mark.parametrize("max_digits", [None, 640])
+    @settings(max_examples=300, deadline=None)
+    @given(text=literal_texts)
+    def test_digit_literals_against_fraction(self, max_digits, text):
+        # Read by their integer parts or not, texts give what Fraction(text.strip()) gives behind the
+        # same bounds, also where a digit run passes a lowered int-digit limit.
+        limit = sys.get_int_max_str_digits()
+        try:
+            if max_digits is not None:
+                sys.set_int_max_str_digits(max_digits)
+            assert literal_outcome(as_rational, text) == literal_outcome(fraction_of_text, text)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_format_rational(self):
         assert format_rational(Fraction(3, 2)) == "3/2"

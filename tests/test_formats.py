@@ -856,7 +856,7 @@ class TestRecordTemplates:
         assert 0 < calls["_write_json"] < 120 and 0 < calls["_texts"] < 120, calls
 
 
-# The per-grid parser _rational_grid replaced, kept as its oracle: cell by
+# The per-grid parser _utility_matrix replaced, kept as its oracle: cell by
 # cell, with one literal memo per grid rather than one per market.
 def old_rational_grid(values, n, where):
     if not isinstance(values, list) or len(values) != n:
@@ -925,7 +925,7 @@ def market_grids(draw):
 
 
 class TestRationalGridOracle:
-    """_rational_grid, one literal memo per market and each distinct literal parsed once, against
+    """_utility_matrix, one literal memo per market and each distinct literal parsed once, against
     the per-cell parser with one memo per grid: the same tuples or the same SchemaError text."""
 
     @settings(max_examples=400, deadline=None)
@@ -937,8 +937,8 @@ class TestRationalGridOracle:
             return old_rational_grid(a, n, "market.A"), old_rational_grid(b, n, "market.B")
 
         def new():
-            parsed = {}
-            return formats._rational_grid(a, n, "market.A", parsed), formats._rational_grid(b, n, "market.B", parsed)
+            parsed, labels = {}, tuple(f"x{i}" for i in range(n))
+            return tuple(formats._utility_matrix(grid, labels, labels, f"market.{key}", parsed).entries for key, grid in (("A", a), ("B", b)))
 
         expected = grids_outcome(old)
         assert grids_outcome(new) == expected
