@@ -2,7 +2,9 @@
 
 Input files are JSON.  Numbers may be integers, decimal literals, or "p/q"
 strings; all three parse to exact rationals (decimals are read as printed, so
-0.1 means 1/10).
+0.1 means 1/10).  Every file kind, market, bimatrix game and report, is read by
+its layout (see _MARKET, _BIMATRIX and _PAYLOADS): a missing or unknown key, a
+value of the wrong type, a repeated key or a repeated label is a SchemaError.
 
 Machine output (a report) is canonical JSON, written
 in one pass: keys sorted, two-space indent with ",\n" and ": " separators,
@@ -16,8 +18,7 @@ dicts of one str key set whose value at each key is a str, int or Fraction, or
 a non-empty list or tuple of them of one length, is written from one template:
 item 0's text with "%s" for each scalar, repeated once per item and filled by
 one "%" (see _records; the text writer also needs one key order).  Every other
-list is written item by item.  parse_report reads each command's payload by its
-layout (see _PAYLOADS).
+list is written item by item.
 """
 
 from __future__ import annotations
@@ -95,97 +96,68 @@ def _load_json(data: str | bytes, kind: str, decode: Callable[[Any], Any] = lamb
         raise ParseError(f"{kind}: input has an oversize number: {exc}") from exc
 
 
-def _require(obj: dict, key: str, kind: type, where: str) -> Any:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    if key not in obj:
-        raise SchemaError(f"{where}: missing key {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise SchemaError(f"{where}: key {key!r} must be a {kind.__name__}")
-    return value
-
-
-def _label_list(values: Any, where: str) -> tuple[str, ...]:
-    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise SchemaError(f"{where}: expected an array of strings")
-    if len(set(values)) < len(values):
-        counts = Counter(values)
-        raise SchemaError(f"{where}: label {next(k for k in counts if counts[k] > 1)!r} appears more than once")
-    return tuple(values)
-
-
 def _rational_cell(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
-        raise SchemaError(f"{where}: expected a number or \"p/q\" string, got {value!r}")
+        raise SchemaError(f"{where}: expected a number or \"p/q\" string, got {repr(value)[:40]}")
     try:
         return as_rational(value)
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _utility_matrix(values: Any, rows: tuple[str, ...], cols: tuple[str, ...], where: str,
-                    parsed: dict[int | str, Fraction]) -> UtilityMatrix:
-    """The matrix of the n x n grid at where, n = len(rows).  parsed maps each int and str literal already read
-    in the market to its Fraction: a grid of them parses only its new distinct literals, maps each row, and
-    hands the matrix its distinct entry objects, one per literal, which it would otherwise find on first solve."""
+def _utility_matrix(values: list, rows: tuple[str, ...], cols: tuple[str, ...], where: str,
+                    parsed: dict[int | str | Fraction, Fraction]) -> UtilityMatrix:
+    """The matrix of the n x n grid at where, n = len(rows).  parsed maps each int, str and decimal literal
+    already read in the market to its Fraction: a grid parses only its new distinct literals, maps each row,
+    and hands the matrix its distinct entry objects, one per literal, which it would otherwise find on first solve."""
     n = len(rows)
-    if not isinstance(values, list) or len(values) != n:
+    if len(values) != n:
         raise SchemaError(f"{where}: expected {n} rows")
     shaped = all(isinstance(row, list) and len(row) == n for row in values)
-    if shaped and set(map(type, chain.from_iterable(values))) <= {int, str}:
+    if shaped and set(map(type, chain.from_iterable(values))) <= {int, str, Fraction}:  # types first: True hides behind 1
         new = (literals := set(chain.from_iterable(values))).difference(parsed)
         try:
             parsed.update(zip(new, map(as_rational, new)))  # only successes are kept
+        except ValueError:
+            pass
+        else:
             matrix = UtilityMatrix(tuple(tuple(map(parsed.__getitem__, row)) for row in values), rows, cols)
             vars(matrix)["_distinct"] = list(map(parsed.__getitem__, literals))
             return matrix
-        except ValueError:
-            pass  # read again below, cell by cell, to name the first bad literal and its row
-    grid = []  # a bool (True is not 1), a decimal, a container or a bad shape: cell by cell
+    # Only a bad row, cell type or literal gets here: this scan raises for the first in reading order.
     for i, row in enumerate(values):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{where}: row {i} must have {n} entries")
-        cells = []
         for v in row:
-            if type(v) is not int and type(v) is not str:
-                cells.append(_rational_cell(v, f"{where}[{i}]"))
-                continue
-            if v not in parsed:
-                parsed[v] = _rational_cell(v, f"{where}[{i}]")
-            cells.append(parsed[v])
-        grid.append(tuple(cells))
-    return UtilityMatrix(tuple(grid), rows, cols)
+            if type(v) not in (int, str, Fraction) or v not in parsed:
+                parsed[v] = _rational_cell(v, f"{where}[{i}]")  # kept, so a repeated literal is parsed once
 
 
 def parse_market(data: str | bytes) -> GameInstance:
-    """Parse and validate a market file; ParseError / SchemaError on bad input.
+    """Parse and validate a market file (see _MARKET); ParseError / SchemaError on bad input.
 
     The labels travel on the matrices: workers are the row labels of the
     worker utilities A, enterprises its column labels.  A and B share one
-    literal memo: each distinct int or string cell is parsed once per market.
+    literal memo: each distinct literal, decimals included, is parsed once per market.
     """
-    doc = _load_json(data, "market")
-    workers = _label_list(_require(doc, "workers", list, "market"), "market.workers")
-    enterprises = _label_list(_require(doc, "enterprises", list, "market"), "market.enterprises")
+    doc = _read(_MARKET, [_load_json(data, "market")], "market")[0]
+    workers, enterprises = tuple(doc["workers"]), tuple(doc["enterprises"])
     n = len(workers)
     if n == 0:
         raise SchemaError("market: empty worker list")
     if len(enterprises) != n:
         raise SchemaError(f"market: {n} workers but {len(enterprises)} enterprises")
-    parsed: dict[int | str, Fraction] = {}  # one literal memo for both grids
+    parsed: dict[int | str | Fraction, Fraction] = {}  # one literal memo for both grids
     return GameInstance(
-        worker_utilities=_utility_matrix(_require(doc, "A", list, "market"), workers, enterprises, "market.A", parsed),
-        enterprise_utilities=_utility_matrix(_require(doc, "B", list, "market"), enterprises, workers, "market.B", parsed),
+        worker_utilities=_utility_matrix(doc["A"], workers, enterprises, "market.A", parsed),
+        enterprise_utilities=_utility_matrix(doc["B"], enterprises, workers, "market.B", parsed),
     )
 
 
 def parse_bimatrix(data: str | bytes) -> BimatrixFile:
-    """Parse and validate a bimatrix-game file."""
-    doc = _load_json(data, "bimatrix")
-    row_labels = _label_list(_require(doc, "row_labels", list, "bimatrix"), "bimatrix.row_labels")
-    col_labels = _label_list(_require(doc, "col_labels", list, "bimatrix"), "bimatrix.col_labels")
-    payoffs = _require(doc, "payoffs", list, "bimatrix")
+    """Parse and validate a bimatrix-game file (see _BIMATRIX)."""
+    doc = _read(_BIMATRIX, [_load_json(data, "bimatrix")], "bimatrix")[0]
+    row_labels, col_labels, payoffs = tuple(doc["row_labels"]), tuple(doc["col_labels"]), doc["payoffs"]
     if len(row_labels) == 0 or len(col_labels) == 0:
         raise SchemaError("bimatrix: empty label list")
     if len(payoffs) != len(row_labels):
@@ -319,14 +291,14 @@ class Report:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-# The payload each command writes.  A kind is Fraction (an int or a "p/q" string, read as a Fraction), int, str or
-# bool; [kind], a list of them; {key: kind}, an object with exactly those keys; or a tuple of alternatives, NoneType
-# (null) or objects told apart by their keys.
+# The payload each command writes.  A kind is Fraction (an int or a "p/q" string, read as a Fraction), int, str,
+# bool, list or dict; [kind], a list of them; {str}, a list of labels, each appearing once; {key: kind}, an object
+# with exactly those keys; or a tuple of alternatives, NoneType (null) or objects told apart by their keys.
 _PAYLOADS: dict[str, dict[str, Any]] = {
-    "assign": {"side": str, "objective": str, "row_labels": [str], "col_labels": [str], "matching": [int],
+    "assign": {"side": str, "objective": str, "row_labels": {str}, "col_labels": {str}, "matching": [int],
                "assignment_grid": [[int]], "total": Fraction},
     "game": {
-        "n": int, "workers": [str], "enterprises": [str], "situations": [{"image": [int], "payoffs": [Fraction]}],
+        "n": int, "workers": {str}, "enterprises": {str}, "situations": [{"image": [int], "payoffs": [Fraction]}],
         "ideal_point": [Fraction],
         "compromise": {"optimal_regret": Fraction, "members": [[int]], "max_regret_by_situation": [Fraction]},
         "least_satisfied": [{"situation": [int], "player": int, "payoff": Fraction}],
@@ -336,7 +308,7 @@ _PAYLOADS: dict[str, dict[str, Any]] = {
         ),
     },
     "bargain": {
-        "row_labels": [str], "col_labels": [str],
+        "row_labels": {str}, "col_labels": {str},
         "maximin": (NoneType, {"player1": {"strategy": [Fraction], "value": Fraction},
                                "player2": {"strategy": [Fraction], "value": Fraction}}),
         "disagreement": [Fraction], "hull_vertices": [[Fraction]], "pareto_frontier": [[[Fraction]]],
@@ -345,6 +317,9 @@ _PAYLOADS: dict[str, dict[str, Any]] = {
 }
 _PAYLOADS["pipeline"] = {"workers_assignment": _PAYLOADS["assign"], "enterprises_assignment": _PAYLOADS["assign"],
                          "mismatch": {"workers": [int], "count": int, "coincide": bool}, "bargaining": _PAYLOADS["bargain"]}
+# The input files' top level, in the same language; parse_market and parse_bimatrix then read the grids.
+_MARKET = {"workers": {str}, "enterprises": {str}, "A": list, "B": list}
+_BIMATRIX = {"row_labels": {str}, "col_labels": {str}, "payoffs": list}
 
 
 def _read(kind: Any, values: list, path: str) -> list:
@@ -358,16 +333,20 @@ def _read(kind: Any, values: list, path: str) -> list:
             fits = [k for k in kind if (k.keys() if type(k) is dict else k) == shape]
             out += _read(fits[0] if fits else kind[-1], [value], path)
         return out
-    expected = type(kind) if type(kind) in (list, dict) else kind
+    expected = {list: list, set: list, dict: dict}.get(type(kind), kind)
     allowed = {int, str} if expected is Fraction else {expected}
     types = set(map(type, values))
     if not types <= allowed:
         name = 'an int or a "p/q" string' if expected is Fraction else expected.__name__
         got = next(t for t in map(type, values) if t not in allowed)
         raise SchemaError(f"{path}: expected {name}, got {got.__name__}")
-    if type(kind) is list:
+    if type(kind) in (list, set):
         flat = list(chain.from_iterable(values))
-        read = _read(kind[0], flat, path + "[]")
+        read = _read(*kind, flat, path + "[]")
+        for labels in values if type(kind) is set else ():
+            if len(set(labels)) < len(labels):
+                counts = Counter(labels)
+                raise SchemaError(f"{path}: label {next(k for k in counts if counts[k] > 1)[:40]!r} appears more than once")
         if read is flat:
             return values
         items = iter(read)
@@ -417,11 +396,11 @@ def _not_in_a_report(text: str) -> NoReturn:
 
 
 def _read_report(doc: Any) -> Report:
-    command = _require(doc, "command", str, "report")
-    if command not in _PAYLOADS:
-        raise SchemaError(f"report: unknown command {command[:40]!r}")
-    doc = _read({"command": str, "payload": _PAYLOADS[command], "notes": [str]}, [doc], "report")[0]
-    return Report(command=command, payload=doc["payload"], notes=tuple(doc["notes"]))
+    doc = _read({"command": str, "payload": dict, "notes": [str]}, [doc], "report")[0]
+    if doc["command"] not in _PAYLOADS:
+        raise SchemaError(f"report: unknown command {doc['command'][:40]!r}")
+    payload = _read(_PAYLOADS[doc["command"]], [doc["payload"]], "report.payload")[0]
+    return Report(command=doc["command"], payload=payload, notes=tuple(doc["notes"]))
 
 
 def parse_report(data: str | bytes) -> Report:

@@ -358,7 +358,7 @@ pool_values = st.lists(
 @st.composite
 def market_grids(draw):
     """A market's A and B as JSON writes them: ints and "p/q" literals, unnormalised "2/4" beside
-    "1/2" among them, and in about one grid of three a decimal, which takes the per-cell path."""
+    "1/2" among them, and in about one grid of three a decimal, which joins the literal memo."""
     n = draw(st.integers(1, 8))
     cell = st.one_of(
         st.integers(-20, 20),
@@ -393,10 +393,10 @@ class TestIntegerCostsOracle:
     @settings(max_examples=150, deadline=None)
     @given(grids=market_grids(), objective=st.sampled_from(list(Objective)))
     def test_parsed_markets_and_replaced_entries(self, grids, objective):
-        # parse_market hands a grid of int and str literals its distinct entry objects, one per
-        # literal ("2/4" and "1/2" are two); a grid with a decimal takes the per-cell path and
-        # derives them on first solve.  dataclasses.replace's matrix must derive its own: the old
-        # matrix's objects are not its entries, and a stale list would miss them or their denominators.
+        # parse_market hands each grid its distinct entry objects, one per literal ("2/4" and
+        # "1/2" are two; a decimal 3.0 and the int 3 are one).  dataclasses.replace's matrix must
+        # derive its own: the old matrix's objects are not its entries, and a stale list would miss
+        # them or their denominators.
         a, b = grids
         labels = [f"x{i}" for i in range(len(a))]
         market = parse_market(json.dumps({"workers": labels, "enterprises": labels, "A": a, "B": b}))

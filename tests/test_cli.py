@@ -290,6 +290,15 @@ class TestExitCodes:
         assert main(["pipeline", "--market", paths["market"], "--union-game", paths["bimatrix"]]) == EXIT_INPUT
         assert capsys.readouterr().err == f"matchgames: error: {broken}: the key 'row_labels' appears more than once in one object\n"
 
+    @pytest.mark.parametrize("broken", ["market", "bimatrix"])
+    def test_unknown_key(self, tmp_path, market_path, union_path, broken, capsys):
+        paths = {"market": market_path, "bimatrix": union_path}
+        doc = json.loads(Path(paths[broken]).read_text(encoding="utf-8"))
+        paths[broken] = str(tmp_path / "extra.json")
+        Path(paths[broken]).write_text(json.dumps({**doc, "comment": "a note"}))
+        assert main(["pipeline", "--market", paths["market"], "--union-game", paths["bimatrix"]]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"matchgames: error: {broken}: unexpected key 'comment'\n"
+
     def test_one_grid_never_bounds_the_other_sides_solve(self, tmp_path, capsys):
         # A and B share one literal memo, and B holds A's literals too; only B's twelve "1/q",
         # q a distinct prime's power of about 2900 bits (under 900 digits), pass the bound together.

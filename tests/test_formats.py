@@ -167,6 +167,30 @@ class TestParseMarket:
         with pytest.raises(SchemaError):
             parse_market('{"workers": ["w"], "enterprises": ["e"], "A": [[1]]}')
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(SchemaError, match=r"^market: unexpected key 'C'$"):
+            parse_market(MARKET_DOC.replace('"A":', '"C": [[1]], "A":'))
+
+    def test_wrong_top_level_types_rejected(self):
+        for key, value, message in [("A", {}, "market.A: expected list, got dict"), ("workers", "s1", "market.workers: expected list, got str"),
+                                    ("enterprises", ["h1", 2, "h3"], "market.enterprises[]: expected str, got int")]:
+            doc = json.loads(MARKET_DOC)
+            doc[key] = value
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                parse_market(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"^market: expected dict, got list$"):
+            parse_market("[]")
+
+    def test_errors_echo_at_most_40_characters_of_a_value(self):
+        label = "x" * 10**6
+        for doc in [
+            {"workers": ["w"], "enterprises": ["e"], "A": [[list(range(200_000))]], "B": [[1]]},
+            {"workers": [label, label], "enterprises": ["e", "f"], "A": [[1, 1], [1, 1]], "B": [[1, 1], [1, 1]]},
+        ]:
+            with pytest.raises(SchemaError) as error:
+                parse_market(json.dumps(doc))
+            assert len(str(error.value)) < 120, str(error.value)[:200]
+
     def test_repeated_key_rejected(self):
         # json.loads alone would answer from the second "A".
         with pytest.raises(SchemaError, match="'A' appears more than once"):
@@ -214,6 +238,10 @@ class TestParseBimatrix:
         bimatrix = parse_bimatrix(UNION_DOC)
         assert bimatrix.game.payoffs[0][0] == (6, 2)
         assert bimatrix.game.payoffs[1][1] == (2, 6)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(SchemaError, match=r"^bimatrix: unexpected key 'note'$"):
+            parse_bimatrix(UNION_DOC.replace('"payoffs":', '"note": "", "payoffs":'))
 
     def test_repeated_key_rejected(self):
         with pytest.raises(SchemaError, match="'row_labels' appears more than once"):
@@ -452,6 +480,17 @@ class TestReports:
             assert old in report
             with pytest.raises(SchemaError, match="appears more than once"):
                 parse_report(report.replace(old, new, 1))
+
+    @pytest.mark.parametrize("command, path", [("game", ("payload", "workers")), ("assign", ("payload", "row_labels")),
+                                               ("pipeline", ("payload", "enterprises_assignment", "col_labels"))])
+    def test_repeated_label_rejected(self, command, path):
+        report = self._first(command)
+        labels = json.loads(render_report(report, RenderMode.MACHINE))
+        for step in path:
+            labels = labels[step]
+        message = f"report.{'.'.join(path)}: label {labels[0]!r} appears more than once"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_report(edited(report, (*path, 1), json.dumps(labels[0])))
 
     @pytest.mark.parametrize("n", [1, 6])
     def test_game_round_trip_at_the_edges(self, n):
@@ -953,7 +992,7 @@ class TestRationalGridOracle:
             ([[1, 2, 3], [4, 5, "x"], ["x", 6, 7]], good, r"market\.A\[1\]: .*'x'"),
             # A bad literal in B beside literals A has already read.
             (good, [["1/2", 1, 2], ["2/3", "1/0", "1/2"], [0, 0, 0]], r"market\.B\[1\]: .*'1/0'"),
-            # A bad literal after a cell that takes the per-cell path.
+            # A bad literal after a decimal cell.
             ([[1, 2, 3], [0.5, 5, 6], [7, "y", 8]], good, r"market\.A\[2\]: .*'y'"),
         ]
         for a, b, message in cases:
@@ -963,9 +1002,10 @@ class TestRationalGridOracle:
     def test_each_literal_parsed_once_per_market(self, monkeypatch):
         calls = []
         monkeypatch.setattr(formats, "as_rational", lambda v: calls.append(v) or Fraction(v))
-        a = [["1/2", 1, "1/2"], [1, "2/3", 1], ["1/2", "1/2", 7]]
-        b = [[1, "1/2", 7], ["2/3", "2/3", 1], ["1/2", 9, 1]]
+        a = [["1/2", 1, "1/2"], [1, "2/3", 0.25], ["1/2", "1/2", 7]]
+        b = [[1, "1/2", 7], ["2/3", "2/3", 1], ["1/2", 9, 0.25]]
         market = parse_market(json.dumps({"workers": ["w0", "w1", "w2"], "enterprises": ["e0", "e1", "e2"], "A": a, "B": b}))
-        assert sorted(calls, key=repr) == sorted(["1/2", 1, "2/3", 7, 9], key=repr)  # each once
+        assert sorted(calls, key=repr) == sorted(["1/2", 1, "2/3", 7, 9, Fraction(1, 4)], key=repr)  # each once
         assert market.worker_utilities.entries[0][0] is market.enterprise_utilities.entries[0][1]
+        assert market.worker_utilities.entries[1][2] is market.enterprise_utilities.entries[2][2]  # a decimal too
 

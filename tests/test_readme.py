@@ -60,3 +60,9 @@ def test_report_layout_table_names_every_payload_key():
         nested = _keys(formats._PAYLOADS["assign"]) | _keys(formats._PAYLOADS["bargain"]) if command == "pipeline" else set()
         missing = {key for key in _keys(layout) - nested if f"`{key}`" not in by_command[command]}
         assert not missing, (command, missing)
+
+
+def test_file_formats_section_names_every_input_key():
+    section = README.read_text(encoding="utf-8").split("### File formats", 1)[1].split("\n## ", 1)[0]
+    missing = {key for key in {**formats._MARKET, **formats._BIMATRIX} if f"`{key}`" not in section}
+    assert not missing, missing
