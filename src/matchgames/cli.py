@@ -113,8 +113,9 @@ def _read(path: str) -> bytes:
 
 
 def main(argv: list[str] | None = None) -> int:
-    enabled = gc.isenabled()
+    enabled, digits = gc.isenabled(), sys.get_int_max_str_digits()
     gc.disable()  # a request leaves no reference cycle for it to free (tests/test_cli.py checks)
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)  # one input, one verdict, whatever the environment sets
     try:
         try:
             args = _PARSER.parse_args(argv, argparse.Namespace(output=RenderMode.TEXT.value, out=None))
@@ -132,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INPUT
         return EXIT_OK
     finally:
+        sys.set_int_max_str_digits(digits)
         if enabled:
             gc.enable()
 

@@ -196,6 +196,22 @@ class TestNashSolution:
         with pytest.raises(DisagreementOutsideHull):
             nash_solution(union_game, DisagreementPoint(v1=F(10), v2=F(10)))
 
+    @pytest.mark.parametrize(
+        ("v1", "text"),
+        [
+            (F(3, 2), "3/2"),
+            (F(-(2**60), 2**61 - 1), "-1152921504606846976/2305843009213693951"),  # 122 bits, 40 characters
+            (F(-(2**61), 2**61 - 1), "a rational of 123 bits"),
+            (F(2**121 - 1), "2658455991569831745807614120560689151"),
+            (F(2**122), "a rational of 124 bits"),  # 37 characters, but the bits alone decide
+            (F(10**5000), "a rational of 16611 bits"),  # past the default int-digit limit
+        ],
+    )
+    def test_infeasible_disagreement_names_a_long_coordinate_by_its_size(self, union_game, v1, text):
+        with pytest.raises(DisagreementOutsideHull) as info:
+            nash_solution(union_game, DisagreementPoint(v1=v1, v2=F(-99)))
+        assert str(info.value) == f"disagreement ({text}, -99) is not a feasible payoff vector"
+
     def test_maximin_point_can_be_infeasible(self):
         # The two maximin values need not be jointly feasible; the pipeline
         # reports that instead of arbitrating from an unreachable threat.

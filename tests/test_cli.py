@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -386,6 +387,16 @@ def write_market(tmp_path, a):
     return str(path)
 
 
+def huge_total_grid():
+    """The 5x5 diagonal 1/q, q = 10**990 + k, written without converting a long int.  Each 1/q fits
+    the literal bound; the total's denominator, their product, has about 4950 digits, past the
+    4300-digit print limit."""
+    ks = (1, 3, 7, 9, 13)
+    qs = [10**990 + k for k in ks]
+    assert all(math.gcd(q, r) == 1 for i, q in enumerate(qs) for r in qs[i + 1 :])
+    return [[f"1/1{k:0990}" if i == j else 0 for j in range(5)] for i, k in enumerate(ks)]
+
+
 class TestOversizeNumbers:
     """Numbers too large to parse or print, and input nested too deep, end in
     exit 1, never a traceback."""
@@ -439,12 +450,7 @@ class TestOversizeNumbers:
         self.assert_input_error(argv + [str(path)], capsys)
 
     def test_total_past_print_limit(self, tmp_path, capsys):
-        # Each 1/q fits the literal bound; the total's denominator, their
-        # product, has about 4950 digits, past the 4300-digit print limit.
-        qs = [10**990 + k for k in (1, 3, 7, 9, 13)]
-        assert all(math.gcd(q, r) == 1 for i, q in enumerate(qs) for r in qs[i + 1 :])
-        grid = [[f"1/{q}" if i == j else 0 for j in range(5)] for i, q in enumerate(qs)]
-        path = write_market(tmp_path, grid)
+        path = write_market(tmp_path, huge_total_grid())
         for mode in ("machine", "text"):
             self.assert_input_error(
                 ["assign", "--market", path, "--side", "workers", "--output", mode], capsys
@@ -489,6 +495,21 @@ class TestOversizeNumbers:
         assert time.perf_counter() - start < 1.0
         assert err.endswith("is not a feasible payoff vector\n")
 
+    def test_long_infeasible_threat_point_is_named_by_its_size(self, tmp_path, capsys):
+        # [[(1, -1), (2, -1)], [(3, 2), (3, 2)]] plus a distinct 1/q on each payoff, q about 10**494:
+        # the maximin pair is infeasible, and each of its values has a denominator of some 1640 digits.
+        qs = iter(10**494 + 2 * k + 1 for k in range(8))
+        base = [[(1, -1), (2, -1)], [(3, 2), (3, 2)]]
+        payoffs = [[[f"{v * q + 1}/{q}" for v, q in zip(pair, qs)] for pair in row] for row in base]
+        assert max(len(cell) for row in payoffs for pair in row for cell in pair) == 992
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"row_labels": ["r1", "r2"], "col_labels": ["c1", "c2"], "payoffs": payoffs}))
+        err = self.assert_input_error(["bargain", "--game", str(path)], capsys)
+        assert err == (
+            "matchgames: error: disagreement (a rational of 3285 bits, a rational of 3284 bits) "
+            "is not a feasible payoff vector\n"
+        )
+
 
 def failing_requests(tmp_path):
     """(argv, exit code) of requests that fail past argument parsing, text and machine."""
@@ -497,9 +518,7 @@ def failing_requests(tmp_path):
     bad_cell.write_text(json.dumps({"workers": ["w"], "enterprises": ["e"], "A": [["1/0"]], "B": [[1]]}))
     labels = list("abcdefghi")  # n = 9, past the situation-table cap
     big.write_text(json.dumps({"workers": labels, "enterprises": labels, "A": [[1] * 9] * 9, "B": [[1] * 9] * 9}))
-    # Each 1/q is within the literal bound; the total's denominator is past the print limit.
-    qs = [10**990 + k for k in (1, 3, 7, 9, 13)]
-    huge_total = write_market(tmp_path, [[f"1/{q}" if i == j else 0 for j in range(5)] for i, q in enumerate(qs)])
+    huge_total = write_market(tmp_path, huge_total_grid())
     requests = [
         (["game", "--market", str(bad_json)], EXIT_INPUT),
         (["assign", "--market", str(bad_cell), "--side", "workers"], EXIT_INPUT),
@@ -549,21 +568,25 @@ class TestCollector:
             (["frobnicate"], EXIT_INPUT),
             (["bargain", "--game", union_path, "--out", str(tmp_path)], EXIT_INPUT),  # a write error
         ]
-        was = gc.isenabled()
+
+        def broken(*args):
+            raise RuntimeError("unexpected")
+
+        was, digits = gc.isenabled(), sys.get_int_max_str_digits()
         try:
             (gc.enable if enabled else gc.disable)()
-            for argv, code in requests:
-                assert run_quietly(argv) == code, argv
-                assert gc.isenabled() is enabled, argv
-
-            def broken(*args):
-                raise RuntimeError("unexpected")
-
-            monkeypatch.setattr(cli, "cmd_bargain", broken)
-            with pytest.raises(RuntimeError, match="unexpected"):
-                run_quietly(["bargain", "--game", union_path])
-            assert gc.isenabled() is enabled
+            for limit in (0, 640, 4300):  # the caller's int-digit limit, which main sets aside
+                sys.set_int_max_str_digits(limit)
+                for argv, code in requests:
+                    assert run_quietly(argv) == code, argv
+                    assert (gc.isenabled(), sys.get_int_max_str_digits()) == (enabled, limit), argv
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, "cmd_bargain", broken)
+                    with pytest.raises(RuntimeError, match="unexpected"):
+                        run_quietly(["bargain", "--game", union_path])
+                assert (gc.isenabled(), sys.get_int_max_str_digits()) == (enabled, limit)
         finally:
+            sys.set_int_max_str_digits(digits)
             (gc.enable if was else gc.disable)()
 
     def test_collector_is_off_during_the_request(self, union_path, monkeypatch):
@@ -577,6 +600,54 @@ class TestCollector:
         assert gc.isenabled()
         assert run_quietly(["bargain", "--game", union_path]) == EXIT_OK
         assert seen == [False] and gc.isenabled()
+
+
+# (interpreter options, PYTHONINTMAXSTRDIGITS): the default, then three settings that lift or lower the limit.
+DIGIT_SETTINGS = [([], None), ([], "0"), ([], "640"), (["-X", "int_max_str_digits=0"], None)]
+
+
+def run_under(options, digits, argv):
+    """(exit code, stdout, stderr, seconds) of one CLI request in a fresh interpreter."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    if digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = digits
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, *options, "-m", "matchgames", *argv], env=env, capture_output=True)
+    return result.returncode, result.stdout, result.stderr, time.perf_counter() - start
+
+
+class TestIntDigitLimit:
+    """main holds Python's default int-digit limit, 4300, for each request: the interpreter's
+    setting changes neither the exit code nor a byte of the output."""
+
+    @pytest.mark.parametrize("name", ["long-json-integer", "long-disagreement", "total-past-print-limit"])
+    def test_one_verdict_under_every_setting(self, tmp_path, union_path, name):
+        long_json_integer = tmp_path / "long.json"
+        long_json_integer.write_text(
+            '{"workers": ["w0", "w1"], "enterprises": ["e0", "e1"], "A": [[1, 2], [3, 4]], "B": [['
+            + "9" * 200_000
+            + ", 2], [3, 4]]}"
+        )
+        argv, error = {
+            "long-json-integer": (
+                ["assign", "--market", str(long_json_integer), "--side", "enterprises", "--output", "machine"],
+                b"market: input has an oversize number: ",
+            ),
+            "long-disagreement": (
+                ["bargain", "--game", union_path, "--disagreement", "1e700", "0"],
+                b"disagreement (a rational of 2327 bits, 0) is not a feasible payoff vector\n",
+            ),
+            "total-past-print-limit": (
+                ["assign", "--market", write_market(tmp_path, huge_total_grid()), "--side", "workers"],
+                b"cannot render the assign report: ",
+            ),
+        }[name]
+        runs = [run_under(options, digits, argv) for options, digits in DIGIT_SETTINGS]
+        assert len({run[:3] for run in runs}) == 1, [run[:3] for run in runs]
+        code, out, err, _ = runs[0]
+        assert (code, out) == (EXIT_INPUT, b"")
+        assert err.startswith(b"matchgames: error: " + error) and err.count(b"\n") == 1, err
+        assert max(run[3] for run in runs) < 1.0
 
 
 UNION_GAME = Path(UNION).read_text()
@@ -644,11 +715,11 @@ def hostile_dir(tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(files=hostile_files())
-def test_hostile_input_ends_in_a_report_or_a_matchgames_error(hostile_dir, files):
+@given(files=hostile_files(), limit=st.sampled_from([0, 640, 4300]))
+def test_hostile_input_ends_in_a_report_or_a_matchgames_error(hostile_dir, files, limit):
     """Junk spliced into market, bimatrix and report files (one report of each
-    command): every subcommand in both modes exits 0, 1 or 2, and
-    parse_report raises only MatchGamesError."""
+    command): every subcommand in both modes exits 0, 1 or 2, whatever the
+    caller's int-digit limit, and parse_report raises only MatchGamesError."""
     market, bimatrix, reports, disagreement = files
     market_path, game_path = hostile_dir / "market.json", hostile_dir / "game.json"
     market_path.write_bytes(as_bytes(market))
@@ -661,10 +732,15 @@ def test_hostile_input_ends_in_a_report_or_a_matchgames_error(hostile_dir, files
         ["bargain", "--game", str(game_path), "--disagreement", *disagreement],
         ["pipeline", "--market", str(market_path), "--union-game", str(game_path)],
     ]
-    for argv in commands:
-        for mode in ("text", "machine"):
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                assert main(argv + ["--output", mode]) in (EXIT_OK, EXIT_INPUT, EXIT_SIZE)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for argv in commands:
+            for mode in ("text", "machine"):
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    assert main(argv + ["--output", mode]) in (EXIT_OK, EXIT_INPUT, EXIT_SIZE)
+    finally:
+        sys.set_int_max_str_digits(digits)
     for report in reports:
         try:
             parse_report(as_bytes(report))
