@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .core import MatchGamesError, RationalLike, as_rational, format_rational
+from .core import MatchGamesError, RationalLike, _number_text, as_rational
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
@@ -230,16 +230,11 @@ def _segment_best(
     return (gain1 * gain2, (d1 + gain1, d2 + gain2)) if gain1 >= 0 and gain2 >= 0 else None
 
 
-def _coordinate(value: Fraction) -> str:
-    bits = value.numerator.bit_length() + value.denominator.bit_length()  # 122 bits in all print in at most 40 characters
-    return format_rational(value) if bits <= 122 else f"a rational of {bits} bits"  # no long int is converted
-
-
 def nash_solution(game: BimatrixGame, disagreement: DisagreementPoint) -> BargainingOutcome:
     """Nash arbitration point: maximize (v1-d1)(v2-d2) on the frontier, v >= d."""
     hull = feasible_hull(game)
     if not hull_contains(hull, disagreement.point):
-        point = ", ".join(map(_coordinate, disagreement.point))
+        point = ", ".join(map(_number_text, disagreement.point))
         raise DisagreementOutsideHull(f"disagreement ({point}) is not a feasible payoff vector")
     frontier = pareto_frontier(hull)
     # Every hull point is weakly dominated by a Pareto-optimal one, so some segment has a point

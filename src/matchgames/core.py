@@ -50,6 +50,10 @@ class DenominatorTooLarge(MatchGamesError):
     """A utility matrix's entries have a common denominator longer than MAX_DENOMINATOR_BITS."""
 
 
+class _LiteralError(ValueError):
+    """as_rational's refusal of a string, told apart from Python's int-digit limit, whose text the package replaces."""
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce a value to an exact rational.
 
@@ -69,17 +73,17 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         if len(text) > MAX_LITERAL_LENGTH:
-            raise ValueError(f"numeric literal of {len(text)} characters is longer than {MAX_LITERAL_LENGTH}")
+            raise _LiteralError(f"numeric literal of {len(text)} characters is longer than {MAX_LITERAL_LENGTH}")
         p, slash, q = text.partition("/")
         digits = text.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash)
         if not digits and ("e" in text or "E" in text) and _exponent_too_large(text):
-            raise ValueError(f"exponent of {text!r} is beyond ±{MAX_LITERAL_EXPONENT}")
+            raise _LiteralError(f"exponent of {text[:40]!r} is beyond ±{MAX_LITERAL_EXPONENT}")
         if not digits and ("_" in text or len(text.split(maxsplit=1)) > 1):  # Fraction reads these on some Pythons only
-            raise ValueError(f"cannot interpret {value!r} as a rational")
+            raise _LiteralError(f"cannot interpret {value[:40]!r} as a rational")
         try:
             return Fraction(int(p), int(q or 1)) if digits else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot interpret {value!r} as a rational") from exc
+            raise _LiteralError(f"cannot interpret {value[:40]!r} as a rational") from exc
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -94,6 +98,12 @@ def format_rational(value: Fraction) -> str:
     """Render a rational as ``"p"`` or ``"p/q"``, never as a decimal."""
     p, q = value.as_integer_ratio()
     return f"{p}" if q == 1 else f"{p}/{q}"
+
+
+def _number_text(value: object) -> str:  # how an error names a value: repr, a Fraction as "p/q", a long number by its size
+    if isinstance(value, (int, Fraction)) and (bits := value.numerator.bit_length() + value.denominator.bit_length()) > 122:
+        return f"a rational of {bits} bits"  # 122 bits in all print in at most 40 characters; no long int is converted
+    return format_rational(value) if isinstance(value, Fraction) else repr(value)
 
 
 @dataclass(frozen=True)
@@ -113,9 +123,9 @@ class Matching:
         seen = [False] * n
         for j in self.image:
             if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < n:
-                raise NotAPermutation(f"index {j!r} out of range for size {n}")
+                raise NotAPermutation(f"index {_number_text(j)} out of range for size {n}")
             if seen[j]:
-                raise NotAPermutation(f"index {j} appears twice in {self.image}")
+                raise NotAPermutation(f"index {j} appears twice in ({', '.join(map(_number_text, self.image))})")
             seen[j] = True
 
     @property

@@ -24,7 +24,9 @@ list is written item by item.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -40,6 +42,7 @@ from .core import (
     GameInstance,
     MatchGamesError,
     UtilityMatrix,
+    _LiteralError,
     as_rational,
     format_rational,
 )
@@ -78,59 +81,45 @@ def _unique_keys(kind: str, pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 def _load_json(data: str | bytes, kind: str, decode: Callable[[Any], Any] = lambda doc: doc,
                parse_float: Callable[[str], Any] = as_rational, parse_constant: Callable[[str], Any] | None = None) -> Any:
     """decode of the JSON document in data; each error names the file's kind ("market", "bimatrix", "report")."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{kind}: input is not valid UTF-8: {exc}") from exc
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         # parse_float receives the literal text, so decimals stay exact; decode runs under these handlers.
-        return decode(json.loads(data, parse_float=parse_float, parse_constant=parse_constant,
+        return decode(json.loads(text, parse_float=parse_float, parse_constant=parse_constant,
                                  object_pairs_hook=partial(_unique_keys, kind)))
+    except UnicodeDecodeError as exc:  # before ValueError, its base class
+        raise ParseError(f"{kind}: input is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{kind}: input is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{kind}: input is nested too deeply") from exc
     except ValueError as exc:
         # A decimal past as_rational's bounds, or an integer (a report's "p/q" parts too) past the int-digit limit.
-        raise ParseError(f"{kind}: input has an oversize number: {exc}") from exc
+        problem = exc if isinstance(exc, _LiteralError) else f"an integer of more than {sys.get_int_max_str_digits()} digits"
+        raise ParseError(f"{kind}: input has an oversize number: {problem}") from exc
 
 
-def _rational_cell(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
-        raise SchemaError(f"{where}: expected a number or \"p/q\" string, got {repr(value)[:40]}")
-    try:
-        return as_rational(value)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def _utility_matrix(values: list, rows: tuple[str, ...], cols: tuple[str, ...], where: str,
-                    parsed: dict[int | str | Fraction, Fraction]) -> UtilityMatrix:
-    """The matrix of the n x n grid at where, n = len(rows).  parsed maps each int, str and decimal literal
-    already read in the market to its Fraction: a grid parses only its new distinct literals, maps each row,
-    and hands the matrix its distinct entry objects, one per literal, which it would otherwise find on first solve."""
-    n = len(rows)
+def _grid(values: list, n: int, width: int, where: str, parsed: dict[Any, Fraction]) -> tuple[tuple, list[Fraction]]:
+    """(rows, literals): the Fraction rows of the n x width grid at where, and one Fraction per distinct literal.
+    parsed maps each int, str and decimal literal already read in the file to its Fraction: only new ones are parsed."""
     if len(values) != n:
         raise SchemaError(f"{where}: expected {n} rows")
-    shaped = all(isinstance(row, list) and len(row) == n for row in values)
+    shaped = all(isinstance(row, list) and len(row) == width for row in values)
     if shaped and set(map(type, chain.from_iterable(values))) <= {int, str, Fraction}:  # types first: True hides behind 1
         new = (literals := set(chain.from_iterable(values))).difference(parsed)
-        try:
-            parsed.update(zip(new, map(as_rational, new)))  # only successes are kept
-        except ValueError:
-            pass
-        else:
-            matrix = UtilityMatrix(tuple(tuple(map(parsed.__getitem__, row)) for row in values), rows, cols)
-            vars(matrix)["_distinct"] = list(map(parsed.__getitem__, literals))
-            return matrix
+        with suppress(ValueError):  # a bad literal, which the scan below names; only successes are kept
+            parsed.update(zip(new, map(as_rational, new)))
+            return tuple(tuple(map(parsed.__getitem__, row)) for row in values), list(map(parsed.__getitem__, literals))
     # Only a bad row, cell type or literal gets here: this scan raises for the first in reading order.
     for i, row in enumerate(values):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"{where}: row {i} must have {n} entries")
+        if not isinstance(row, list) or len(row) != width:
+            raise SchemaError(f"{where}: row {i} must have {width} entries")
         for v in row:
-            if type(v) not in (int, str, Fraction) or v not in parsed:
-                parsed[v] = _rational_cell(v, f"{where}[{i}]")  # kept, so a repeated literal is parsed once
+            if type(v) not in (int, str, Fraction):  # a bool, None, list or dict
+                raise SchemaError(f"{where}[{i}]: expected a number or \"p/q\" string, got {repr(v)[:40]}")
+            try:
+                parsed[v] = parsed[v] if v in parsed else as_rational(v)  # kept, so a repeated literal is parsed once
+            except ValueError as exc:
+                raise SchemaError(f"{where}[{i}]: {exc}") from exc
 
 
 def parse_market(data: str | bytes) -> GameInstance:
@@ -148,31 +137,30 @@ def parse_market(data: str | bytes) -> GameInstance:
     if len(enterprises) != n:
         raise SchemaError(f"market: {n} workers but {len(enterprises)} enterprises")
     parsed: dict[int | str | Fraction, Fraction] = {}  # one literal memo for both grids
-    return GameInstance(
-        worker_utilities=_utility_matrix(doc["A"], workers, enterprises, "market.A", parsed),
-        enterprise_utilities=_utility_matrix(doc["B"], enterprises, workers, "market.B", parsed),
-    )
+    (a, a_literals), (b, b_literals) = (_grid(doc[key], n, n, f"market.{key}", parsed) for key in "AB")
+    matrices = UtilityMatrix(a, workers, enterprises), UtilityMatrix(b, enterprises, workers)
+    for matrix, literals in zip(matrices, (a_literals, b_literals)):
+        vars(matrix)["_distinct"] = literals  # its distinct entry objects, which it would otherwise find on first solve
+    return GameInstance(*matrices)
 
 
 def parse_bimatrix(data: str | bytes) -> BimatrixFile:
-    """Parse and validate a bimatrix-game file (see _BIMATRIX)."""
+    """Parse and validate a bimatrix-game file (see _BIMATRIX); its literals are read as a market's are."""
     doc = _read(_BIMATRIX, [_load_json(data, "bimatrix")], "bimatrix")[0]
     row_labels, col_labels, payoffs = tuple(doc["row_labels"]), tuple(doc["col_labels"]), doc["payoffs"]
     if len(row_labels) == 0 or len(col_labels) == 0:
         raise SchemaError("bimatrix: empty label list")
     if len(payoffs) != len(row_labels):
         raise SchemaError(f"bimatrix: expected {len(row_labels)} payoff rows")
-    grid = []
     for r, row in enumerate(payoffs):
         if not isinstance(row, list) or len(row) != len(col_labels):
             raise SchemaError(f"bimatrix: payoff row {r} must have {len(col_labels)} cells")
-        cells = []
         for c, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
                 raise SchemaError(f"bimatrix: cell ({r},{c}) must be a [k1, k2] pair")
-            cells.append(tuple(_rational_cell(v, f"bimatrix.payoffs[{r}][{c}][{i}]") for i, v in enumerate(cell)))
-        grid.append(tuple(cells))
-    return BimatrixFile(row_labels=row_labels, col_labels=col_labels, game=BimatrixGame(payoffs=tuple(grid)))
+    flat = [list(chain.from_iterable(row)) for row in payoffs]  # each row as k1, k2, k1, k2, ...
+    grid, _ = _grid(flat, len(row_labels), 2 * len(col_labels), "bimatrix.payoffs", {})
+    return BimatrixFile(row_labels, col_labels, BimatrixGame(tuple(tuple(zip(row[::2], row[1::2])) for row in grid)))
 
 
 def _json_fraction(value: Fraction) -> str:
@@ -388,7 +376,8 @@ def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
             return _write_json(doc, "", {}) + "\n"
         return _render_text(report)
     except (ValueError, RecursionError) as exc:
-        raise ReportTooLarge(f"cannot render the {report.command} report: {exc}") from exc
+        problem = f"it holds an integer of more than {sys.get_int_max_str_digits()} digits" if isinstance(exc, ValueError) else exc
+        raise ReportTooLarge(f"cannot render the {report.command} report: {problem}") from exc
 
 
 def _not_in_a_report(text: str) -> NoReturn:

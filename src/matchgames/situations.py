@@ -20,6 +20,7 @@ from .core import (
     Matching,
     MatchGamesError,
     SizeTooLarge,
+    _number_text,
     all_matchings,
 )
 
@@ -161,7 +162,7 @@ class StrategyProfile:
             )
         for choice in self.worker_choices + self.enterprise_choices:
             if not isinstance(choice, int) or isinstance(choice, bool) or not 0 <= choice < n:
-                raise MalformedProfile(f"choice {choice!r} out of range for n={n}")
+                raise MalformedProfile(f"choice {_number_text(choice)} out of range for n={n}")
 
     def is_consistent(self) -> bool:
         """True iff worker choices form a bijection and every enterprise names

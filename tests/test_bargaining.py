@@ -20,7 +20,7 @@ from matchgames import (
     pareto_frontier,
 )
 from matchgames.bargaining import _hull
-from matchgames.core import MAX_DENOMINATOR_BITS, as_rational
+from matchgames.core import MAX_DENOMINATOR_BITS
 from matchgames.datasets import union_game
 
 F = Fraction
@@ -494,11 +494,12 @@ class TestAgainstOldSearch:
         self.assert_same_as_old_search(given, [first, (first[0], first[1] - F(1, 10**990)), (F(0), F(0))])
 
     def test_shared_long_denominator_matches_the_fraction_search(self):
-        # An 8x8 game of 1000-character decimals "±m e-999", m of 994 digits and prime to 10, so every
-        # coordinate has the denominator 10**999: the points share one w, which _hull divides out.
+        # An 8x8 game of the 1000-character decimals "±m e-999", m of 994 digits and prime to 10, so
+        # every coordinate has the denominator 10**999: the points share one w, which _hull divides out.
+        # Each is built as ±m / 10**999, not read from its text, so no long int is converted.
         rng = random.Random(17)
-        literals = (f"{rng.choice('+-')}{rng.randrange(10**992, 10**993)}{rng.choice('1379')}e-999" for _ in range(128))
-        cells = iter(map(as_rational, literals))
+        signs_and_ms = ((rng.choice((1, -1)), 10 * rng.randrange(10**992, 10**993) + rng.choice((1, 3, 7, 9))) for _ in range(128))
+        cells = iter(F(sign * m, 10**999) for sign, m in signs_and_ms)
         given = [(next(cells), next(cells)) for _ in range(64)]
         assert {c.denominator for point in given for c in point} == {10**999}
         first = given[0]

@@ -30,18 +30,19 @@ def compose(first: Matching, then: Matching) -> Matching:
 
 def fraction_of_text(value: str) -> Fraction:
     """as_rational's string path before it read "-?digits(/digits)?" by its integer parts: the
-    same bounds, then Fraction(text.strip()) for every text."""
+    same bounds, then Fraction(text.strip()) for every text.  Its messages echo at most 40
+    characters of the literal, as as_rational's do."""
     text = value.strip()
     if len(text) > MAX_LITERAL_LENGTH:
         raise ValueError(f"numeric literal of {len(text)} characters is longer than {MAX_LITERAL_LENGTH}")
     if ("e" in text or "E" in text) and _exponent_too_large(text):
-        raise ValueError(f"exponent of {text!r} is beyond ±{MAX_LITERAL_EXPONENT}")
+        raise ValueError(f"exponent of {text[:40]!r} is beyond ±{MAX_LITERAL_EXPONENT}")
     if "_" in text or len(text.split(maxsplit=1)) > 1:
-        raise ValueError(f"cannot interpret {value!r} as a rational")
+        raise ValueError(f"cannot interpret {value[:40]!r} as a rational")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot interpret {value!r} as a rational") from exc
+        raise ValueError(f"cannot interpret {value[:40]!r} as a rational") from exc
 
 
 def literal_outcome(read, text):
@@ -81,6 +82,15 @@ class TestAsRational:
         ):
             with pytest.raises(TypeError, match="cannot interpret 0.[15] as a rational"):
                 build()
+
+    def test_messages_echo_at_most_40_characters(self):
+        for text, message in [
+            ("x" * 999, "cannot interpret '" + "x" * 40 + "' as a rational"),
+            ("1_" * 400, "cannot interpret '" + "1_" * 20 + "' as a rational"),
+            ("1" * 900 + "e5000", "exponent of '" + "1" * 40 + "' is beyond ±1000"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                as_rational(text)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -157,6 +167,13 @@ class TestMatching:
         for image, bad in [((1, -1), "-1"), ((0, True), "True"), ((0, 1.0), "1.0"), (("0", 1), "'0'")]:
             with pytest.raises(NotAPermutation, match=re.escape(f"index {bad} out of range for size 2")):
                 Matching(image)
+
+    def test_long_index_is_named_by_its_size(self):
+        # An error names a number past 122 bits by its size, so it converts no long int to text.
+        with pytest.raises(NotAPermutation, match=r"^index a rational of 16611 bits out of range for size 1$"):
+            Matching((10**5000,))
+        with pytest.raises(NotAPermutation, match=re.escape("index 0 appears twice in (0, 0, a rational of 16611 bits)")):
+            Matching((0, 0, 10**5000))
 
     def test_inverse_identity(self):
         identity = Matching(tuple(range(4)))

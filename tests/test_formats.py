@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from matchgames import (
     BimatrixFile,
+    BimatrixGame,
     DisagreementOutsideHull,
     Objective,
     ParseError,
@@ -23,6 +24,7 @@ from matchgames import (
     Report,
     SchemaError,
     Side,
+    as_rational,
     cmd_assign,
     cmd_bargain,
     cmd_game,
@@ -895,8 +897,18 @@ class TestRecordTemplates:
         assert 0 < calls["_write_json"] < 120 and 0 < calls["_texts"] < 120, calls
 
 
-# The per-grid parser _utility_matrix replaced, kept as its oracle: cell by
-# cell, with one literal memo per grid rather than one per market.
+# The per-cell reader _grid replaced, kept for the oracles below.
+def old_rational_cell(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+        raise SchemaError(f"{where}: expected a number or \"p/q\" string, got {repr(value)[:40]}")
+    try:
+        return as_rational(value)
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+# The per-grid parser that _grid's market path replaced, kept as its oracle: cell
+# by cell, with one literal memo per grid rather than one per market.
 def old_rational_grid(values, n, where):
     if not isinstance(values, list) or len(values) != n:
         raise SchemaError(f"{where}: expected {n} rows")
@@ -908,10 +920,10 @@ def old_rational_grid(values, n, where):
         cells = []
         for v in row:
             if type(v) is not int and type(v) is not str:
-                cells.append(formats._rational_cell(v, f"{where}[{i}]"))
+                cells.append(old_rational_cell(v, f"{where}[{i}]"))
                 continue
             if v not in parsed:
-                parsed[v] = formats._rational_cell(v, f"{where}[{i}]")
+                parsed[v] = old_rational_cell(v, f"{where}[{i}]")
             cells.append(parsed[v])
         rows.append(tuple(cells))
     return tuple(rows)
@@ -964,7 +976,7 @@ def market_grids(draw):
 
 
 class TestRationalGridOracle:
-    """_utility_matrix, one literal memo per market and each distinct literal parsed once, against
+    """_grid, one literal memo per market and each distinct literal parsed once, against
     the per-cell parser with one memo per grid: the same tuples or the same SchemaError text."""
 
     @settings(max_examples=400, deadline=None)
@@ -976,13 +988,18 @@ class TestRationalGridOracle:
             return old_rational_grid(a, n, "market.A"), old_rational_grid(b, n, "market.B")
 
         def new():
-            parsed, labels = {}, tuple(f"x{i}" for i in range(n))
-            return tuple(formats._utility_matrix(grid, labels, labels, f"market.{key}", parsed).entries for key, grid in (("A", a), ("B", b)))
+            parsed = {}
+            return tuple(formats._grid(grid, n, n, f"market.{key}", parsed) for key, grid in (("A", a), ("B", b)))
 
         expected = grids_outcome(old)
-        assert grids_outcome(new) == expected
-        if not isinstance(expected, str):
-            assert {type(v) for grid in grids_outcome(new) for row in grid for v in row} == {Fraction}
+        got = grids_outcome(new)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert tuple(rows for rows, _ in got) == expected
+        for rows, literals in got:  # one Fraction object per distinct literal, each of them in the grid
+            assert {type(v) for row in rows for v in row} == {Fraction}
+            assert sorted(map(id, literals)) == sorted({id(v) for row in rows for v in row})
 
     def test_errors_name_the_row_first_holding_the_literal(self):
         doc = lambda a, b: json.dumps({"workers": ["w0", "w1", "w2"], "enterprises": ["e0", "e1", "e2"], "A": a, "B": b})
@@ -1009,3 +1026,105 @@ class TestRationalGridOracle:
         assert market.worker_utilities.entries[0][0] is market.enterprise_utilities.entries[0][1]
         assert market.worker_utilities.entries[1][2] is market.enterprise_utilities.entries[2][2]  # a decimal too
 
+
+# parse_bimatrix's per-cell reader that _grid replaced, kept as its oracle.
+def old_parse_bimatrix(data):
+    doc = formats._read(formats._BIMATRIX, [formats._load_json(data, "bimatrix")], "bimatrix")[0]
+    row_labels, col_labels, payoffs = tuple(doc["row_labels"]), tuple(doc["col_labels"]), doc["payoffs"]
+    if len(row_labels) == 0 or len(col_labels) == 0:
+        raise SchemaError("bimatrix: empty label list")
+    if len(payoffs) != len(row_labels):
+        raise SchemaError(f"bimatrix: expected {len(row_labels)} payoff rows")
+    grid = []
+    for r, row in enumerate(payoffs):
+        if not isinstance(row, list) or len(row) != len(col_labels):
+            raise SchemaError(f"bimatrix: payoff row {r} must have {len(col_labels)} cells")
+        cells = []
+        for c, cell in enumerate(row):
+            if not isinstance(cell, list) or len(cell) != 2:
+                raise SchemaError(f"bimatrix: cell ({r},{c}) must be a [k1, k2] pair")
+            cells.append(tuple(old_rational_cell(v, f"bimatrix.payoffs[{r}][{c}][{i}]") for i, v in enumerate(cell)))
+        grid.append(tuple(cells))
+    return BimatrixFile(row_labels=row_labels, col_labels=col_labels, game=BimatrixGame(payoffs=tuple(grid)))
+
+
+def first_shape_error(payoffs, rows, cols):
+    """The text of the first payoff row or cell, in reading order, that is not a row of [k1, k2] pairs, else None."""
+    if len(payoffs) != rows:
+        return f"bimatrix: expected {rows} payoff rows"
+    for r, row in enumerate(payoffs):
+        if not isinstance(row, list) or len(row) != cols:
+            return f"bimatrix: payoff row {r} must have {cols} cells"
+        for c, cell in enumerate(row):
+            if not isinstance(cell, list) or len(cell) != 2:
+                return f"bimatrix: cell ({r},{c}) must be a [k1, k2] pair"
+    return None
+
+
+@st.composite
+def bimatrix_docs(draw):
+    """A bimatrix file's text, with up to three bad, odd or shared cells and then perhaps one malformed row or pair."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    payoffs = [[[draw(good_cells), draw(good_cells)] for _ in range(cols)] for _ in range(rows)]
+    spot = lambda: (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), draw(st.integers(0, 1)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        r, c, i = spot()
+        kind = draw(st.sampled_from(["bad", "bool", "null", "decimal", "list", "shared"]))
+        if kind == "shared":  # a literal read earlier in the file, or later
+            r2, c2, i2 = spot()
+            payoffs[r][c][i] = payoffs[r2][c2][i2]
+        else:
+            payoffs[r][c][i] = {"bad": lambda: draw(bad_literals), "bool": lambda: draw(st.booleans()), "null": lambda: None,
+                                "decimal": lambda: draw(st.sampled_from([0.5, -2.25, 1.0])),
+                                "list": lambda: draw(st.sampled_from([[1], [], ["x"]]))}[kind]()
+    r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    shape = draw(st.sampled_from(["same"] * 6 + ["short-row", "long-row", "str-row", "extra-row", "short-pair", "long-pair", "int-pair"]))
+    if shape == "extra-row":
+        payoffs.append(list(payoffs[0]))
+    elif shape.endswith("-row"):
+        payoffs[r] = {"short-row": payoffs[r][:-1], "long-row": payoffs[r] + [[1, 2]], "str-row": "ab"[:cols]}[shape]
+    elif shape != "same":
+        payoffs[r][c] = {"short-pair": payoffs[r][c][:1], "long-pair": payoffs[r][c] + [3], "int-pair": 7}[shape]
+    doc = {"row_labels": [f"r{i}" for i in range(rows)], "col_labels": [f"c{j}" for j in range(cols)], "payoffs": payoffs}
+    return json.dumps(doc), payoffs, rows, cols
+
+
+class TestBimatrixGridOracle:
+    """parse_bimatrix, its pairs flattened into rows for _grid, against the per-cell reader it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=bimatrix_docs())
+    def test_same_file_or_errors(self, case):
+        text, payoffs, rows, cols = case
+        expected, got = grids_outcome(lambda: old_parse_bimatrix(text)), grids_outcome(lambda: parse_bimatrix(text))
+        shape_error = first_shape_error(payoffs, rows, cols)
+        if shape_error is not None:
+            # Every row and pair is checked before any literal is read: a bad literal in an earlier
+            # row no longer hides a malformed row or pair after it.
+            assert got == f"SchemaError: {shape_error}"
+            assert expected == got or re.match(r"SchemaError: bimatrix\.payoffs\[\d+\]\[\d+\]\[[01]\]: ", expected), expected
+        elif isinstance(expected, str):  # the same literal error, named by its row
+            assert got == re.sub(r"^(SchemaError: bimatrix\.payoffs\[\d+\])\[\d+\]\[[01]\]", r"\1", expected)
+        else:
+            assert got == expected
+            assert {type(v) for row in got.game.payoffs for pair in row for v in pair} == {Fraction}
+
+    def test_each_literal_parsed_once_per_file(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(formats, "as_rational", lambda v: calls.append(v) or Fraction(v))
+        game = parse_bimatrix(UNION_DOC).game
+        assert sorted(calls) == [0, 2, 6]  # eight cells, three distinct literals
+        assert game.payoffs[0][1][0] is game.payoffs[1][0][1] and game.payoffs[0][0][1] is game.payoffs[1][1][0]
+        calls.clear()
+        doc = {"row_labels": ["r0", "r1"], "col_labels": ["c0", "c1", "c2"],
+               "payoffs": [[["1/2", 1], [0.25, "1/2"], [1, 7]], [[0.25, "2/3"], ["1/2", "2/3"], [7, 1]]]}
+        game = parse_bimatrix(json.dumps(doc)).game
+        assert sorted(calls, key=repr) == sorted(["1/2", 1, 7, "2/3", Fraction(1, 4)], key=repr)  # each once
+        assert game.payoffs[0][0][0] is game.payoffs[0][1][1] is game.payoffs[1][1][0]
+        assert game.payoffs[0][1][0] is game.payoffs[1][0][0]  # a decimal too
+        assert game == BimatrixGame.from_rows([[("1/2", 1), ("1/4", "1/2"), (1, 7)], [("1/4", "2/3"), ("1/2", "2/3"), (7, 1)]])
+
+    def test_bad_literal_is_named_by_its_row(self):
+        doc = {"row_labels": ["r0", "r1"], "col_labels": ["c0"], "payoffs": [[[1, 2]], [[3, "x" * 999]]]}
+        with pytest.raises(SchemaError, match=r"^bimatrix\.payoffs\[1\]: cannot interpret 'x{40}' as a rational$"):
+            parse_bimatrix(json.dumps(doc))

@@ -245,6 +245,13 @@ class TestProfiles:
         with pytest.raises(MalformedProfile):
             StrategyProfile((0, 3), (0, 1)).validate()
 
+    def test_long_choice_is_named_by_its_size(self):
+        # The message converts no long int: a number past 122 bits is named by its size.
+        with pytest.raises(MalformedProfile, match=r"^choice a rational of 16611 bits out of range for n=1$"):
+            StrategyProfile((10**5000,), (0,)).validate()
+        with pytest.raises(MalformedProfile, match=r"^choice True out of range for n=1$"):
+            StrategyProfile((0,), (True,)).validate()
+
     def test_inconsistent_pays_zero_to_everyone(self, labor_market):
         payoffs = profile_payoffs(labor_market, StrategyProfile((0, 0, 1), (0, 1, 2)))
         assert payoffs == (0,) * 6
