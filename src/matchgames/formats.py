@@ -6,19 +6,11 @@ strings; all three parse to exact rationals (decimals are read as printed, so
 its layout (see _MARKET, _BIMATRIX and _PAYLOADS): a missing or unknown key, a
 value of the wrong type, a repeated key or a repeated label is a SchemaError.
 
-Machine output (a report) is canonical JSON, written
-in one pass: keys sorted, two-space indent with ",\n" and ": " separators,
-"[]" and "{}" for empty containers, strings ASCII-escaped, tuples written as
-lists, and every rational an integer or a "p/q" string, never a decimal.
-Identical inputs therefore produce byte-identical output: the bytes of the
-standard library's key-sorted, indented json.dumps on the encoded values.
-Both writers make the text of each distinct scalar object in a list of eight
-or more once per render call (see _texts).  A list of eight or more records,
-dicts of one str key set whose value at each key is a str, int or Fraction, or
-a non-empty list or tuple of them of one length, is written from one template:
-item 0's text with "%s" for each scalar, repeated once per item and filled by
-one "%" (see _records; the text writer also needs one key order).  Every other
-list is written item by item.
+Both writers follow the command's layout too, and refuse, with parse_report's
+SchemaError, a report of an unknown command or with a payload off its layout.
+Machine output is json.dumps(..., indent=2, sort_keys=True) with every rational
+an int or a "p/q" string; text output keeps the layout's key order.  A long list
+is written a column at a time, a long record list from one template (_writer).
 """
 
 from __future__ import annotations
@@ -31,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import NoneType
@@ -57,7 +49,7 @@ class SchemaError(MatchGamesError):
 
 
 class ReportTooLarge(MatchGamesError):
-    """A report cannot be rendered: a number too long to print, or nesting too deep to write."""
+    """A report cannot be rendered: it holds a number too long to print."""
 
 
 @dataclass(frozen=True)
@@ -88,8 +80,8 @@ def _load_json(data: str | bytes, kind: str, decode: Callable[[Any], Any] = lamb
                                  object_pairs_hook=partial(_unique_keys, kind)))
     except UnicodeDecodeError as exc:  # before ValueError, its base class
         raise ParseError(f"{kind}: input is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{kind}: input is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:  # not Python's text and position, which differ between its versions
+        raise ParseError(f"{kind}: input is not valid JSON") from exc
     except RecursionError as exc:
         raise ParseError(f"{kind}: input is nested too deeply") from exc
     except ValueError as exc:
@@ -168,101 +160,36 @@ def _json_fraction(value: Fraction) -> str:
     return f"{p}" if q == 1 else f'"{p}/{q}"'
 
 
-# The JSON text of the scalar types that fill a report; bools, None, floats
-# and subclasses go through _write_json's fallback, which keeps json's rules.
-_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, Fraction: _json_fraction}
-# Lists this long use the memo. Timed at 1-16: at 4 or less the cli-small reports
-# render 1.1-1.8x slower, at 16 the game-n7 ones 1.2-1.3x; 8 and 12 time the same.
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, Fraction: _json_fraction,
+                 bool: {True: "true", False: "false"}.get, NoneType: {None: "null"}.get}
+_TEXT_SCALARS = {str: str, int: int.__repr__, Fraction: format_rational, bool: {True: "yes", False: "no"}.get, NoneType: str}
+# Lists this long use the memo, and columns this long widen their slot (_writer); 8, 16 and 32 time the same.
 _LONG = 8
 
 
-def _texts(memo: dict[int, str], scalars: dict, other: Any, values: Any) -> list[str]:
-    """The text of each value, through its type in scalars or else other.  In a _LONG list of
-    scalars each object is formatted once per render: memo maps its id(), unique while the
-    document holds it, to its text.  A container's text depends on its place: never memoized."""
+def _texts(memo: dict[int, str], scalars: dict, values: list) -> list[str]:
+    """The text of each scalar in values, through its type in scalars.  In a _LONG list each object
+    is formatted once per render: memo maps its id(), unique while the report holds it, to its text."""
     if len(values) >= _LONG:
         ids = list(map(id, values))
         out = list(map(memo.get, ids))
         if all(out):  # all known: one C-level pass (a dict per list: 1.5-1.8x the render time)
             return out
-        if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
-            for key, v in dict(zip(ids, values)).items():
-                if key not in memo:
-                    memo[key] = scalars.get(type(v), other)(v)
-            return list(map(memo.__getitem__, ids))
-    out = []  # a loop, not a comprehension, which would make cells of scalars and other on every call
-    for v in values:
-        out.append(scalars.get(type(v), other)(v))
-    return out
+        for key, v in dict(zip(ids, values)).items():
+            if key not in memo:
+                memo[key] = scalars[type(v)](v)
+        return list(map(memo.__getitem__, ids))
+    return [scalars[type(v)](v) for v in values]
 
 
-def _records(items: Any, ordered: bool, texts: Callable[[list], list[str]]) -> tuple[list, list[int], tuple] | None:
-    """(keys, widths, cells) of a list of _LONG or more same-shaped records, else None.
-
-    Every item is a dict with the same str keys: in the same order if ordered, else as a set,
-    and then keys are sorted.  At each key every item holds a scalar whose exact type is in
-    _JSON_SCALARS (width 0) or a non-empty list or tuple of them, one length per key (its
-    width).  cells holds the scalars item by item, keys in order, each list's in place: the
-    text from texts, run once per column, or the int itself, which "%s" writes as int.__repr__.
-    """
-    if len(items) < _LONG or type(items[0]) is not dict or not items[0] or set(map(type, items)) != {dict}:
-        return None  # item 0 first: most long lists hold scalars or rows
-    if set(map(type, items[0])) != {str} or len(set(map(tuple if ordered else frozenset, items))) != 1:
-        return None
-    keys = list(items[0]) if ordered else sorted(items[0])
-    widths, columns = [], []
-    for key in keys:
-        column = list(map(itemgetter(key), items))
-        width = 0
-        if set(map(type, column)) <= {list, tuple} and column[0] and len(set(map(len, column))) == 1:
-            width = len(column[0])
-            column = list(chain.from_iterable(column))
-        types = set(map(type, column))
-        if not types <= _JSON_SCALARS.keys():
-            return None
-        widths.append(width)
-        parts = [column[i::width] for i in range(width)] if width else [column]
-        columns += parts if types == {int} else map(texts, parts)
-    stride = len(columns)  # scalars per item
-    cells = [None] * (stride * len(items))
-    for i, column in enumerate(columns):
-        cells[i::stride] = column
-    return keys, widths, tuple(cells)
+def _filled(slot: str, cells: list[list]) -> list[str]:
+    """The text of each value of a column that _writer wrote as (slot, cells)."""
+    return cells[0] if slot == "%s" else list(map(int.__repr__, cells[0]) if slot == "%d" else map(slot.__mod__, zip(*cells)))
 
 
-def _write_json(value: Any, indent: str, memo: dict[int, str]) -> str:
-    """Canonical JSON text of value (see the module docstring), in one pass; memo is _texts'."""
-    inner = indent + "  "
-    nested = lambda v: _write_json(v, inner, memo)
-    if isinstance(value, dict):
-        items = [
-            # json's own text for a non-str key: "3" for 3, "null" for None.
-            (encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4])
-            + ": "
-            + _JSON_SCALARS.get(type(v), nested)(v)
-            for k, v in sorted(value.items())
-        ]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        records = _records(value, False, partial(_texts, memo, _JSON_SCALARS, nested))
-        if records is not None:  # one template per item, filled by one %
-            keys, widths, cells = records
-            cell = inner + "    "
-            fields = [
-                encode_basestring_ascii(k).replace("%", "%%") + ": "
-                + ("[\n" + cell + (",\n" + cell).join(["%s"] * w) + "\n" + inner + "  ]" if w else "%s")
-                for k, w in zip(keys, widths)
-            ]
-            template = "{\n" + inner + "  " + (",\n" + inner + "  ").join(fields) + "\n" + inner + "}"
-            text = "[\n" + inner + (",\n" + inner).join([template] * len(value)) + "\n" + indent + "]"
-            return text % cells
-        items = _texts(memo, _JSON_SCALARS, nested, value)
-        brackets = "[]"
-    else:
-        return _json_fraction(value) if isinstance(value, Fraction) else json.dumps(value)
-    if not items:
-        return brackets
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+def _each(writers: tuple[Callable, Callable], values: list, memo: dict[int, str]) -> list[str]:
+    """The text of each of values by their (one, many) writers: a column at a time when there are _LONG or more."""
+    return _filled(*writers[1](values, memo)) if len(values) >= _LONG else [writers[0](v, memo) for v in values]
 
 
 class RenderMode(Enum):
@@ -281,7 +208,8 @@ class Report:
 
 # The payload each command writes.  A kind is Fraction (an int or a "p/q" string, read as a Fraction), int, str,
 # bool, list or dict; [kind], a list of them; {str}, a list of labels, each appearing once; {key: kind}, an object
-# with exactly those keys; or a tuple of alternatives, NoneType (null) or objects told apart by their keys.
+# with exactly those keys, in the order text mode writes them; or a tuple of alternatives, NoneType (null) or
+# objects told apart by their keys.
 _PAYLOADS: dict[str, dict[str, Any]] = {
     "assign": {"side": str, "objective": str, "row_labels": {str}, "col_labels": {str}, "matching": [int],
                "assignment_grid": [[int]], "total": Fraction},
@@ -305,46 +233,69 @@ _PAYLOADS: dict[str, dict[str, Any]] = {
 }
 _PAYLOADS["pipeline"] = {"workers_assignment": _PAYLOADS["assign"], "enterprises_assignment": _PAYLOADS["assign"],
                          "mismatch": {"workers": [int], "count": int, "coincide": bool}, "bargaining": _PAYLOADS["bargain"]}
-# The input files' top level, in the same language; parse_market and parse_bimatrix then read the grids.
+# A report, and the input files' top level, in the same language; parse_market and parse_bimatrix then read the grids.
+_REPORT = {"command": str, "payload": dict, "notes": [str]}
 _MARKET = {"workers": {str}, "enterprises": {str}, "A": list, "B": list}
 _BIMATRIX = {"row_labels": {str}, "col_labels": {str}, "payoffs": list}
+# The Python types a value of each kind may have, and their name in errors: read from JSON, and written from a
+# Report, whose Fraction positions hold ints and Fractions.  A container kind is looked up by its own type.
+_READ_TYPES = {t: ({t}, t.__name__) for t in (int, str, bool, NoneType, list, dict)} | {
+    set: ({list}, "list"), Fraction: ({int, str}, 'an int or a "p/q" string')}
+_WRITE_TYPES = _READ_TYPES | {Fraction: ({int, Fraction}, "an int or a Fraction")}
+
+
+def _check(kind: Any, values: list, path: str, types: dict) -> set[type]:
+    """The set of values' types: SchemaError, naming path, unless each value is of a type types allows at kind,
+    each object has exactly kind's keys and each label list holds strs, each once.  Reader and writers share it."""
+    allowed, name = types[kind if isinstance(kind, type) else type(kind)]
+    found = set(map(type, values))
+    if not found <= allowed:
+        got = next(t for t in map(type, values) if t not in allowed)
+        raise SchemaError(f"{path}: expected {name}, got {got.__name__}")
+    if type(kind) is dict:
+        for keys in map(dict.keys, values):
+            if keys != kind.keys():
+                missing, extra = kind.keys() - keys, keys - kind.keys()
+                raise SchemaError(f"{path}: missing key {min(missing)!r}" if missing
+                                  else f"{path}: unexpected key {min(map(str, extra))[:40]!r}")
+    elif type(kind) is set:
+        _check(*kind, list(chain.from_iterable(values)), path + "[]", types)
+        for labels in values:
+            if len(set(labels)) < len(labels):
+                counts = Counter(labels)
+                raise SchemaError(f"{path}: label {next(k for k in counts if counts[k] > 1)[:40]!r} appears more than once")
+    return found
+
+
+def _alternative(kinds: tuple, value: Any) -> Any:
+    """The alternative of kinds that value's shape (its keys, or its type) fits, else the last, which refuses it."""
+    shape = value.keys() if type(value) is dict else type(value)
+    return next((k for k in kinds if (k.keys() if type(k) is dict else k) == shape), kinds[-1])
+
+
+def _layout(command: Any) -> dict:
+    """The payload layout of command: SchemaError for a command that none writes."""
+    _check(str, [command], "report.command", _READ_TYPES)
+    if command not in _PAYLOADS:
+        raise SchemaError(f"report: unknown command {command[:40]!r}")
+    return _PAYLOADS[command]
 
 
 def _read(kind: Any, values: list, path: str) -> list:
     """values, each of kind (see _PAYLOADS), with the strings at Fraction positions made Fractions;
     values itself if it has none.  One call reads a column: the items of a list's lists as one list,
     a list's objects key by key.  path names the values' place, "[]" standing for any list index."""
-    if type(kind) is tuple:  # each value as the alternative of its shape (its keys, or its type), else the last
-        out = []
-        for value in values:
-            shape = value.keys() if type(value) is dict else type(value)
-            fits = [k for k in kind if (k.keys() if type(k) is dict else k) == shape]
-            out += _read(fits[0] if fits else kind[-1], [value], path)
-        return out
-    expected = {list: list, set: list, dict: dict}.get(type(kind), kind)
-    allowed = {int, str} if expected is Fraction else {expected}
-    types = set(map(type, values))
-    if not types <= allowed:
-        name = 'an int or a "p/q" string' if expected is Fraction else expected.__name__
-        got = next(t for t in map(type, values) if t not in allowed)
-        raise SchemaError(f"{path}: expected {name}, got {got.__name__}")
-    if type(kind) in (list, set):
+    if type(kind) is tuple:
+        return [v for value in values for v in _read(_alternative(kind, value), [value], path)]
+    types = _check(kind, values, path, _READ_TYPES)
+    if type(kind) is list:
         flat = list(chain.from_iterable(values))
         read = _read(*kind, flat, path + "[]")
-        for labels in values if type(kind) is set else ():
-            if len(set(labels)) < len(labels):
-                counts = Counter(labels)
-                raise SchemaError(f"{path}: label {next(k for k in counts if counts[k] > 1)[:40]!r} appears more than once")
         if read is flat:
             return values
         items = iter(read)
         return [list(islice(items, len(value))) for value in values]
     if type(kind) is dict:
-        for keys in map(dict.keys, values):
-            if keys != kind.keys():
-                missing, extra = kind.keys() - keys, keys - kind.keys()
-                problem = f"missing key {min(missing)!r}" if missing else f"unexpected key {min(extra)[:40]!r}"
-                raise SchemaError(f"{path}: {problem}")
         for key, sub in kind.items():
             column = list(map(itemgetter(key), values))
             read = _read(sub, column, f"{path}.{key}")
@@ -352,7 +303,7 @@ def _read(kind: Any, values: list, path: str) -> list:
                 for value, v in zip(values, read):
                     value[key] = v
         return values
-    if expected is not Fraction or str not in types:
+    if kind is not Fraction or str not in types:
         return values
     texts = {}  # each distinct "p/q" (ASCII integer parts, q > 0) once, in list order: errors name the first bad one
     for text in dict.fromkeys(values):
@@ -364,20 +315,125 @@ def _read(kind: Any, values: list, path: str) -> list:
     return list(map(texts.get, values, values))
 
 
-def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
-    """Render a report; machine mode is canonical JSON and round-trips.
+def _writer(kind: Any, path: str, indent: str | None = None) -> tuple[Callable, Callable]:
+    """(one, many), the writers of values of kind at path, which check them as _read does.  one(value, memo) is its
+    text: JSON at indent or, with no indent, text mode's ("(a, b)", "k: v; ...").  many(values, memo) is a column's
+    (slot, cells), value i's text being slot % (its cell in each of cells); in a long one (see _each) lists of one
+    length widen the slot to a "%s" per item, so a record list fills one template, and ints are cells under "%d"."""
+    if type(kind) is tuple:
+        fits = {id(k): _writer(k, path, indent)[0] for k in kind}
+        one = lambda value, memo: fits[id(_alternative(kind, value))](value, memo)
+        return one, lambda values, memo: ("%s", [[one(v, memo) for v in values]])
+    allowed = _WRITE_TYPES[kind if isinstance(kind, type) else type(kind)][0]  # a quick test; _check names the fault
+    inner = None if indent is None else indent + "  "
+    sep, wrap, empty, scalars = (", ", "(%s)", "()", _TEXT_SCALARS) if indent is None else (
+        ",\n" + inner, "[\n" + inner + "%s\n" + indent + "]", "[]", _JSON_SCALARS)
+    if type(kind) in (list, set):
+        item = _writer(*kind, path + "[]", inner)  # (one, many) of the items
 
-    Raises ReportTooLarge when a number has more digits than the interpreter's
-    int-to-str limit allows, or the payload is nested past the recursion limit.
-    """
+        def many(values: list, memo: dict) -> tuple[str, list[list]]:
+            if not set(map(type, values)) <= allowed:
+                _check(kind, values, path, _WRITE_TYPES)
+            slot, cells = item[1](list(chain.from_iterable(values)), memo)
+            if type(kind) is set and any(len(set(v)) < len(v) for v in values):  # a label twice: items are strs
+                _check(kind, values, path, _WRITE_TYPES)
+            width = len(values[0]) if len(values) >= _LONG else 0
+            if width and set(map(len, values)) == {width}:
+                return wrap % sep.join([slot] * width), [cell[i::width] for i in range(width) for cell in cells]
+            texts = iter(_filled(slot, cells))  # every item's text, in order
+            return "%s", [[wrap % sep.join(islice(texts, len(v))) if v else empty for v in values]]
+
+        def one(value: Any, memo: dict) -> str:
+            if type(value) is not list:
+                _check(kind, [value], path, _WRITE_TYPES)
+            texts = _each(item, value, memo)
+            if type(kind) is set and len(set(value)) < len(value):
+                _check(kind, [value], path, _WRITE_TYPES)
+            return wrap % sep.join(texts) if value else empty
+        return one, many
+    if type(kind) is not dict:
+        def many(values: list, memo: dict) -> tuple[str, list[list]]:
+            if not (types := set(map(type, values))) <= allowed:
+                _check(kind, values, path, _WRITE_TYPES)
+            return ("%d", [values]) if types == {int} else ("%s", [_texts(memo, scalars, values)])
+        return (lambda value, memo: scalars[type(value)](value) if type(value) in allowed else many([value], memo)), many
+    keys = list(kind) if indent is None else sorted(kind)
+    fields = [(k, *_writer(kind[k], f"{path}.{k}", inner)) for k in keys]
+    names = [f"{k}: " for k in keys] if indent is None else [encode_basestring_ascii(k) + ": " for k in keys]
+    head, sep, tail = ("", "; ", "") if indent is None else ("{\n" + inner, sep, "\n" + indent + "}")
+    template = head + sep.join([name + "%s" for name in names]) + tail
+    columns = itemgetter(*keys, keys[0])  # a tuple for each value even with one key; zip drops the last column
+
+    def one(value: Any, memo: dict) -> str:
+        if type(value) is not dict or value.keys() != kind.keys():
+            _check(kind, [value], path, _WRITE_TYPES)
+        return template % tuple([write(value[k], memo) for k, write, _ in fields])
+
+    def many(values: list, memo: dict) -> tuple[str, list[list]]:
+        if not set(map(type, values)) <= allowed or any(map(kind.keys().__ne__, map(dict.keys, values))):
+            _check(kind, values, path, _WRITE_TYPES)
+        written = [field(column, memo) for (_, _, field), column in zip(fields, zip(*map(columns, values)))]
+        slot = head + sep.join([name + slot for name, (slot, _) in zip(names, written)]) + tail
+        return slot, [cell for _, cells in written for cell in cells]
+    return one, many
+
+
+def _block_writer(key: str | None, kind: Any, path: str, indent: str) -> Callable[[list, Any, dict], None]:
+    """The text-mode writer of a value of kind at path: given lines, the value and the render's memo, it appends its lines
+    under key (None: the payload, no head line): an object's keys in layout order, a line per record, a grid's rows."""
+    if type(kind) is tuple:
+        fits = {id(k): _block_writer(key, k, path, indent) for k in kind}
+        return lambda lines, value, memo: fits[id(_alternative(kind, value))](lines, value, memo)
+    head, item = f"{indent}{key}:", kind[0] if type(kind) is list else None
+    if type(kind) is dict:
+        blocks = [(k, _block_writer(k, sub, f"{path}.{k}", indent if key is None else indent + "  ")) for k, sub in kind.items()]
+
+        def write(lines: list, value: Any, memo: dict) -> None:
+            if type(value) is not dict or value.keys() != kind.keys():
+                _check(kind, [value], path, _WRITE_TYPES)
+            lines += [] if key is None else [head]
+            for k, block in blocks:
+                block(lines, value[k], memo)
+        return write
+    records = _writer(item, path + "[]") if type(item) is dict else None
+    cells = _writer(item[0], path + "[][]")[1] if type(item) is list and isinstance(item[0], type) else None
+    one, listed = _writer(kind, path)[0], type(kind) in (list, set)
+
+    def write(lines: list, value: Any, memo: dict) -> None:
+        if records and type(value) is list and value:
+            lines += [head, indent + "  - " + ("\n" + indent + "  - ").join(_each(records, value, memo))]
+        elif cells and type(value) is list and value and all(value):  # a grid, when no row is empty
+            _check(item, value, path + "[]", _WRITE_TYPES)
+            texts = _filled(*cells(list(chain.from_iterable(value)), memo))
+            width = max(map(len, texts))
+            texts = iter([t.rjust(width) for t in texts])
+            lines += [head, *[indent + "  " + "  ".join(islice(texts, len(row))) for row in value]]
+        else:  # a list as its items' texts, without the parentheses
+            lines.append(f"{indent}{key}: " + (one(value, memo)[1:-1] if listed else one(value, memo)))
+    return write
+
+
+_NOTES = _writer(str, "report.notes[]")[1]
+_WRITERS: dict[tuple[str, RenderMode], Callable] = {}  # each command's writer in each mode, built on first use
+
+
+def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
+    """Render a report through its command's layout (see _PAYLOADS); machine mode is canonical JSON and round-trips.
+    SchemaError, as parse_report raises it, for an unknown command or a payload off its layout; ReportTooLarge
+    for a number with more digits than the interpreter's int-to-str limit allows."""
+    layout, key, memo = _layout(report.command), (report.command, mode), {}  # memo: one per render
+    if key not in _WRITERS:
+        _WRITERS[key] = _writer({**_REPORT, "payload": layout}, "report", "")[0] if mode is RenderMode.MACHINE else _block_writer(
+            None, layout, "report.payload", "")
     try:
         if mode is RenderMode.MACHINE:
-            doc = {"command": report.command, "payload": report.payload, "notes": report.notes}
-            return _write_json(doc, "", {}) + "\n"
-        return _render_text(report)
-    except (ValueError, RecursionError) as exc:
-        problem = f"it holds an integer of more than {sys.get_int_max_str_digits()} digits" if isinstance(exc, ValueError) else exc
-        raise ReportTooLarge(f"cannot render the {report.command} report: {problem}") from exc
+            return _WRITERS[key]({"command": report.command, "payload": report.payload, "notes": list(report.notes)}, memo) + "\n"
+        lines = [f"== {report.command} =="]
+        _WRITERS[key](lines, report.payload, memo)
+        return "\n".join([*lines, *map("note: %s".__mod__, _filled(*_NOTES(list(report.notes), memo)))]) + "\n"
+    except ValueError as exc:
+        raise ReportTooLarge(f"cannot render the {report.command} report: it holds an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def _not_in_a_report(text: str) -> NoReturn:
@@ -385,10 +441,8 @@ def _not_in_a_report(text: str) -> NoReturn:
 
 
 def _read_report(doc: Any) -> Report:
-    doc = _read({"command": str, "payload": dict, "notes": [str]}, [doc], "report")[0]
-    if doc["command"] not in _PAYLOADS:
-        raise SchemaError(f"report: unknown command {doc['command'][:40]!r}")
-    payload = _read(_PAYLOADS[doc["command"]], [doc["payload"]], "report.payload")[0]
+    doc = _read(_REPORT, [doc], "report")[0]
+    payload = _read(_layout(doc["command"]), [doc["payload"]], "report.payload")[0]
     return Report(command=doc["command"], payload=payload, notes=tuple(doc["notes"]))
 
 
@@ -396,58 +450,3 @@ def parse_report(data: str | bytes) -> Report:
     """Parse a machine report back into a Report: SchemaError unless its payload has exactly the layout its
     command writes (see _PAYLOADS), and for a decimal, exponent, NaN or Infinity anywhere, which no writer prints."""
     return _load_json(data, "report", _read_report, parse_float=_not_in_a_report, parse_constant=_not_in_a_report)
-
-
-# The text of each scalar type a report holds; _text_other does the rest.
-_TEXT_SCALARS = {str: str, int: int.__repr__, Fraction: format_rational, bool: {True: "yes", False: "no"}.__getitem__}
-
-
-def _render_block(lines: list[str], key: str, value: Any, indent: str, texts: Any) -> None:
-    if isinstance(value, dict):
-        lines.append(f"{indent}{key}:")
-        for sub_key, sub_value in value.items():
-            _render_block(lines, sub_key, sub_value, indent + "  ", texts)
-    elif isinstance(value, (list, tuple)) and value and all(map(isinstance, value, repeat(dict))):
-        lines.append(f"{indent}{key}:")
-        records = _records(value, True, texts)
-        if records is None:
-            for item in value:
-                lines.append(indent + "  - " + "; ".join(map("{}: {}".format, item, texts(list(item.values())))))
-        else:  # one line template per item, filled by one %
-            keys, widths, cells = records
-            fields = [
-                k.replace("%", "%%") + ": " + ("(" + ", ".join(["%s"] * w) + ")" if w else "%s")
-                for k, w in zip(keys, widths)
-            ]
-            lines.append("\n".join([indent + "  - " + "; ".join(fields)] * len(value)) % cells)
-    elif (  # a grid: non-empty rows of scalars
-        isinstance(value, (list, tuple))
-        and value
-        and all(isinstance(row, (list, tuple)) and row for row in value)
-        and not any(issubclass(t, (list, tuple, dict)) for t in set().union(*[map(type, row) for row in value]))
-    ):
-        lines.append(f"{indent}{key}:")
-        rows = list(map(texts, value))
-        width = max([len(c) for row in rows for c in row])
-        lines.extend([indent + "  " + "  ".join([c.rjust(width) for c in row]) for row in rows])
-    elif isinstance(value, (list, tuple)):
-        lines.append(f"{indent}{key}: " + ", ".join(texts(value)))
-    else:
-        lines.append(f"{indent}{key}: {texts([value])[0]}")
-
-
-def _text_other(memo: dict[int, str], value: Any) -> str:
-    if isinstance(value, (list, tuple)):
-        return "(" + ", ".join(_texts(memo, _TEXT_SCALARS, partial(_text_other, memo), value)) + ")"
-    return format_rational(value) if isinstance(value, Fraction) else str(value)
-
-
-def _render_text(report: Report) -> str:
-    memo: dict[int, str] = {}  # one per render; nothing refers back to texts, so no reference cycle
-    texts = partial(_texts, memo, _TEXT_SCALARS, partial(_text_other, memo))
-    lines = [f"== {report.command} =="]
-    for key, value in report.payload.items():
-        _render_block(lines, key, value, "", texts)
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,8 @@ is meant to alter a report, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 ``PYTHONPATH=src python tests/test_golden.py --check`` compares instead, without
 pytest, and exits 1 naming the first case that differs.  Both also require every
-machine report to read back: ``render_report(parse_report(b)) == b``, byte for byte.
+machine report to read back: ``render_report(parse_report(b)) == b``, byte for byte,
+and to render as its command's text: the ``.txt`` file of the same name.
 """
 
 import io
@@ -15,7 +16,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from matchgames import parse_report, render_report
+from matchgames import RenderMode, parse_report, render_report
 from matchgames.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,14 +68,17 @@ def pytest_generate_tests(metafunc):  # parametrizes without importing pytest he
     metafunc.parametrize(("name", "mode"), CASES)
 
 
-def _reads_back(golden: bytes) -> bool:
-    return render_report(parse_report(golden)).encode("utf-8") == golden
+def _reads_back(name: str, golden: bytes) -> bool:
+    """The machine report golden reads back as itself, and as the text report of the same name."""
+    report = parse_report(golden)
+    text = _golden_path(name, "text").read_bytes()
+    return render_report(report).encode("utf-8") == golden and render_report(report, RenderMode.TEXT).encode("utf-8") == text
 
 
 def test_report_bytes_match_golden(name, mode):
     expected = _golden_path(name, mode).read_bytes()
     assert _render(name, mode).encode("utf-8") == expected
-    assert mode == "text" or _reads_back(expected)
+    assert mode == "text" or _reads_back(name, expected)
 
 
 if __name__ == "__main__":
@@ -88,6 +92,6 @@ if __name__ == "__main__":
             _golden_path(name, mode).write_bytes(rendered)
         elif rendered != _golden_path(name, mode).read_bytes():
             sys.exit(f"{name} ({mode}) differs from {_golden_path(name, mode)}")
-        elif mode == "machine" and not _reads_back(rendered):
-            sys.exit(f"{name} ({mode}) does not read back through parse_report and render_report")
+        elif mode == "machine" and not _reads_back(name, rendered):
+            sys.exit(f"{name} ({mode}) does not read back through parse_report and render_report, in both modes")
     print(f"{len(CASES)} cases {'checked' if check else 'written'}")
