@@ -1,16 +1,13 @@
 """File formats and report rendering for the command-line workflows.
 
-Input files are JSON.  Numbers may be integers, decimal literals, or "p/q"
-strings; all three parse to exact rationals (decimals are read as printed, so
-0.1 means 1/10).  Every file kind, market, bimatrix game and report, is read by
-its layout (see _MARKET, _BIMATRIX and _PAYLOADS): a missing or unknown key, a
-value of the wrong type, a repeated key or a repeated label is a SchemaError.
-
-Both writers follow the command's layout too, and refuse, with parse_report's
-SchemaError, a report of an unknown command or with a payload off its layout.
-Machine output is json.dumps(..., indent=2, sort_keys=True) with every rational
-an int or a "p/q" string; text output keeps the layout's key order.  A long list
-is written a column at a time, a long record list from one template (_writer).
+Input files are JSON; integers, decimal literals (read as printed, so 0.1 is
+1/10) and "p/q" strings all parse to exact rationals.  A file kind's layout
+(_MARKET, _BIMATRIX, _PAYLOADS) is compiled once into a node per place that
+reads and writes it (_compile): a missing or unknown key, a wrong type, a
+repeated key or label is a SchemaError naming its place, in a report the first
+in key order.  Machine output is json.dumps(..., indent=2, sort_keys=True),
+each rational an int or a "p/q" string; text output keeps the layout's key
+order.  Long lists are written a column at a time, record lists by template.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, pairwise
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import NoneType
@@ -121,7 +118,7 @@ def parse_market(data: str | bytes) -> GameInstance:
     worker utilities A, enterprises its column labels.  A and B share one
     literal memo: each distinct literal, decimals included, is parsed once per market.
     """
-    doc = _read(_MARKET, [_load_json(data, "market")], "market")[0]
+    doc = _COMPILED["market"][2]([_load_json(data, "market")])[0]
     workers, enterprises = tuple(doc["workers"]), tuple(doc["enterprises"])
     n = len(workers)
     if n == 0:
@@ -138,7 +135,7 @@ def parse_market(data: str | bytes) -> GameInstance:
 
 def parse_bimatrix(data: str | bytes) -> BimatrixFile:
     """Parse and validate a bimatrix-game file (see _BIMATRIX); its literals are read as a market's are."""
-    doc = _read(_BIMATRIX, [_load_json(data, "bimatrix")], "bimatrix")[0]
+    doc = _COMPILED["bimatrix"][2]([_load_json(data, "bimatrix")])[0]
     row_labels, col_labels, payoffs = tuple(doc["row_labels"]), tuple(doc["col_labels"]), doc["payoffs"]
     if len(row_labels) == 0 or len(col_labels) == 0:
         raise SchemaError("bimatrix: empty label list")
@@ -163,7 +160,7 @@ def _json_fraction(value: Fraction) -> str:
 _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, Fraction: _json_fraction,
                  bool: {True: "true", False: "false"}.get, NoneType: {None: "null"}.get}
 _TEXT_SCALARS = {str: str, int: int.__repr__, Fraction: format_rational, bool: {True: "yes", False: "no"}.get, NoneType: str}
-# Lists this long use the memo, and columns this long widen their slot (_writer); 8, 16 and 32 time the same.
+# Lists this long use the memo, and columns this long widen their slot (_compile); 8, 16 and 32 time the same.
 _LONG = 8
 
 
@@ -183,13 +180,13 @@ def _texts(memo: dict[int, str], scalars: dict, values: list) -> list[str]:
 
 
 def _filled(slot: str, cells: list[list]) -> list[str]:
-    """The text of each value of a column that _writer wrote as (slot, cells)."""
+    """The text of each value of a column that a node wrote as (slot, cells) (see _compile)."""
     return cells[0] if slot == "%s" else list(map(int.__repr__, cells[0]) if slot == "%d" else map(slot.__mod__, zip(*cells)))
 
 
-def _each(writers: tuple[Callable, Callable], values: list, memo: dict[int, str]) -> list[str]:
-    """The text of each of values by their (one, many) writers: a column at a time when there are _LONG or more."""
-    return _filled(*writers[1](values, memo)) if len(values) >= _LONG else [writers[0](v, memo) for v in values]
+def _each(node: tuple[Callable, ...], values: list, memo: dict[int, str]) -> list[str]:
+    """The text of each of values by their node's writers: a column at a time when there are _LONG or more."""
+    return _filled(*node[1](values, memo)) if len(values) >= _LONG else [node[0](v, memo) for v in values]
 
 
 class RenderMode(Enum):
@@ -244,12 +241,11 @@ _READ_TYPES = {t: ({t}, t.__name__) for t in (int, str, bool, NoneType, list, di
 _WRITE_TYPES = _READ_TYPES | {Fraction: ({int, Fraction}, "an int or a Fraction")}
 
 
-def _check(kind: Any, values: list, path: str, types: dict) -> set[type]:
-    """The set of values' types: SchemaError, naming path, unless each value is of a type types allows at kind,
-    each object has exactly kind's keys and each label list holds strs, each once.  Reader and writers share it."""
+def _check(kind: Any, values: list, path: str, types: dict) -> None:
+    """SchemaError, naming path, unless each value is of a type types allows at kind, each object has exactly
+    kind's keys and each label list holds strs, each once.  Nodes call it only to name a fault they found."""
     allowed, name = types[kind if isinstance(kind, type) else type(kind)]
-    found = set(map(type, values))
-    if not found <= allowed:
+    if not set(map(type, values)) <= allowed:
         got = next(t for t in map(type, values) if t not in allowed)
         raise SchemaError(f"{path}: expected {name}, got {got.__name__}")
     if type(kind) is dict:
@@ -264,7 +260,6 @@ def _check(kind: Any, values: list, path: str, types: dict) -> set[type]:
             if len(set(labels)) < len(labels):
                 counts = Counter(labels)
                 raise SchemaError(f"{path}: label {next(k for k in counts if counts[k] > 1)[:40]!r} appears more than once")
-    return found
 
 
 def _alternative(kinds: tuple, value: Any) -> Any:
@@ -273,63 +268,24 @@ def _alternative(kinds: tuple, value: Any) -> Any:
     return next((k for k in kinds if (k.keys() if type(k) is dict else k) == shape), kinds[-1])
 
 
-def _layout(command: Any) -> dict:
-    """The payload layout of command: SchemaError for a command that none writes."""
-    _check(str, [command], "report.command", _READ_TYPES)
-    if command not in _PAYLOADS:
-        raise SchemaError(f"report: unknown command {command[:40]!r}")
-    return _PAYLOADS[command]
-
-
-def _read(kind: Any, values: list, path: str) -> list:
-    """values, each of kind (see _PAYLOADS), with the strings at Fraction positions made Fractions;
-    values itself if it has none.  One call reads a column: the items of a list's lists as one list,
-    a list's objects key by key.  path names the values' place, "[]" standing for any list index."""
+def _compile(kind: Any, path: str, indent: str | None = None) -> tuple[Callable, Callable, Callable]:
+    """(one, many, read), the node of values of kind at path; each finds a value off kind by C-level type and key tests,
+    and calls _check only to name it.  one(value, memo) is its text: JSON at indent or, with no indent, text mode's
+    ("(a, b)", "k: v; ...").  many(values, memo) is a column's (slot, cells), value i's text being slot % (its cell in
+    each of cells); a long one's (see _each) lists of one length widen the slot to a "%s" per item, so a record list
+    fills one template, and ints are cells under "%d".  read(values) reads a JSON column, each "p/q" at a Fraction place
+    made a Fraction (values itself if none is), a list's items as one column, its objects key by key in one's order."""
     if type(kind) is tuple:
-        return [v for value in values for v in _read(_alternative(kind, value), [value], path)]
-    types = _check(kind, values, path, _READ_TYPES)
-    if type(kind) is list:
-        flat = list(chain.from_iterable(values))
-        read = _read(*kind, flat, path + "[]")
-        if read is flat:
-            return values
-        items = iter(read)
-        return [list(islice(items, len(value))) for value in values]
-    if type(kind) is dict:
-        for key, sub in kind.items():
-            column = list(map(itemgetter(key), values))
-            read = _read(sub, column, f"{path}.{key}")
-            if read is not column:
-                for value, v in zip(values, read):
-                    value[key] = v
-        return values
-    if kind is not Fraction or str not in types:
-        return values
-    texts = {}  # each distinct "p/q" (ASCII integer parts, q > 0) once, in list order: errors name the first bad one
-    for text in dict.fromkeys(values):
-        if type(text) is str:
-            p, _, q = text.partition("/")
-            if not (text.isascii() and p.removeprefix("-").isdigit() and q.isdigit() and q.strip("0")):
-                raise SchemaError(f'{path}: expected an int or a "p/q" string, got {text[:40]!r}')
-            texts[text] = Fraction(int(p), int(q))
-    return list(map(texts.get, values, values))
-
-
-def _writer(kind: Any, path: str, indent: str | None = None) -> tuple[Callable, Callable]:
-    """(one, many), the writers of values of kind at path, which check them as _read does.  one(value, memo) is its
-    text: JSON at indent or, with no indent, text mode's ("(a, b)", "k: v; ...").  many(values, memo) is a column's
-    (slot, cells), value i's text being slot % (its cell in each of cells); in a long one (see _each) lists of one
-    length widen the slot to a "%s" per item, so a record list fills one template, and ints are cells under "%d"."""
-    if type(kind) is tuple:
-        fits = {id(k): _writer(k, path, indent)[0] for k in kind}
-        one = lambda value, memo: fits[id(_alternative(kind, value))](value, memo)
-        return one, lambda values, memo: ("%s", [[one(v, memo) for v in values]])
-    allowed = _WRITE_TYPES[kind if isinstance(kind, type) else type(kind)][0]  # a quick test; _check names the fault
+        fits = {id(k): _compile(k, path, indent) for k in kind}
+        one = lambda value, memo: fits[id(_alternative(kind, value))][0](value, memo)
+        return (one, lambda values, memo: ("%s", [[one(v, memo) for v in values]]),
+                lambda values: [fits[id(_alternative(kind, v))][2]([v])[0] for v in values])
+    allowed, readable = (types[kind if isinstance(kind, type) else type(kind)][0] for types in (_WRITE_TYPES, _READ_TYPES))
     inner = None if indent is None else indent + "  "
     sep, wrap, empty, scalars = (", ", "(%s)", "()", _TEXT_SCALARS) if indent is None else (
         ",\n" + inner, "[\n" + inner + "%s\n" + indent + "]", "[]", _JSON_SCALARS)
     if type(kind) in (list, set):
-        item = _writer(*kind, path + "[]", inner)  # (one, many) of the items
+        item = _compile(*kind, path + "[]", inner)  # the items' node
 
         def many(values: list, memo: dict) -> tuple[str, list[list]]:
             if not set(map(type, values)) <= allowed:
@@ -350,15 +306,36 @@ def _writer(kind: Any, path: str, indent: str | None = None) -> tuple[Callable, 
             if type(kind) is set and len(set(value)) < len(value):
                 _check(kind, [value], path, _WRITE_TYPES)
             return wrap % sep.join(texts) if value else empty
-        return one, many
+
+        def read(values: list) -> list:
+            if not set(map(type, values)) <= readable:
+                _check(kind, values, path, _READ_TYPES)
+            items = item[2](flat := list(chain.from_iterable(values)))
+            if type(kind) is set and any(len(set(v)) < len(v) for v in values):  # a label twice: items are strs
+                _check(kind, values, path, _READ_TYPES)
+            return values if items is flat else [items[a:b] for a, b in pairwise(accumulate(map(len, values), initial=0))]
+        return one, many, read
     if type(kind) is not dict:
         def many(values: list, memo: dict) -> tuple[str, list[list]]:
             if not (types := set(map(type, values))) <= allowed:
                 _check(kind, values, path, _WRITE_TYPES)
             return ("%d", [values]) if types == {int} else ("%s", [_texts(memo, scalars, values)])
-        return (lambda value, memo: scalars[type(value)](value) if type(value) in allowed else many([value], memo)), many
+
+        def read(values: list) -> list:
+            if not (types := set(map(type, values))) <= readable:
+                _check(kind, values, path, _READ_TYPES)
+            if kind is not Fraction or str not in types:
+                return values
+            texts = {}  # each distinct "p/q" (ASCII integer parts, q > 0) once, in list order: errors name the first bad one
+            for text in dict.fromkeys(v for v in values if type(v) is str):
+                p, _, q = text.partition("/")
+                if not (text.isascii() and p.removeprefix("-").isdigit() and q.isdigit() and q.strip("0")):
+                    raise SchemaError(f'{path}: expected an int or a "p/q" string, got {text[:40]!r}')
+                texts[text] = Fraction(int(p), int(q))
+            return list(map(texts.get, values, values))
+        return (lambda value, memo: scalars[type(value)](value) if type(value) in allowed else many([value], memo)), many, read
     keys = list(kind) if indent is None else sorted(kind)
-    fields = [(k, *_writer(kind[k], f"{path}.{k}", inner)) for k in keys]
+    fields = [(k, *_compile(kind[k], f"{path}.{k}", inner)) for k in keys]
     names = [f"{k}: " for k in keys] if indent is None else [encode_basestring_ascii(k) + ": " for k in keys]
     head, sep, tail = ("", "; ", "") if indent is None else ("{\n" + inner, sep, "\n" + indent + "}")
     template = head + sep.join([name + "%s" for name in names]) + tail
@@ -367,15 +344,24 @@ def _writer(kind: Any, path: str, indent: str | None = None) -> tuple[Callable, 
     def one(value: Any, memo: dict) -> str:
         if type(value) is not dict or value.keys() != kind.keys():
             _check(kind, [value], path, _WRITE_TYPES)
-        return template % tuple([write(value[k], memo) for k, write, _ in fields])
+        return template % tuple([write(value[k], memo) for k, write, _, _ in fields])
 
     def many(values: list, memo: dict) -> tuple[str, list[list]]:
         if not set(map(type, values)) <= allowed or any(map(kind.keys().__ne__, map(dict.keys, values))):
             _check(kind, values, path, _WRITE_TYPES)
-        written = [field(column, memo) for (_, _, field), column in zip(fields, zip(*map(columns, values)))]
+        written = [field(column, memo) for (_, _, field, _), column in zip(fields, zip(*map(columns, values)))]
         slot = head + sep.join([name + slot for name, (slot, _) in zip(names, written)]) + tail
         return slot, [cell for _, cells in written for cell in cells]
-    return one, many
+
+    def read(values: list) -> list:
+        if not set(map(type, values)) <= readable or any(map(kind.keys().__ne__, map(dict.keys, values))):
+            _check(kind, values, path, _READ_TYPES)
+        for (k, _, _, field), column in zip(fields, zip(*map(columns, values))):
+            if (read := field(column)) is not column:
+                for value, v in zip(values, read):
+                    value[k] = v
+        return values
+    return one, many, read
 
 
 def _block_writer(key: str | None, kind: Any, path: str, indent: str) -> Callable[[list, Any, dict], None]:
@@ -395,9 +381,9 @@ def _block_writer(key: str | None, kind: Any, path: str, indent: str) -> Callabl
             for k, block in blocks:
                 block(lines, value[k], memo)
         return write
-    records = _writer(item, path + "[]") if type(item) is dict else None
-    cells = _writer(item[0], path + "[][]")[1] if type(item) is list and isinstance(item[0], type) else None
-    one, listed = _writer(kind, path)[0], type(kind) in (list, set)
+    records = _compile(item, path + "[]") if type(item) is dict else None
+    cells = _compile(item[0], path + "[][]")[1] if type(item) is list and isinstance(item[0], type) else None
+    one, listed = _compile(kind, path)[0], type(kind) in (list, set)
 
     def write(lines: list, value: Any, memo: dict) -> None:
         if records and type(value) is list and value:
@@ -413,24 +399,36 @@ def _block_writer(key: str | None, kind: Any, path: str, indent: str) -> Callabl
     return write
 
 
-_NOTES = _writer(str, "report.notes[]")[1]
-_WRITERS: dict[tuple[str, RenderMode], Callable] = {}  # each command's writer in each mode, built on first use
+# The compiled layouts: the nodes of the input files' top levels and of a report's notes, and each command's (_compiled).
+_COMPILED: dict[Any, Any] = {kind: _compile(layout, path) for kind, layout, path in (
+    ("market", _MARKET, "market"), ("bimatrix", _BIMATRIX, "bimatrix"), ("notes", [str], "report.notes"))}
+
+
+def _compiled(command: Any, mode: RenderMode) -> Any:
+    """command's report layout built for mode on first use: its node, which parse_report reads through too, in machine
+    mode, and its block writer in text mode.  SchemaError for a command that none writes."""
+    if type(command) is not str or command not in _PAYLOADS:
+        _check(str, [command], "report.command", _READ_TYPES)
+        raise SchemaError(f"report: unknown command {command[:40]!r}")
+    if (command, mode) not in _COMPILED:
+        layout = _PAYLOADS[command]
+        _COMPILED[command, mode] = _block_writer(None, layout, "report.payload", "") if mode is RenderMode.TEXT else _compile(
+            {**_REPORT, "payload": layout}, "report", "")
+    return _COMPILED[command, mode]
 
 
 def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
     """Render a report through its command's layout (see _PAYLOADS); machine mode is canonical JSON and round-trips.
-    SchemaError, as parse_report raises it, for an unknown command or a payload off its layout; ReportTooLarge
-    for a number with more digits than the interpreter's int-to-str limit allows."""
-    layout, key, memo = _layout(report.command), (report.command, mode), {}  # memo: one per render
-    if key not in _WRITERS:
-        _WRITERS[key] = _writer({**_REPORT, "payload": layout}, "report", "")[0] if mode is RenderMode.MACHINE else _block_writer(
-            None, layout, "report.payload", "")
+    SchemaError, as parse_report raises it, for an unknown command or a payload or notes off its layout;
+    ReportTooLarge for a number with more digits than the interpreter's int-to-str limit allows."""
+    write, memo = _compiled(report.command, mode), {}  # memo: one per render
+    notes = _COMPILED["notes"][2]([list(report.notes) if type(report.notes) is tuple else report.notes])[0]  # or SchemaError
     try:
         if mode is RenderMode.MACHINE:
-            return _WRITERS[key]({"command": report.command, "payload": report.payload, "notes": list(report.notes)}, memo) + "\n"
+            return write[0]({"command": report.command, "payload": report.payload, "notes": notes}, memo) + "\n"
         lines = [f"== {report.command} =="]
-        _WRITERS[key](lines, report.payload, memo)
-        return "\n".join([*lines, *map("note: %s".__mod__, _filled(*_NOTES(list(report.notes), memo)))]) + "\n"
+        write(lines, report.payload, memo)
+        return "\n".join([*lines, *map("note: %s".__mod__, notes)]) + "\n"
     except ValueError as exc:
         raise ReportTooLarge(f"cannot render the {report.command} report: it holds an integer of more than "
                              f"{sys.get_int_max_str_digits()} digits") from exc
@@ -441,9 +439,10 @@ def _not_in_a_report(text: str) -> NoReturn:
 
 
 def _read_report(doc: Any) -> Report:
-    doc = _read(_REPORT, [doc], "report")[0]
-    payload = _read(_layout(doc["command"]), [doc["payload"]], "report.payload")[0]
-    return Report(command=doc["command"], payload=payload, notes=tuple(doc["notes"]))
+    if type(doc) is not dict or doc.keys() != _REPORT.keys():
+        _check(_REPORT, [doc], "report", _READ_TYPES)
+    doc = _compiled(doc["command"], RenderMode.MACHINE)[2]([doc])[0]
+    return Report(command=doc["command"], payload=doc["payload"], notes=tuple(doc["notes"]))
 
 
 def parse_report(data: str | bytes) -> Report:

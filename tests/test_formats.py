@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -6,7 +7,11 @@ import string
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, islice
+from operator import getitem, itemgetter
 from pathlib import Path
 from types import NoneType
 from typing import Any
@@ -828,15 +833,20 @@ class TestLayoutWriters:
             ("bargain", ("hull_vertices", 0), [[1, 2]], "report.payload.hull_vertices[][]: expected an int or a Fraction, got list"),
             ("pipeline", ("bargaining", "col_labels", 1), "c1", "report.payload.bargaining.col_labels: label 'c1' appears more than once"),
             ("pipeline", ("mismatch", "workers"), 3.0, "report.payload.mismatch.workers: expected list, got float"),
+            # No path: value stands for the report's notes, which are not copied before they are checked.
+            ("assign", None, None, "report.notes: expected list, got NoneType"),
+            ("game", None, "ab", "report.notes: expected list, got str"),
         ],
     )
     def test_off_layout_payload_is_refused(self, command, path, value, message):
         # In parse_report's words, in both modes, before anything is written.
         report = TestReports()._first(command)
         holder = report.payload
-        for step in path[:-1]:
+        for step in path[:-1] if path else ():
             holder = holder[step]
-        if value is None:
+        if path is None:
+            report = dataclasses.replace(report, notes=value)
+        elif value is None:
             del holder[path[-1]]
         else:
             holder[path[-1]] = value
@@ -869,6 +879,163 @@ class TestLayoutWriters:
             render_report(report, mode)
         assert 0 < calls["_each"] + calls["_filled"] < 120 and 0 < calls["_texts"] < 120, calls
         assert calls["_check"] + calls["_alternative"] < 120, calls
+
+
+# The reader the compiled nodes replaced, kept verbatim as their oracle: it walked the layout anew on every
+# call, with _check returning the values' type set, which only it used.
+def old_check(kind: Any, values: list, path: str, types: dict) -> set[type]:
+    """The set of values' types: SchemaError, naming path, unless each value is of a type types allows at kind,
+    each object has exactly kind's keys and each label list holds strs, each once.  Reader and writers share it."""
+    allowed, name = types[kind if isinstance(kind, type) else type(kind)]
+    found = set(map(type, values))
+    if not found <= allowed:
+        got = next(t for t in map(type, values) if t not in allowed)
+        raise SchemaError(f"{path}: expected {name}, got {got.__name__}")
+    if type(kind) is dict:
+        for keys in map(dict.keys, values):
+            if keys != kind.keys():
+                missing, extra = kind.keys() - keys, keys - kind.keys()
+                raise SchemaError(f"{path}: missing key {min(missing)!r}" if missing
+                                  else f"{path}: unexpected key {min(map(str, extra))[:40]!r}")
+    elif type(kind) is set:
+        old_check(*kind, list(chain.from_iterable(values)), path + "[]", types)
+        for labels in values:
+            if len(set(labels)) < len(labels):
+                counts = Counter(labels)
+                raise SchemaError(f"{path}: label {next(k for k in counts if counts[k] > 1)[:40]!r} appears more than once")
+    return found
+
+
+def old_read(kind: Any, values: list, path: str) -> list:
+    """values, each of kind (see _PAYLOADS), with the strings at Fraction positions made Fractions;
+    values itself if it has none.  One call reads a column: the items of a list's lists as one list,
+    a list's objects key by key.  path names the values' place, "[]" standing for any list index."""
+    if type(kind) is tuple:
+        return [v for value in values for v in old_read(formats._alternative(kind, value), [value], path)]
+    types = old_check(kind, values, path, formats._READ_TYPES)
+    if type(kind) is list:
+        flat = list(chain.from_iterable(values))
+        read = old_read(*kind, flat, path + "[]")
+        if read is flat:
+            return values
+        items = iter(read)
+        return [list(islice(items, len(value))) for value in values]
+    if type(kind) is dict:
+        for key, sub in kind.items():
+            column = list(map(itemgetter(key), values))
+            read = old_read(sub, column, f"{path}.{key}")
+            if read is not column:
+                for value, v in zip(values, read):
+                    value[key] = v
+        return values
+    if kind is not Fraction or str not in types:
+        return values
+    texts = {}  # each distinct "p/q" (ASCII integer parts, q > 0) once, in list order: errors name the first bad one
+    for text in dict.fromkeys(values):
+        if type(text) is str:
+            p, _, q = text.partition("/")
+            if not (text.isascii() and p.removeprefix("-").isdigit() and q.isdigit() and q.strip("0")):
+                raise SchemaError(f'{path}: expected an int or a "p/q" string, got {text[:40]!r}')
+            texts[text] = Fraction(int(p), int(q))
+    return list(map(texts.get, values, values))
+
+
+def old_layout(command: Any) -> dict:
+    """The payload layout of command: SchemaError for a command that none writes."""
+    old_check(str, [command], "report.command", formats._READ_TYPES)
+    if command not in formats._PAYLOADS:
+        raise SchemaError(f"report: unknown command {command[:40]!r}")
+    return formats._PAYLOADS[command]
+
+
+def old_read_report(doc: Any) -> Report:
+    doc = old_read(formats._REPORT, [doc], "report")[0]
+    payload = old_read(old_layout(doc["command"]), [doc["payload"]], "report.payload")[0]
+    return Report(command=doc["command"], payload=payload, notes=tuple(doc["notes"]))
+
+
+def positions(kind, value, path=()):
+    """(path, kind) of value and of each value inside it, a list index or a key at each step of path."""
+    kind = formats._alternative(kind, value) if type(kind) is tuple else kind
+    yield path, kind
+    if type(kind) is dict:
+        for key, sub in kind.items():
+            yield from positions(sub, value[key], (*path, key))
+    elif type(kind) in (list, set):
+        for i, item in enumerate(value):
+            yield from positions(*kind, item, (*path, i))
+
+
+FAULTS = {
+    # Which positions take each fault, and the fault made at one of them: a value changed in place, or its
+    # holder given a new value at its key or index.
+    "missing key": (lambda kind, value: type(kind) is dict,
+                    lambda data, holder, at: holder[at].pop(data.draw(st.sampled_from(sorted(holder[at]))))),
+    "extra key": (lambda kind, value: type(kind) is dict,
+                  lambda data, holder, at: holder[at].update({data.draw(st.sampled_from(["extra", "", "1/2"])): 1})),
+    "wrong kind": (lambda kind, value: True, lambda data, holder, at: holder.__setitem__(
+        at, data.draw(st.sampled_from(["x", 7, -1, True, None, [], {}, "1/2", [1, "a"], {"k": 1}])))),
+    "repeated label": (lambda kind, value: type(kind) is set and value,
+                       lambda data, holder, at: holder[at].insert(data.draw(st.integers(0, len(holder[at]))), holder[at][-1])),
+    "bad p/q": (lambda kind, value: kind is Fraction, lambda data, holder, at: holder.__setitem__(
+        at, data.draw(st.sampled_from(["1/0", "abc", "1.5", "+1/2", "5", "1/2/3", "-/2", "１/2", "0x10"])))),
+    "list for a scalar": (lambda kind, value: isinstance(kind, type), lambda data, holder, at: holder.__setitem__(at, [holder[at]])),
+}
+
+
+def with_one_fault(data, kind, doc):
+    """doc, a JSON value of kind, perhaps with one fault of FAULTS at one position drawn from those that take it."""
+    fault = data.draw(st.sampled_from([None, *FAULTS]))
+    box = [doc]  # so that the top level has a holder too
+    value_at = lambda path: reduce(getitem, path, box)
+    spots = [(0, *path) for path, at_kind in positions(kind, doc) if fault and FAULTS[fault][0](at_kind, value_at((0, *path)))]
+    if spots:
+        path = data.draw(st.sampled_from(spots))
+        FAULTS[fault][1](data, value_at(path[:-1]), path[-1])
+    return box[0]
+
+
+# Scalars that every writer prints, so that any drawn payload renders to a document to fault.
+printable_pools = {Fraction: st.integers(-(10**6), 10**6) | st.fractions(max_denominator=50), int: st.integers(-5, 10**6),
+                   str: label_texts, bool: st.booleans(), list: st.sampled_from([[], [[1, "2/3"]], [["x"]], [1]])}
+
+
+class TestReaderOracle:
+    """Each file's compiled reader against old_read on documents drawn from its layout with at most one fault:
+    the same values, or the same SchemaError text.  Only several faults may be named in another order."""
+
+    @pytest.mark.parametrize("command", sorted(formats._PAYLOADS))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_reports(self, command, data):
+        pools = {kind: data.draw(st.lists(values, min_size=1, max_size=6)) for kind, values in printable_pools.items()}
+        payload = layout_value(data, formats._PAYLOADS[command], pools)
+        notes = tuple(data.draw(st.lists(st.sampled_from(pools[str]), max_size=3)))
+        doc = json.loads(render_report(Report(command, payload, notes)))
+        text = json.dumps(with_one_fault(data, {**formats._REPORT, "payload": formats._PAYLOADS[command]}, doc))
+        assert grids_outcome(lambda: parse_report(text)) == grids_outcome(lambda: old_read_report(json.loads(text)))
+
+    @pytest.mark.parametrize("name", ["market", "bimatrix"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_input_files(self, name, data):
+        kind = {"market": formats._MARKET, "bimatrix": formats._BIMATRIX}[name]
+        pools = {kind: data.draw(st.lists(values, min_size=1, max_size=6)) for kind, values in printable_pools.items()}
+        text = json.dumps(with_one_fault(data, kind, layout_value(data, kind, pools)))
+        new = grids_outcome(lambda: formats._COMPILED[name][2]([json.loads(text)]))
+        assert new == grids_outcome(lambda: old_read(kind, [json.loads(text)], name))
+
+    def test_several_faults_are_named_in_document_order(self):
+        # A report's first fault in its machine text's key order; an input file's first in its layout's order.
+        doc = json.loads(render_report(TestReports()._first("game")))
+        doc["payload"]["situations"][0]["image"][0], doc["payload"]["compromise"]["optimal_regret"] = "x", "1.5"
+        with pytest.raises(SchemaError, match=r"^report\.payload\.compromise\.optimal_regret: expected an int or a \"p/q\" string, got '1\.5'$"):
+            parse_report(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"^report\.payload\.situations\[\]\.image\[\]: expected int, got str$"):
+            old_read_report(doc)
+        market = {"workers": "w", "enterprises": ["e"], "A": 1, "B": [[1]]}
+        with pytest.raises(SchemaError, match=r"^market\.workers: expected list, got str$"):
+            parse_market(json.dumps(market))
 
 
 # The per-cell reader _grid replaced, kept for the oracles below.
@@ -1003,7 +1170,7 @@ class TestRationalGridOracle:
 
 # parse_bimatrix's per-cell reader that _grid replaced, kept as its oracle.
 def old_parse_bimatrix(data):
-    doc = formats._read(formats._BIMATRIX, [formats._load_json(data, "bimatrix")], "bimatrix")[0]
+    doc = old_read(formats._BIMATRIX, [formats._load_json(data, "bimatrix")], "bimatrix")[0]
     row_labels, col_labels, payoffs = tuple(doc["row_labels"]), tuple(doc["col_labels"]), doc["payoffs"]
     if len(row_labels) == 0 or len(col_labels) == 0:
         raise SchemaError("bimatrix: empty label list")

@@ -1,9 +1,12 @@
 """Byte-for-byte checks of the CLI's reports on the bundled data and on two
-fixed markets, n = 5 and n = 12.
+fixed markets, n = 5 and n = 12, and of its errors on refused input files.
 
 Each file under ``tests/golden/`` is one report as ``matchgames`` writes it
-to stdout, except ``market-n5.json`` and ``market-n12.json``, the inputs.  After a change that
-is meant to alter a report, regenerate the files with
+to stdout, except ``market-n5.json`` and ``market-n12.json``, the inputs.  Each
+case under ``tests/golden/errors/`` is an input file, ``<case>.json``, that the
+CLI refuses: in both output modes it exits with the case's code in ``ERRORS``,
+writes nothing to stdout and writes exactly ``<case>.err`` to stderr.  After a
+change that is meant to alter a report or an error, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 ``PYTHONPATH=src python tests/test_golden.py --check`` compares instead, without
 pytest, and exits 1 naming the first case that differs.  Both also require every
@@ -13,11 +16,11 @@ and to render as its command's text: the ``.txt`` file of the same name.
 
 import io
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from matchgames import RenderMode, parse_report, render_report
-from matchgames.cli import EXIT_OK, main
+from matchgames.cli import EXIT_INPUT, EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parents[1] / "demos" / "data"
@@ -51,6 +54,22 @@ COMMANDS = {
 }
 CASES = [(name, mode) for name in COMMANDS for mode in ("text", "machine")]
 
+ERRORS_DIR = GOLDEN / "errors"
+# Each refused input file and its exit code; a case is read by the command its kind (the name's first word) names.
+ERRORS = {
+    "market-unknown-key": EXIT_INPUT,
+    "market-workers-not-a-list": EXIT_INPUT,
+    "market-repeated-label": EXIT_INPUT,
+    "market-bool-cell": EXIT_INPUT,
+    "market-short-row": EXIT_INPUT,
+    "market-zero-denominator": EXIT_INPUT,
+    "market-count-mismatch": EXIT_INPUT,
+    "market-trailing-comma": EXIT_INPUT,
+    "bimatrix-bad-pair": EXIT_INPUT,
+}
+READERS = {"market": ["game", "--market"], "bimatrix": ["bargain", "--game"]}
+ERROR_CASES = [(case, mode) for case in ERRORS for mode in ("text", "machine")]
+
 
 def _golden_path(name: str, mode: str) -> Path:
     return GOLDEN / f"{name}.{'json' if mode == 'machine' else 'txt'}"
@@ -64,8 +83,20 @@ def _render(name: str, mode: str) -> str:
     return out.getvalue()
 
 
+def _refuse(case: str, mode: str) -> str:
+    """The stderr of the CLI on case's input file in mode, once it has exited with the case's code and no stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*READERS[case.split("-")[0]], str(ERRORS_DIR / f"{case}.json"), "--output", mode])
+    assert (code, out.getvalue()) == (ERRORS[case], ""), (case, mode, code)
+    return err.getvalue()
+
+
 def pytest_generate_tests(metafunc):  # parametrizes without importing pytest here
-    metafunc.parametrize(("name", "mode"), CASES)
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize(("case", "mode"), ERROR_CASES)
+    else:
+        metafunc.parametrize(("name", "mode"), CASES)
 
 
 def _reads_back(name: str, golden: bytes) -> bool:
@@ -81,6 +112,10 @@ def test_report_bytes_match_golden(name, mode):
     assert mode == "text" or _reads_back(name, expected)
 
 
+def test_refused_input_matches_golden(case, mode):
+    assert _refuse(case, mode).encode("utf-8") == (ERRORS_DIR / f"{case}.err").read_bytes()
+
+
 if __name__ == "__main__":
     check = sys.argv[1:] == ["--check"]
     if sys.argv[1:] and not check:
@@ -94,4 +129,10 @@ if __name__ == "__main__":
             sys.exit(f"{name} ({mode}) differs from {_golden_path(name, mode)}")
         elif mode == "machine" and not _reads_back(name, rendered):
             sys.exit(f"{name} ({mode}) does not read back through parse_report and render_report, in both modes")
-    print(f"{len(CASES)} cases {'checked' if check else 'written'}")
+    for case, mode in ERROR_CASES:
+        written, golden = _refuse(case, mode).encode("utf-8"), ERRORS_DIR / f"{case}.err"
+        if not check:
+            golden.write_bytes(written)
+        elif written != golden.read_bytes():
+            sys.exit(f"{case} ({mode}) writes another error than {golden}")
+    print(f"{len(CASES)} reports and {len(ERROR_CASES)} refusals {'checked' if check else 'written'}")
