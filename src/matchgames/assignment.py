@@ -9,7 +9,6 @@ ones; the oracle scans permutations in lexicographic order, independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
@@ -24,6 +23,7 @@ from .core import (
     Matching,
     SizeTooLarge,
     UtilityMatrix,
+    _Record,
 )
 
 
@@ -32,8 +32,7 @@ class Objective(Enum):
     MINIMIZE = "minimize"
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
+class AssignmentResult(_Record):
     """An optimal matching together with its exact total value."""
 
     matching: Matching

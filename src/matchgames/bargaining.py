@@ -9,13 +9,12 @@ computed in closed form over exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
-from .core import MatchGamesError, RationalLike, _number_text, as_rational
+from .core import MatchGamesError, RationalLike, _number_text, _Record, as_rational
 
 Point = tuple[Fraction, Fraction]
 Segment = tuple[Point, Point]
@@ -34,8 +33,7 @@ class Player(Enum):
     TWO = 2
 
 
-@dataclass(frozen=True)
-class BimatrixGame:
+class BimatrixGame(_Record):
     """An m x n grid of exact payoff pairs (K1, K2), one per joint outcome."""
 
     payoffs: tuple[tuple[Point, ...], ...]
@@ -50,10 +48,7 @@ class BimatrixGame:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[tuple[RationalLike, RationalLike]]]) -> BimatrixGame:
-        payoffs = tuple(
-            tuple((as_rational(k1), as_rational(k2)) for k1, k2 in row) for row in rows
-        )
-        return cls(payoffs=payoffs)
+        return cls(tuple(tuple((as_rational(k1), as_rational(k2)) for k1, k2 in row) for row in rows))
 
     @property
     def rows(self) -> int:
@@ -64,8 +59,7 @@ class BimatrixGame:
         return len(self.payoffs[0])
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(_Record):
     """A probability vector over a player's pure strategies."""
 
     weights: tuple[Fraction, ...]
@@ -77,8 +71,7 @@ class MixedStrategy:
             raise MatchGamesError(f"weights {self.weights} do not sum to 1")
 
 
-@dataclass(frozen=True)
-class DisagreementPoint:
+class DisagreementPoint(_Record):
     """Threat payoffs (v1, v2), with the realizing maximin strategies when known."""
 
     v1: Fraction
@@ -91,8 +84,7 @@ class DisagreementPoint:
         return (self.v1, self.v2)
 
 
-@dataclass(frozen=True)
-class BargainingOutcome:
+class BargainingOutcome(_Record):
     feasible_hull: tuple[Point, ...]
     pareto_frontier: tuple[Segment, ...]
     disagreement: DisagreementPoint
@@ -138,7 +130,7 @@ def maximin_2x2(game: BimatrixGame, player: Player) -> tuple[MixedStrategy, Frac
         # Player Two picks columns; transpose so the chooser indexes rows.
         own = [[game.payoffs[r][c][1] for r in range(2)] for c in range(2)]
     weight, value = _maximin_own_rows(own)
-    return MixedStrategy(weights=(weight, 1 - weight)), value
+    return MixedStrategy((weight, 1 - weight)), value
 
 
 def _turn(o: tuple[int, int, int], a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
@@ -241,17 +233,11 @@ def nash_solution(game: BimatrixGame, disagreement: DisagreementPoint) -> Bargai
     # >= d.  max() keeps the first of equal products, in frontier order.
     bests = (_segment_best(start, end, disagreement.point) for start, end in frontier)
     product, solution = max(filter(None, bests), key=lambda best: best[0])
-    return BargainingOutcome(
-        feasible_hull=tuple(hull),
-        pareto_frontier=tuple(frontier),
-        disagreement=disagreement,
-        solution=solution,
-        nash_product=product,
-    )
+    return BargainingOutcome(tuple(hull), tuple(frontier), disagreement, solution, product)
 
 
 def bargain(game: BimatrixGame) -> BargainingOutcome:
     """Full pipeline: maximin threat point for both players, then arbitration."""
     x0, v1 = maximin_2x2(game, Player.ONE)
     y0, v2 = maximin_2x2(game, Player.TWO)
-    return nash_solution(game, DisagreementPoint(v1=v1, v2=v2, x0=x0, y0=y0))
+    return nash_solution(game, DisagreementPoint(v1, v2, x0, y0))

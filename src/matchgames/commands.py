@@ -83,7 +83,7 @@ def cmd_assign(
         matrix = market.enterprise_utilities
     result = solve_hungarian(matrix, objective)
     payload = _assignment_payload(side, matrix, result)
-    return Report(command="assign", payload=payload, notes=_dataset_notes(market))
+    return Report("assign", payload, _dataset_notes(market))
 
 
 def cmd_game(market: GameInstance) -> Report:
@@ -126,7 +126,7 @@ def cmd_game(market: GameInstance) -> Report:
         "least_satisfied": least,
         "equilibria": equilibrium_summary,
     }
-    return Report(command="game", payload=payload, notes=_dataset_notes(market))
+    return Report("game", payload, _dataset_notes(market))
 
 
 def _bargain_payload(bimatrix: BimatrixFile, outcome: BargainingOutcome) -> dict:
@@ -168,8 +168,8 @@ def cmd_bargain(
         outcome = bargain(bimatrix.game)
     else:
         v1, v2 = (as_rational(disagreement_override[0]), as_rational(disagreement_override[1]))
-        outcome = nash_solution(bimatrix.game, DisagreementPoint(v1=v1, v2=v2))
-    return Report(command="bargain", payload=_bargain_payload(bimatrix, outcome))
+        outcome = nash_solution(bimatrix.game, DisagreementPoint(v1, v2))
+    return Report("bargain", _bargain_payload(bimatrix, outcome))
 
 
 def cmd_pipeline(market: GameInstance, union_game: BimatrixFile) -> Report:
@@ -189,4 +189,4 @@ def cmd_pipeline(market: GameInstance, union_game: BimatrixFile) -> Report:
         },
         "bargaining": bargain_report.payload,
     }
-    return Report(command="pipeline", payload=payload, notes=_dataset_notes(market))
+    return Report("pipeline", payload, _dataset_notes(market))

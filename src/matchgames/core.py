@@ -8,13 +8,12 @@ is unambiguous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, Sequence, Union
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = int | str | Fraction
 
 # Full enumeration of matchings is refused above this size (8! = 40320 rows
 # is the ceiling for desk-scale tables and brute-force oracles).
@@ -106,8 +105,58 @@ def _number_text(value: object) -> str:  # how an error names a value: repr, a F
     return format_rational(value) if isinstance(value, Fraction) else repr(value)
 
 
-@dataclass(frozen=True)
-class Matching:
+class _Record:
+    """The base of the value types: frozen records as @dataclass(frozen=True) makes them, with no code generated.  The
+    fields are a subclass's own annotated names, in order, a class attribute after "=" a field's default."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)  # names only: under postponed annotations no type is evaluated
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if len(args) != len(fields := self._fields) or kwargs:
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values args and kwargs give, defaults filled in, or the TypeError that Python's own __init__ raises."""
+        fields, name = self._fields, f"{type(self).__qualname__}.__init__() "
+        if (key := next((key for key in kwargs if key not in fields[len(args):]), None)) is not None:
+            problem = "got multiple values for argument" if key in fields else "got an unexpected keyword argument"
+            raise TypeError(f"{name}{problem} {key!r}")
+        if len(args) > len(fields):
+            low = f"from {len(fields) - len(self._defaults) + 1} to " if self._defaults else ""
+            raise TypeError(f"{name}takes {low}{len(fields) + 1} positional arguments but {len(args) + 1} were given")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if missing := [repr(field) for field in fields if field not in values]:
+            listed = " and ".join(missing) if len(missing) < 3 else ", ".join(missing[:-1]) + ", and " + missing[-1]
+            raise TypeError(f"{name}missing {len(missing)} required positional argument{'s' * (len(missing) > 1)}: {listed}")
+        return [values[field] for field in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._values()))})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Matching(_Record):
     """A perfect assignment of n workers to n enterprises.
 
     ``image[i]`` is the enterprise assigned to worker ``i``; the image must be
@@ -157,7 +206,7 @@ def all_matchings(n: int) -> tuple[Matching, ...]:
         raise SizeTooLarge(f"refusing to enumerate {n}! matchings (cap is {ENUMERATION_CAP})")
     matchings = tuple(object.__new__(Matching) for _ in range(math.factorial(n)))
     for matching, image in zip(matchings, permutations(range(n))):  # valid: skip __post_init__'s check
-        object.__setattr__(matching, "image", image)
+        object.__setattr__(matching, "image", image)  # vars(matching) would make each a dict object (Python 3.11+)
     return matchings
 
 
@@ -165,8 +214,7 @@ def _default_labels(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
-@dataclass(frozen=True)
-class UtilityMatrix:
+class UtilityMatrix(_Record):
     """A square grid of exact rational utilities with row/column labels.
 
     Entries may be any rationals; nonnegativity is a property of the market
@@ -188,20 +236,13 @@ class UtilityMatrix:
             raise DimensionMismatch("label lists must match the matrix size")
 
     @classmethod
-    def from_rows(
-        cls,
-        rows: Iterable[Iterable[RationalLike]],
-        row_labels: Sequence[str] | None = None,
-        col_labels: Sequence[str] | None = None,
-    ) -> UtilityMatrix:
+    def from_rows(cls, rows: Iterable[Iterable[RationalLike]], row_labels: Sequence[str] | None = None,
+                  col_labels: Sequence[str] | None = None) -> UtilityMatrix:
         """Build a matrix from nested iterables, coercing entries to rationals."""
         entries = tuple(tuple(as_rational(v) for v in row) for row in rows)
         n = len(entries)
-        return cls(
-            entries=entries,
-            row_labels=tuple(row_labels) if row_labels is not None else _default_labels("r", n),
-            col_labels=tuple(col_labels) if col_labels is not None else _default_labels("c", n),
-        )
+        return cls(entries, tuple(row_labels) if row_labels is not None else _default_labels("r", n),
+                   tuple(col_labels) if col_labels is not None else _default_labels("c", n))
 
     @property
     def n(self) -> int:
@@ -210,12 +251,11 @@ class UtilityMatrix:
     @cached_property
     def _distinct(self) -> list[Fraction]:
         """Each entry object once, by identity, for the assignment solvers; parse_market sets it from its literal
-        memo.  Not a field: eq, hash and repr skip it, and dataclasses.replace's new matrix derives its own."""
+        memo.  Not a field: eq, hash and repr skip it, and a matrix built from another's entries derives its own."""
         return list({id(v): v for row in self.entries for v in row}.values())
 
 
-@dataclass(frozen=True)
-class GameInstance:
+class GameInstance(_Record):
     """A bilateral market: workers' utilities A and enterprises' utilities B.
 
     A is worker-row by enterprise-column; B is enterprise-row by
@@ -227,10 +267,8 @@ class GameInstance:
 
     def __post_init__(self) -> None:
         if self.worker_utilities.n != self.enterprise_utilities.n:
-            raise DimensionMismatch(
-                f"worker matrix has size {self.worker_utilities.n} "
-                f"but enterprise matrix has size {self.enterprise_utilities.n}"
-            )
+            raise DimensionMismatch(f"worker matrix has size {self.worker_utilities.n} "
+                                    f"but enterprise matrix has size {self.enterprise_utilities.n}")
 
     @property
     def n(self) -> int:

@@ -26,7 +26,7 @@ def labor_market() -> GameInstance:
         row_labels=ENTERPRISE_LABELS,
         col_labels=WORKER_LABELS,
     )
-    return GameInstance(worker_utilities=a, enterprise_utilities=b)
+    return GameInstance(a, b)
 
 
 LABOR_MARKET_NOTES = (
@@ -48,7 +48,7 @@ def job_market() -> GameInstance:
         row_labels=ENTERPRISE_LABELS,
         col_labels=WORKER_LABELS,
     )
-    return GameInstance(worker_utilities=a, enterprise_utilities=b)
+    return GameInstance(a, b)
 
 
 # Historically reported jobs-to-workers distribution for job_market(); it

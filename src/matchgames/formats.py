@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from collections.abc import Callable
 from contextlib import suppress
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -24,7 +24,6 @@ from itertools import accumulate, chain, islice, pairwise
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import NoneType
-from typing import Any, Callable, NoReturn
 
 from .bargaining import BimatrixGame
 from .core import (
@@ -32,6 +31,7 @@ from .core import (
     MatchGamesError,
     UtilityMatrix,
     _LiteralError,
+    _Record,
     as_rational,
     format_rational,
 )
@@ -49,8 +49,7 @@ class ReportTooLarge(MatchGamesError):
     """A report cannot be rendered: it holds a number too long to print."""
 
 
-@dataclass(frozen=True)
-class BimatrixFile:
+class BimatrixFile(_Record):
     """A two-player game file: outcome labels plus the payoff-pair grid."""
 
     row_labels: tuple[str, ...]
@@ -58,7 +57,7 @@ class BimatrixFile:
     game: BimatrixGame
 
 
-def _unique_keys(kind: str, pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+def _unique_keys(kind: str, pairs: list[tuple[str, object]]) -> dict[str, object]:
     """json.loads's object_pairs_hook: the object, or SchemaError for a key it holds twice."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
@@ -67,8 +66,8 @@ def _unique_keys(kind: str, pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-def _load_json(data: str | bytes, kind: str, decode: Callable[[Any], Any] = lambda doc: doc,
-               parse_float: Callable[[str], Any] = as_rational, parse_constant: Callable[[str], Any] | None = None) -> Any:
+def _load_json(data: str | bytes, kind: str, decode: Callable[[object], object] = lambda doc: doc,
+               parse_float: Callable[[str], object] = as_rational, parse_constant: Callable[[str], object] | None = None) -> object:
     """decode of the JSON document in data; each error names the file's kind ("market", "bimatrix", "report")."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -87,7 +86,7 @@ def _load_json(data: str | bytes, kind: str, decode: Callable[[Any], Any] = lamb
         raise ParseError(f"{kind}: input has an oversize number: {problem}") from exc
 
 
-def _grid(values: list, n: int, width: int, where: str, parsed: dict[Any, Fraction]) -> tuple[tuple, list[Fraction]]:
+def _grid(values: list, n: int, width: int, where: str, parsed: dict[object, Fraction]) -> tuple[tuple, list[Fraction]]:
     """(rows, literals): the Fraction rows of the n x width grid at where, and one Fraction per distinct literal.
     parsed maps each int, str and decimal literal already read in the file to its Fraction: only new ones are parsed."""
     if len(values) != n:
@@ -194,20 +193,19 @@ class RenderMode(Enum):
     MACHINE = "machine"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
     """A structured result document produced by one command."""
 
     command: str
     payload: dict
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 # The payload each command writes.  A kind is Fraction (an int or a "p/q" string, read as a Fraction), int, str,
 # bool, list or dict; [kind], a list of them; {str}, a list of labels, each appearing once; {key: kind}, an object
 # with exactly those keys, in the order text mode writes them; or a tuple of alternatives, NoneType (null) or
 # objects told apart by their keys.
-_PAYLOADS: dict[str, dict[str, Any]] = {
+_PAYLOADS: dict[str, dict[str, object]] = {
     "assign": {"side": str, "objective": str, "row_labels": {str}, "col_labels": {str}, "matching": [int],
                "assignment_grid": [[int]], "total": Fraction},
     "game": {
@@ -241,7 +239,7 @@ _READ_TYPES = {t: ({t}, t.__name__) for t in (int, str, bool, NoneType, list, di
 _WRITE_TYPES = _READ_TYPES | {Fraction: ({int, Fraction}, "an int or a Fraction")}
 
 
-def _check(kind: Any, values: list, path: str, types: dict) -> None:
+def _check(kind: object, values: list, path: str, types: dict) -> None:
     """SchemaError, naming path, unless each value is of a type types allows at kind, each object has exactly
     kind's keys and each label list holds strs, each once.  Nodes call it only to name a fault they found."""
     allowed, name = types[kind if isinstance(kind, type) else type(kind)]
@@ -262,24 +260,25 @@ def _check(kind: Any, values: list, path: str, types: dict) -> None:
                 raise SchemaError(f"{path}: label {next(k for k in counts if counts[k] > 1)[:40]!r} appears more than once")
 
 
-def _alternative(kinds: tuple, value: Any) -> Any:
+def _alternative(kinds: tuple, value: object) -> object:
     """The alternative of kinds that value's shape (its keys, or its type) fits, else the last, which refuses it."""
     shape = value.keys() if type(value) is dict else type(value)
     return next((k for k in kinds if (k.keys() if type(k) is dict else k) == shape), kinds[-1])
 
 
-def _compile(kind: Any, path: str, indent: str | None = None) -> tuple[Callable, Callable, Callable]:
-    """(one, many, read), the node of values of kind at path; each finds a value off kind by C-level type and key tests,
+def _compile(kind: object, path: str, indent: str | None = None) -> tuple[Callable, Callable, Callable, tuple | None]:
+    """(one, many, read, items), the node of values of kind at path; each finds a value off kind by C-level type and key tests,
     and calls _check only to name it.  one(value, memo) is its text: JSON at indent or, with no indent, text mode's
     ("(a, b)", "k: v; ...").  many(values, memo) is a column's (slot, cells), value i's text being slot % (its cell in
     each of cells); a long one's (see _each) lists of one length widen the slot to a "%s" per item, so a record list
     fills one template, and ints are cells under "%d".  read(values) reads a JSON column, each "p/q" at a Fraction place
-    made a Fraction (values itself if none is), a list's items as one column, its objects key by key in one's order."""
+    made a Fraction (values itself if none is), a list's items as one column, its objects key by key in one's order.
+    items is a list's or label list's item node, which text mode's record lists and grids write through, else None."""
     if type(kind) is tuple:
         fits = {id(k): _compile(k, path, indent) for k in kind}
         one = lambda value, memo: fits[id(_alternative(kind, value))][0](value, memo)
         return (one, lambda values, memo: ("%s", [[one(v, memo) for v in values]]),
-                lambda values: [fits[id(_alternative(kind, v))][2]([v])[0] for v in values])
+                lambda values: [fits[id(_alternative(kind, v))][2]([v])[0] for v in values], None)
     allowed, readable = (types[kind if isinstance(kind, type) else type(kind)][0] for types in (_WRITE_TYPES, _READ_TYPES))
     inner = None if indent is None else indent + "  "
     sep, wrap, empty, scalars = (", ", "(%s)", "()", _TEXT_SCALARS) if indent is None else (
@@ -299,7 +298,7 @@ def _compile(kind: Any, path: str, indent: str | None = None) -> tuple[Callable,
             texts = iter(_filled(slot, cells))  # every item's text, in order
             return "%s", [[wrap % sep.join(islice(texts, len(v))) if v else empty for v in values]]
 
-        def one(value: Any, memo: dict) -> str:
+        def one(value: object, memo: dict) -> str:
             if type(value) is not list:
                 _check(kind, [value], path, _WRITE_TYPES)
             texts = _each(item, value, memo)
@@ -314,7 +313,7 @@ def _compile(kind: Any, path: str, indent: str | None = None) -> tuple[Callable,
             if type(kind) is set and any(len(set(v)) < len(v) for v in values):  # a label twice: items are strs
                 _check(kind, values, path, _READ_TYPES)
             return values if items is flat else [items[a:b] for a, b in pairwise(accumulate(map(len, values), initial=0))]
-        return one, many, read
+        return one, many, read, item
     if type(kind) is not dict:
         def many(values: list, memo: dict) -> tuple[str, list[list]]:
             if not (types := set(map(type, values))) <= allowed:
@@ -333,7 +332,7 @@ def _compile(kind: Any, path: str, indent: str | None = None) -> tuple[Callable,
                     raise SchemaError(f'{path}: expected an int or a "p/q" string, got {text[:40]!r}')
                 texts[text] = Fraction(int(p), int(q))
             return list(map(texts.get, values, values))
-        return (lambda value, memo: scalars[type(value)](value) if type(value) in allowed else many([value], memo)), many, read
+        return (lambda value, memo: scalars[type(value)](value) if type(value) in allowed else many([value], memo)), many, read, None
     keys = list(kind) if indent is None else sorted(kind)
     fields = [(k, *_compile(kind[k], f"{path}.{k}", inner)) for k in keys]
     names = [f"{k}: " for k in keys] if indent is None else [encode_basestring_ascii(k) + ": " for k in keys]
@@ -341,30 +340,30 @@ def _compile(kind: Any, path: str, indent: str | None = None) -> tuple[Callable,
     template = head + sep.join([name + "%s" for name in names]) + tail
     columns = itemgetter(*keys, keys[0])  # a tuple for each value even with one key; zip drops the last column
 
-    def one(value: Any, memo: dict) -> str:
+    def one(value: object, memo: dict) -> str:
         if type(value) is not dict or value.keys() != kind.keys():
             _check(kind, [value], path, _WRITE_TYPES)
-        return template % tuple([write(value[k], memo) for k, write, _, _ in fields])
+        return template % tuple([write(value[k], memo) for k, write, _, _, _ in fields])
 
     def many(values: list, memo: dict) -> tuple[str, list[list]]:
         if not set(map(type, values)) <= allowed or any(map(kind.keys().__ne__, map(dict.keys, values))):
             _check(kind, values, path, _WRITE_TYPES)
-        written = [field(column, memo) for (_, _, field, _), column in zip(fields, zip(*map(columns, values)))]
+        written = [field(column, memo) for (_, _, field, _, _), column in zip(fields, zip(*map(columns, values)))]
         slot = head + sep.join([name + slot for name, (slot, _) in zip(names, written)]) + tail
         return slot, [cell for _, cells in written for cell in cells]
 
     def read(values: list) -> list:
         if not set(map(type, values)) <= readable or any(map(kind.keys().__ne__, map(dict.keys, values))):
             _check(kind, values, path, _READ_TYPES)
-        for (k, _, _, field), column in zip(fields, zip(*map(columns, values))):
+        for (k, _, _, field, _), column in zip(fields, zip(*map(columns, values))):
             if (read := field(column)) is not column:
                 for value, v in zip(values, read):
                     value[k] = v
         return values
-    return one, many, read
+    return one, many, read, None
 
 
-def _block_writer(key: str | None, kind: Any, path: str, indent: str) -> Callable[[list, Any, dict], None]:
+def _block_writer(key: str | None, kind: object, path: str, indent: str) -> Callable[[list, object, dict], None]:
     """The text-mode writer of a value of kind at path: given lines, the value and the render's memo, it appends its lines
     under key (None: the payload, no head line): an object's keys in layout order, a line per record, a grid's rows."""
     if type(kind) is tuple:
@@ -374,18 +373,19 @@ def _block_writer(key: str | None, kind: Any, path: str, indent: str) -> Callabl
     if type(kind) is dict:
         blocks = [(k, _block_writer(k, sub, f"{path}.{k}", indent if key is None else indent + "  ")) for k, sub in kind.items()]
 
-        def write(lines: list, value: Any, memo: dict) -> None:
+        def write(lines: list, value: object, memo: dict) -> None:
             if type(value) is not dict or value.keys() != kind.keys():
                 _check(kind, [value], path, _WRITE_TYPES)
             lines += [] if key is None else [head]
             for k, block in blocks:
                 block(lines, value[k], memo)
         return write
-    records = _compile(item, path + "[]") if type(item) is dict else None
-    cells = _compile(item[0], path + "[][]")[1] if type(item) is list and isinstance(item[0], type) else None
-    one, listed = _compile(kind, path)[0], type(kind) in (list, set)
+    one, _, _, items = _compile(kind, path)
+    records = items if type(item) is dict else None
+    cells = items[3][1] if type(item) is list and isinstance(item[0], type) else None  # the grid cells' many
+    listed = type(kind) in (list, set)
 
-    def write(lines: list, value: Any, memo: dict) -> None:
+    def write(lines: list, value: object, memo: dict) -> None:
         if records and type(value) is list and value:
             lines += [head, indent + "  - " + ("\n" + indent + "  - ").join(_each(records, value, memo))]
         elif cells and type(value) is list and value and all(value):  # a grid, when no row is empty
@@ -400,11 +400,11 @@ def _block_writer(key: str | None, kind: Any, path: str, indent: str) -> Callabl
 
 
 # The compiled layouts: the nodes of the input files' top levels and of a report's notes, and each command's (_compiled).
-_COMPILED: dict[Any, Any] = {kind: _compile(layout, path) for kind, layout, path in (
+_COMPILED: dict[object, object] = {kind: _compile(layout, path) for kind, layout, path in (
     ("market", _MARKET, "market"), ("bimatrix", _BIMATRIX, "bimatrix"), ("notes", [str], "report.notes"))}
 
 
-def _compiled(command: Any, mode: RenderMode) -> Any:
+def _compiled(command: object, mode: RenderMode) -> object:
     """command's report layout built for mode on first use: its node, which parse_report reads through too, in machine
     mode, and its block writer in text mode.  SchemaError for a command that none writes."""
     if type(command) is not str or command not in _PAYLOADS:
@@ -434,15 +434,15 @@ def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
                              f"{sys.get_int_max_str_digits()} digits") from exc
 
 
-def _not_in_a_report(text: str) -> NoReturn:
+def _not_in_a_report(text: str):
     raise SchemaError(f"report: the JSON number {text[:40]} is not an integer; write a rational as \"p/q\"")
 
 
-def _read_report(doc: Any) -> Report:
+def _read_report(doc: object) -> Report:
     if type(doc) is not dict or doc.keys() != _REPORT.keys():
         _check(_REPORT, [doc], "report", _READ_TYPES)
     doc = _compiled(doc["command"], RenderMode.MACHINE)[2]([doc])[0]
-    return Report(command=doc["command"], payload=doc["payload"], notes=tuple(doc["notes"]))
+    return Report(doc["command"], doc["payload"], tuple(doc["notes"]))
 
 
 def parse_report(data: str | bytes) -> Report:

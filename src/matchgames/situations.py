@@ -10,7 +10,6 @@ B[e][chosen worker]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
 
@@ -21,6 +20,7 @@ from .core import (
     MatchGamesError,
     SizeTooLarge,
     _number_text,
+    _Record,
     all_matchings,
 )
 
@@ -34,8 +34,7 @@ class MalformedProfile(MatchGamesError):
     """A strategy profile has wrong arity or out-of-range choices."""
 
 
-@dataclass(frozen=True)
-class SituationTable:
+class SituationTable(_Record):
     """One row per matching (lexicographic image order) with its payoff profile."""
 
     instance: GameInstance
@@ -69,7 +68,7 @@ def build_table(instance: GameInstance) -> SituationTable:
     lines = _payoff_lines(instance)
     matchings = all_matchings(instance.n)
     profiles = [tuple(map(getitem, lines, m.image * 2)) for m in matchings]
-    return SituationTable(instance=instance, rows=tuple(zip(matchings, profiles)))
+    return SituationTable(instance, tuple(zip(matchings, profiles)))
 
 
 def ideal_point(table: SituationTable) -> tuple[Fraction, ...]:
@@ -82,8 +81,7 @@ def ideal_point(table: SituationTable) -> tuple[Fraction, ...]:
     return tuple(map(max, _payoff_lines(table.instance)))
 
 
-@dataclass(frozen=True)
-class CompromiseResult:
+class CompromiseResult(_Record):
     """Minimax-regret optimum: the situations minimizing the worst shortfall."""
 
     ideal: tuple[Fraction, ...]  # the point regrets are measured from
@@ -111,13 +109,8 @@ def compromise_set(table: SituationTable) -> CompromiseResult:
     # A member's worst regret is the optimum, so its least-satisfied player
     # is the lowest-index player at that rank, paid their ideal minus it.
     players = [[line[j] for line, j in zip(ranks, m.image * 2)].index(optimum) for m in members]
-    return CompromiseResult(
-        ideal=ideal,
-        optimal_regret=values[optimum],
-        members=members,
-        regret_by_situation=tuple(values[r] for r in max_ranks),
-        least_satisfied=tuple((p, ideal[p] - values[optimum]) for p in players),
-    )
+    least = tuple((p, ideal[p] - values[optimum]) for p in players)
+    return CompromiseResult(ideal, values[optimum], members, tuple(values[r] for r in max_ranks), least)
 
 
 def least_satisfied(table: SituationTable, matching: Matching) -> tuple[int, Fraction]:
@@ -135,8 +128,7 @@ def least_satisfied(table: SituationTable, matching: Matching) -> tuple[int, Fra
     return player, profile[player]
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(_Record):
     """One choice per player: workers name enterprises, enterprises name workers."""
 
     worker_choices: tuple[int, ...]
@@ -149,10 +141,7 @@ class StrategyProfile:
     @staticmethod
     def from_matching(matching: Matching) -> StrategyProfile:
         """The consistent profile realizing a matching (everyone names their partner)."""
-        return StrategyProfile(
-            worker_choices=matching.image,
-            enterprise_choices=matching.inverse().image,
-        )
+        return StrategyProfile(matching.image, matching.inverse().image)
 
     def validate(self) -> None:
         n = self.n
@@ -190,8 +179,7 @@ def profile_payoffs(instance: GameInstance, profile: StrategyProfile) -> tuple[F
     return (*workers, *enterprises)
 
 
-@dataclass(frozen=True)
-class NashVerdict:
+class NashVerdict(_Record):
     """Outcome of a unilateral-deviation scan."""
 
     equilibrium: bool
@@ -226,7 +214,5 @@ def enumerate_equilibria(instance: GameInstance) -> tuple[StrategyProfile, ...]:
     of them.  Capped at n = EQUILIBRIUM_ENUMERATION_CAP.
     """
     if instance.n > EQUILIBRIUM_ENUMERATION_CAP:
-        raise SizeTooLarge(
-            f"equilibrium enumeration refuses n={instance.n} (cap is {EQUILIBRIUM_ENUMERATION_CAP})"
-        )
+        raise SizeTooLarge(f"equilibrium enumeration refuses n={instance.n} (cap is {EQUILIBRIUM_ENUMERATION_CAP})")
     return tuple(StrategyProfile.from_matching(m) for m in build_table(instance).equilibria())

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -394,15 +393,15 @@ class TestIntegerCostsOracle:
     @given(grids=market_grids(), objective=st.sampled_from(list(Objective)))
     def test_parsed_markets_and_replaced_entries(self, grids, objective):
         # parse_market hands each grid its distinct entry objects, one per literal ("2/4" and
-        # "1/2" are two; a decimal 3.0 and the int 3 are one).  dataclasses.replace's matrix must
+        # "1/2" are two; a decimal 3.0 and the int 3 are one).  A matrix built from new entries must
         # derive its own: the old matrix's objects are not its entries, and a stale list would miss
         # them or their denominators.
         a, b = grids
         labels = [f"x{i}" for i in range(len(a))]
         market = parse_market(json.dumps({"workers": labels, "enterprises": labels, "A": a, "B": b}))
         for parsed in (market.worker_utilities, market.enterprise_utilities):
-            shifted = dataclasses.replace(parsed, entries=tuple(tuple(v + Fraction(1, 7) for v in row) for row in parsed.entries))
-            transposed = dataclasses.replace(parsed, entries=tuple(zip(*parsed.entries)))
+            shifted = UtilityMatrix(tuple(tuple(v + Fraction(1, 7) for v in row) for row in parsed.entries), parsed.row_labels, parsed.col_labels)
+            transposed = UtilityMatrix(tuple(zip(*parsed.entries)), parsed.row_labels, parsed.col_labels)
             for matrix in (parsed, shifted, transposed):
                 assert _integer_costs(matrix, objective) == old_integer_costs(matrix, objective)
                 assert sorted(map(id, matrix._distinct)) == sorted({id(v) for row in matrix.entries for v in row})

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -845,7 +844,7 @@ class TestLayoutWriters:
         for step in path[:-1] if path else ():
             holder = holder[step]
         if path is None:
-            report = dataclasses.replace(report, notes=value)
+            report = Report(report.command, report.payload, value)
         elif value is None:
             del holder[path[-1]]
         else:

@@ -20,7 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from matchgames import RenderMode, parse_report, render_report
-from matchgames.cli import EXIT_INPUT, EXIT_OK, main
+from matchgames.cli import EXIT_INPUT, EXIT_OK, EXIT_SIZE, main
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parents[1] / "demos" / "data"
@@ -66,6 +66,7 @@ ERRORS = {
     "market-count-mismatch": EXIT_INPUT,
     "market-trailing-comma": EXIT_INPUT,
     "bimatrix-bad-pair": EXIT_INPUT,
+    "market-n9": EXIT_SIZE,  # a well-formed market too large for game's full enumeration
 }
 READERS = {"market": ["game", "--market"], "bimatrix": ["bargain", "--game"]}
 ERROR_CASES = [(case, mode) for case in ERRORS for mode in ("text", "machine")]
