@@ -168,8 +168,8 @@ def cmd_bargain(
         outcome = bargain(bimatrix.game)
     else:
         v1, v2 = (as_rational(disagreement_override[0]), as_rational(disagreement_override[1]))
-        outcome = nash_solution(bimatrix.game, DisagreementPoint(v1, v2))
-    return Report("bargain", _bargain_payload(bimatrix, outcome))
+        outcome = nash_solution(bimatrix.game, DisagreementPoint(v1, v2, None, None))
+    return Report("bargain", _bargain_payload(bimatrix, outcome), ())
 
 
 def cmd_pipeline(market: GameInstance, union_game: BimatrixFile) -> Report:

@@ -159,22 +159,18 @@ def _json_fraction(value: Fraction) -> str:
 _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, Fraction: _json_fraction,
                  bool: {True: "true", False: "false"}.get, NoneType: {None: "null"}.get}
 _TEXT_SCALARS = {str: str, int: int.__repr__, Fraction: format_rational, bool: {True: "yes", False: "no"}.get, NoneType: str}
-# Lists this long use the memo, and columns this long widen their slot (_compile); 8, 16 and 32 time the same.
+# Lists this long format each distinct object once (_texts) and are written a column at a time (_each);
+# 8, 16 and 32 time the same.
 _LONG = 8
 
 
-def _texts(memo: dict[int, str], scalars: dict, values: list) -> list[str]:
-    """The text of each scalar in values, through its type in scalars.  In a _LONG list each object
-    is formatted once per render: memo maps its id(), unique while the report holds it, to its text."""
+def _texts(scalars: dict, values: list) -> list[str]:
+    """The text of each scalar in values, through its type in scalars.  In a _LONG list each distinct object
+    is formatted once: its id() stays unique while values holds it, which is for the whole call."""
     if len(values) >= _LONG:
         ids = list(map(id, values))
-        out = list(map(memo.get, ids))
-        if all(out):  # all known: one C-level pass (a dict per list: 1.5-1.8x the render time)
-            return out
-        for key, v in dict(zip(ids, values)).items():
-            if key not in memo:
-                memo[key] = scalars[type(v)](v)
-        return list(map(memo.__getitem__, ids))
+        texts = {key: scalars[type(v)](v) for key, v in dict(zip(ids, values)).items()}
+        return list(map(texts.__getitem__, ids))
     return [scalars[type(v)](v) for v in values]
 
 
@@ -183,9 +179,9 @@ def _filled(slot: str, cells: list[list]) -> list[str]:
     return cells[0] if slot == "%s" else list(map(int.__repr__, cells[0]) if slot == "%d" else map(slot.__mod__, zip(*cells)))
 
 
-def _each(node: tuple[Callable, ...], values: list, memo: dict[int, str]) -> list[str]:
+def _each(node: tuple[Callable, ...], values: list) -> list[str]:
     """The text of each of values by their node's writers: a column at a time when there are _LONG or more."""
-    return _filled(*node[1](values, memo)) if len(values) >= _LONG else [node[0](v, memo) for v in values]
+    return _filled(*node[1](values)) if len(values) >= _LONG else [node[0](v) for v in values]
 
 
 class RenderMode(Enum):
@@ -268,16 +264,16 @@ def _alternative(kinds: tuple, value: object) -> object:
 
 def _compile(kind: object, path: str, indent: str | None = None) -> tuple[Callable, Callable, Callable, tuple | None]:
     """(one, many, read, items), the node of values of kind at path; each finds a value off kind by C-level type and key tests,
-    and calls _check only to name it.  one(value, memo) is its text: JSON at indent or, with no indent, text mode's
-    ("(a, b)", "k: v; ...").  many(values, memo) is a column's (slot, cells), value i's text being slot % (its cell in
-    each of cells); a long one's (see _each) lists of one length widen the slot to a "%s" per item, so a record list
-    fills one template, and ints are cells under "%d".  read(values) reads a JSON column, each "p/q" at a Fraction place
+    and calls _check only to name it.  one(value) is its text: JSON at indent or, with no indent, text mode's
+    ("(a, b)", "k: v; ...").  many(values) is a column's (slot, cells), value i's text being slot % (its cell in
+    each of cells); lists all of one non-zero length widen the slot to a "%s" per item, so a record list fills one
+    template, and ints are cells under "%d".  read(values) reads a JSON column, each "p/q" at a Fraction place
     made a Fraction (values itself if none is), a list's items as one column, its objects key by key in one's order.
     items is a list's or label list's item node, which text mode's record lists and grids write through, else None."""
     if type(kind) is tuple:
         fits = {id(k): _compile(k, path, indent) for k in kind}
-        one = lambda value, memo: fits[id(_alternative(kind, value))][0](value, memo)
-        return (one, lambda values, memo: ("%s", [[one(v, memo) for v in values]]),
+        one = lambda value: fits[id(_alternative(kind, value))][0](value)
+        return (one, lambda values: ("%s", [list(map(one, values))]),
                 lambda values: [fits[id(_alternative(kind, v))][2]([v])[0] for v in values], None)
     allowed, readable = (types[kind if isinstance(kind, type) else type(kind)][0] for types in (_WRITE_TYPES, _READ_TYPES))
     inner = None if indent is None else indent + "  "
@@ -286,22 +282,22 @@ def _compile(kind: object, path: str, indent: str | None = None) -> tuple[Callab
     if type(kind) in (list, set):
         item = _compile(*kind, path + "[]", inner)  # the items' node
 
-        def many(values: list, memo: dict) -> tuple[str, list[list]]:
+        def many(values: list) -> tuple[str, list[list]]:
             if not set(map(type, values)) <= allowed:
                 _check(kind, values, path, _WRITE_TYPES)
-            slot, cells = item[1](list(chain.from_iterable(values)), memo)
+            slot, cells = item[1](list(chain.from_iterable(values)))
             if type(kind) is set and any(len(set(v)) < len(v) for v in values):  # a label twice: items are strs
                 _check(kind, values, path, _WRITE_TYPES)
-            width = len(values[0]) if len(values) >= _LONG else 0
+            width = len(values[0]) if values else 0
             if width and set(map(len, values)) == {width}:
                 return wrap % sep.join([slot] * width), [cell[i::width] for i in range(width) for cell in cells]
             texts = iter(_filled(slot, cells))  # every item's text, in order
             return "%s", [[wrap % sep.join(islice(texts, len(v))) if v else empty for v in values]]
 
-        def one(value: object, memo: dict) -> str:
+        def one(value: object) -> str:
             if type(value) is not list:
                 _check(kind, [value], path, _WRITE_TYPES)
-            texts = _each(item, value, memo)
+            texts = _each(item, value)
             if type(kind) is set and len(set(value)) < len(value):
                 _check(kind, [value], path, _WRITE_TYPES)
             return wrap % sep.join(texts) if value else empty
@@ -315,10 +311,10 @@ def _compile(kind: object, path: str, indent: str | None = None) -> tuple[Callab
             return values if items is flat else [items[a:b] for a, b in pairwise(accumulate(map(len, values), initial=0))]
         return one, many, read, item
     if type(kind) is not dict:
-        def many(values: list, memo: dict) -> tuple[str, list[list]]:
+        def many(values: list) -> tuple[str, list[list]]:
             if not (types := set(map(type, values))) <= allowed:
                 _check(kind, values, path, _WRITE_TYPES)
-            return ("%d", [values]) if types == {int} else ("%s", [_texts(memo, scalars, values)])
+            return ("%d", [values]) if types == {int} else ("%s", [_texts(scalars, values)])
 
         def read(values: list) -> list:
             if not (types := set(map(type, values))) <= readable:
@@ -332,7 +328,7 @@ def _compile(kind: object, path: str, indent: str | None = None) -> tuple[Callab
                     raise SchemaError(f'{path}: expected an int or a "p/q" string, got {text[:40]!r}')
                 texts[text] = Fraction(int(p), int(q))
             return list(map(texts.get, values, values))
-        return (lambda value, memo: scalars[type(value)](value) if type(value) in allowed else many([value], memo)), many, read, None
+        return (lambda value: scalars[type(value)](value) if type(value) in allowed else many([value])), many, read, None
     keys = list(kind) if indent is None else sorted(kind)
     fields = [(k, *_compile(kind[k], f"{path}.{k}", inner)) for k in keys]
     names = [f"{k}: " for k in keys] if indent is None else [encode_basestring_ascii(k) + ": " for k in keys]
@@ -340,15 +336,15 @@ def _compile(kind: object, path: str, indent: str | None = None) -> tuple[Callab
     template = head + sep.join([name + "%s" for name in names]) + tail
     columns = itemgetter(*keys, keys[0])  # a tuple for each value even with one key; zip drops the last column
 
-    def one(value: object, memo: dict) -> str:
+    def one(value: object) -> str:
         if type(value) is not dict or value.keys() != kind.keys():
             _check(kind, [value], path, _WRITE_TYPES)
-        return template % tuple([write(value[k], memo) for k, write, _, _, _ in fields])
+        return template % tuple([write(value[k]) for k, write, _, _, _ in fields])
 
-    def many(values: list, memo: dict) -> tuple[str, list[list]]:
+    def many(values: list) -> tuple[str, list[list]]:
         if not set(map(type, values)) <= allowed or any(map(kind.keys().__ne__, map(dict.keys, values))):
             _check(kind, values, path, _WRITE_TYPES)
-        written = [field(column, memo) for (_, _, field, _, _), column in zip(fields, zip(*map(columns, values)))]
+        written = [field(column) for (_, _, field, _, _), column in zip(fields, zip(*map(columns, values)))]
         slot = head + sep.join([name + slot for name, (slot, _) in zip(names, written)]) + tail
         return slot, [cell for _, cells in written for cell in cells]
 
@@ -363,39 +359,39 @@ def _compile(kind: object, path: str, indent: str | None = None) -> tuple[Callab
     return one, many, read, None
 
 
-def _block_writer(key: str | None, kind: object, path: str, indent: str) -> Callable[[list, object, dict], None]:
-    """The text-mode writer of a value of kind at path: given lines, the value and the render's memo, it appends its lines
+def _block_writer(key: str | None, kind: object, path: str, indent: str) -> Callable[[list, object], None]:
+    """The text-mode writer of a value of kind at path: given lines and the value, it appends its lines
     under key (None: the payload, no head line): an object's keys in layout order, a line per record, a grid's rows."""
     if type(kind) is tuple:
         fits = {id(k): _block_writer(key, k, path, indent) for k in kind}
-        return lambda lines, value, memo: fits[id(_alternative(kind, value))](lines, value, memo)
+        return lambda lines, value: fits[id(_alternative(kind, value))](lines, value)
     head, item = f"{indent}{key}:", kind[0] if type(kind) is list else None
     if type(kind) is dict:
         blocks = [(k, _block_writer(k, sub, f"{path}.{k}", indent if key is None else indent + "  ")) for k, sub in kind.items()]
 
-        def write(lines: list, value: object, memo: dict) -> None:
+        def write(lines: list, value: object) -> None:
             if type(value) is not dict or value.keys() != kind.keys():
                 _check(kind, [value], path, _WRITE_TYPES)
             lines += [] if key is None else [head]
             for k, block in blocks:
-                block(lines, value[k], memo)
+                block(lines, value[k])
         return write
     one, _, _, items = _compile(kind, path)
     records = items if type(item) is dict else None
     cells = items[3][1] if type(item) is list and isinstance(item[0], type) else None  # the grid cells' many
     listed = type(kind) in (list, set)
 
-    def write(lines: list, value: object, memo: dict) -> None:
+    def write(lines: list, value: object) -> None:
         if records and type(value) is list and value:
-            lines += [head, indent + "  - " + ("\n" + indent + "  - ").join(_each(records, value, memo))]
+            lines += [head, indent + "  - " + ("\n" + indent + "  - ").join(_each(records, value))]
         elif cells and type(value) is list and value and all(value):  # a grid, when no row is empty
             _check(item, value, path + "[]", _WRITE_TYPES)
-            texts = _filled(*cells(list(chain.from_iterable(value)), memo))
+            texts = _filled(*cells(list(chain.from_iterable(value))))
             width = max(map(len, texts))
             texts = iter([t.rjust(width) for t in texts])
             lines += [head, *[indent + "  " + "  ".join(islice(texts, len(row))) for row in value]]
         else:  # a list as its items' texts, without the parentheses
-            lines.append(f"{indent}{key}: " + (one(value, memo)[1:-1] if listed else one(value, memo)))
+            lines.append(f"{indent}{key}: " + (one(value)[1:-1] if listed else one(value)))
     return write
 
 
@@ -421,13 +417,13 @@ def render_report(report: Report, mode: RenderMode = RenderMode.MACHINE) -> str:
     """Render a report through its command's layout (see _PAYLOADS); machine mode is canonical JSON and round-trips.
     SchemaError, as parse_report raises it, for an unknown command or a payload or notes off its layout;
     ReportTooLarge for a number with more digits than the interpreter's int-to-str limit allows."""
-    write, memo = _compiled(report.command, mode), {}  # memo: one per render
+    write = _compiled(report.command, mode)
     notes = _COMPILED["notes"][2]([list(report.notes) if type(report.notes) is tuple else report.notes])[0]  # or SchemaError
     try:
         if mode is RenderMode.MACHINE:
-            return write[0]({"command": report.command, "payload": report.payload, "notes": notes}, memo) + "\n"
+            return write[0]({"command": report.command, "payload": report.payload, "notes": notes}) + "\n"
         lines = [f"== {report.command} =="]
-        write(lines, report.payload, memo)
+        write(lines, report.payload)
         return "\n".join([*lines, *map("note: %s".__mod__, notes)]) + "\n"
     except ValueError as exc:
         raise ReportTooLarge(f"cannot render the {report.command} report: it holds an integer of more than "

@@ -202,8 +202,8 @@ def verify_nash(instance: GameInstance, profile: StrategyProfile) -> NashVerdict
                 continue
             deviated = (*choices[:player], choice, *choices[player + 1 :])
             if profile_payoffs(instance, StrategyProfile(deviated[:n], deviated[n:]))[player] > current[player]:
-                return NashVerdict(equilibrium=False, deviating_player=player, better_choice=choice)
-    return NashVerdict(equilibrium=True)
+                return NashVerdict(False, player, choice)
+    return NashVerdict(True, None, None)
 
 
 def enumerate_equilibria(instance: GameInstance) -> tuple[StrategyProfile, ...]:

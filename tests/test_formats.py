@@ -801,6 +801,21 @@ class TestLayoutWriters:
         payload["equilibria"] = {"enumerated": False, "situation_count": 6, "reason": s}
         same_as_old_and_reads_back(Report("game", payload, (s, "".join("ab"))))
 
+    def test_each_long_column_formats_an_object_once(self, monkeypatch):
+        # Three Fraction objects fill three long columns: the payoffs of nine situations, the ideal
+        # point and the regrets.  Each column formats each distinct object once, in both modes.
+        shared = [Fraction(-7, 3), Fraction(5, 2), Fraction(10**30, 7)]
+        payload = cmd_game(seeded_market(3, 1)).payload
+        payload["situations"] = [{"image": [0, i % 3, 1], "payoffs": [shared[(i + j) % 3] for j in range(6)]} for i in range(9)]
+        payload["ideal_point"] = payload["compromise"]["max_regret_by_situation"] = shared * 3
+        report, formatted = Report("game", payload, ()), Counter()
+        for scalars in (formats._JSON_SCALARS, formats._TEXT_SCALARS):
+            monkeypatch.setitem(scalars, Fraction, lambda value, text=scalars[Fraction]: formatted.update([id(value)]) or text(value))
+        for mode, old in [(RenderMode.MACHINE, old_render_machine), (RenderMode.TEXT, old_render_text)]:
+            formatted.clear()
+            assert render_report(report, mode) == old(report), mode
+            assert all(1 <= formatted[id(f)] <= 3 for f in shared), (mode, [formatted[id(f)] for f in shared])
+
     def test_empty_grid_rows_render_inline(self):
         # Rows with no cells make no grid: they print inline, as () each.
         report = cmd_bargain(parse_bimatrix(UNION_DOC))

@@ -31,8 +31,9 @@ UNION = str(DATA / "union_game.json")
 # its situations and least_satisfied lists are long enough for the record template.
 MARKET_N5 = str(GOLDEN / "market-n5.json")
 # A fixed tie-heavy n = 12 market (int cells 0..3): its assignment grids have
-# rows long enough for the scalar memo, and every side and objective has many
-# optimal matchings, so the lex-smallest tie-break rotates the first one found.
+# rows long enough to be written a column at a time, and every side and
+# objective has many optimal matchings, so the lex-smallest tie-break rotates
+# the first one found.
 MARKET_N12 = str(GOLDEN / "market-n12.json")
 
 COMMANDS = {
@@ -67,8 +68,10 @@ ERRORS = {
     "market-trailing-comma": EXIT_INPUT,
     "bimatrix-bad-pair": EXIT_INPUT,
     "market-n9": EXIT_SIZE,  # a well-formed market too large for game's full enumeration
+    "assign-total-past-print-limit": EXIT_INPUT,  # a total whose denominator is past the 4300-digit print limit
 }
-READERS = {"market": ["game", "--market"], "bimatrix": ["bargain", "--game"]}
+READERS = {"market": ["game", "--market"], "bimatrix": ["bargain", "--game"],
+           "assign": ["assign", "--side", "workers", "--market"]}
 ERROR_CASES = [(case, mode) for case in ERRORS for mode in ("text", "machine")]
 
 

@@ -1,4 +1,5 @@
-"""The package's value types against @dataclass(frozen=True), and what importing the package loads.
+"""The package's value types against @dataclass(frozen=True), what importing the package loads, and
+that no request builds a record from anything but a full positional call.
 
 Each of the 14 types is a subclass of core._Record.  Its twin here is a frozen dataclass with the
 same field names and defaults and the type's own __post_init__: built from the same arguments, the
@@ -6,8 +7,10 @@ two must agree on equality, hash, repr, defaults, frozenness and the errors they
 """
 
 import dataclasses
+import io
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +35,12 @@ from matchgames import (
     SituationTable,
     StrategyProfile,
     UtilityMatrix,
+    core,
+    parse_market,
+    verify_nash,
 )
+from matchgames.cli import EXIT_OK, main
+from test_golden import COMMANDS
 
 # Each type's fields, in order, and the defaults of those that have one.
 FIELDS = {
@@ -197,3 +205,20 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     done = subprocess.run([sys.executable, "-I", "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_no_request_binds_arguments(monkeypatch):
+    # Every record the package builds gets all its fields by position, so none pays _bind's
+    # default and keyword handling: each subcommand in both modes, and both Nash verdicts.
+    def refuse(self, args, kwargs):
+        raise AssertionError(f"{type(self).__name__} built through _bind: {args} {kwargs}")
+
+    monkeypatch.setattr(core._Record, "_bind", refuse)
+    for argv in COMMANDS.values():
+        for mode in ("text", "machine"):
+            with redirect_stdout(io.StringIO()):
+                assert main([*argv, "--output", mode]) == EXIT_OK
+    market = parse_market('{"workers": ["w0", "w1"], "enterprises": ["e0", "e1"], "A": [[-1, 2], [3, 4]], "B": [[1, 1], [1, 1]]}')
+    # Worker 0 is paid -1 in the identity situation and gains by leaving it; the swap pays everyone 1 or more.
+    assert verify_nash(market, StrategyProfile.from_matching(Matching((0, 1)))) == NashVerdict(False, 0, 1)
+    assert verify_nash(market, StrategyProfile.from_matching(Matching((1, 0)))) == NashVerdict(True, None, None)
