@@ -385,7 +385,8 @@ def _block_writer(key: str | None, kind: object, path: str, indent: str) -> Call
         if records and type(value) is list and value:
             lines += [head, indent + "  - " + ("\n" + indent + "  - ").join(_each(records, value))]
         elif cells and type(value) is list and value and all(value):  # a grid, when no row is empty
-            _check(item, value, path + "[]", _WRITE_TYPES)
+            if not set(map(type, value)) <= {list}:
+                _check(item, value, path + "[]", _WRITE_TYPES)
             texts = _filled(*cells(list(chain.from_iterable(value))))
             width = max(map(len, texts))
             texts = iter([t.rjust(width) for t in texts])

@@ -33,7 +33,7 @@ from matchgames import (
 from matchgames import cli
 from matchgames.cli import EXIT_INPUT, EXIT_OK, EXIT_SIZE, main
 from matchgames.core import MAX_DENOMINATOR_BITS
-from test_golden import CASES, COMMANDS, UNION, _golden_path
+from test_golden import CASES, COMMANDS, ERROR_CASES, ERRORS, UNION, _golden_path, _refused_argv
 
 
 @pytest.fixture
@@ -262,23 +262,6 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["assign", "--market", "no-such.json", "--side", "workers"]) == EXIT_INPUT
 
-    def test_malformed_json(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{nope")
-        assert main(["game", "--market", str(path)]) == EXIT_INPUT
-
-    def test_schema_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text('{"workers": [], "enterprises": [], "A": [], "B": []}')
-        assert main(["game", "--market", str(path)]) == EXIT_INPUT
-
-    def test_repeated_key(self, tmp_path, capsys):
-        # json.loads alone would answer from the second "A", with exit 0.
-        path = tmp_path / "twice.json"
-        path.write_text('{"workers": ["w", "v"], "enterprises": ["e", "f"], "A": [[1, 2], [3, 4]], "A": [[4, 3], [2, 1]], "B": [[1, 2], [3, 4]]}')
-        assert main(["assign", "--market", str(path), "--side", "workers"]) == EXIT_INPUT
-        assert capsys.readouterr().err == "matchgames: error: market: the key 'A' appears more than once in one object\n"
-
     @pytest.mark.parametrize("broken", ["market", "bimatrix"])
     def test_json_errors_name_the_file(self, tmp_path, market_path, union_path, broken, capsys):
         # pipeline reads two files: an error in either names the one it comes from.
@@ -374,12 +357,6 @@ class TestExitCodes:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["game", "--market", str(path), "--out", str(out)]) == EXIT_OK
         assert "workers: é\nenterprises: 日\n" in out.read_bytes().decode("utf-8")
-
-    def test_infeasible_disagreement_prints_rationals(self, union_path, capsys):
-        assert main(["bargain", "--game", union_path, "--disagreement", "3/2", "-1/4"]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err == "matchgames: error: disagreement (3/2, -1/4) is not a feasible payoff vector\n"
-        assert "Fraction(" not in err
 
 
 def write_market(tmp_path, a):
@@ -526,22 +503,11 @@ class TestOversizeNumbers:
 
 
 def failing_requests(tmp_path):
-    """(argv, exit code) of requests that fail past argument parsing, text and machine."""
-    bad_json, bad_cell, big = tmp_path / "bad.json", tmp_path / "cell.json", tmp_path / "big.json"
-    bad_json.write_text("{nope")
-    bad_cell.write_text(json.dumps({"workers": ["w"], "enterprises": ["e"], "A": [["1/0"]], "B": [[1]]}))
-    labels = list("abcdefghi")  # n = 9, past the situation-table cap
-    big.write_text(json.dumps({"workers": labels, "enterprises": labels, "A": [[1] * 9] * 9, "B": [[1] * 9] * 9}))
-    huge_total = write_market(tmp_path, huge_total_grid())
-    requests = [
-        (["game", "--market", str(bad_json)], EXIT_INPUT),
-        (["assign", "--market", str(bad_cell), "--side", "workers"], EXIT_INPUT),
-        (["assign", "--market", str(tmp_path / "missing.json"), "--side", "workers"], EXIT_INPUT),
-        (["assign", "--market", huge_total, "--side", "workers"], EXIT_INPUT),
-        (["bargain", "--game", UNION, "--disagreement", "3/2", "-1/4"], EXIT_INPUT),
-        (["game", "--market", str(big)], EXIT_SIZE),
-    ]
-    return [(argv + ["--output", mode], code) for argv, code in requests for mode in ("text", "machine")]
+    """(argv, exit code) of requests that fail past argument parsing, text and machine: every refused file of
+    tests/golden/errors/ through its reader, and a missing file, whose error text is the OS's."""
+    missing = ["assign", "--market", str(tmp_path / "missing.json"), "--side", "workers"]
+    return [(_refused_argv(case, mode), ERRORS[case]) for case, mode in ERROR_CASES] + [
+        ([*missing, "--output", mode], EXIT_INPUT) for mode in ("text", "machine")]
 
 
 def run_quietly(argv):

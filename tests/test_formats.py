@@ -43,6 +43,7 @@ from matchgames import (
 )
 from matchgames import formats
 from matchgames.formats import ReportTooLarge
+from test_golden import CASES, _render
 
 MARKET_DOC = """
 {
@@ -893,6 +894,15 @@ class TestLayoutWriters:
             render_report(report, mode)
         assert 0 < calls["_each"] + calls["_filled"] < 120 and 0 < calls["_texts"] < 120, calls
         assert calls["_check"] + calls["_alternative"] < 120, calls
+
+    def test_valid_reports_never_call_check(self, monkeypatch):
+        # _check only names a fault that a node found by its own type and key tests.
+        def refuse(kind, values, path, types):
+            raise AssertionError(f"_check called at {path} on a valid report")
+
+        monkeypatch.setattr(formats, "_check", refuse)
+        for name, mode in CASES:
+            _render(name, mode)
 
 
 # The reader the compiled nodes replaced, kept verbatim as their oracle: it walked the layout anew on every

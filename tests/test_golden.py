@@ -5,17 +5,24 @@ Each file under ``tests/golden/`` is one report as ``matchgames`` writes it
 to stdout, except ``market-n5.json`` and ``market-n12.json``, the inputs.  Each
 case under ``tests/golden/errors/`` is an input file, ``<case>.json``, that the
 CLI refuses: in both output modes it exits with the case's code in ``ERRORS``,
-writes nothing to stdout and writes exactly ``<case>.err`` to stderr.  After a
-change that is meant to alter a report or an error, regenerate the files with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+writes nothing to stdout and writes exactly ``<case>.err`` to stderr.  That
+directory is the one table of refused file requests: the other tests run its
+cases through ``READERS`` rather than write refused files of their own.  Every
+request must end within 1 s, which catches a parse or render that runs without
+bound, and ``tests/golden/`` must hold exactly the files these tables name.
+After a change that is meant to alter a report or an error, regenerate the files
+with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 ``PYTHONPATH=src python tests/test_golden.py --check`` compares instead, without
-pytest, and exits 1 naming the first case that differs.  Both also require every
-machine report to read back: ``render_report(parse_report(b)) == b``, byte for byte,
-and to render as its command's text: the ``.txt`` file of the same name.
+pytest, and exits 1 naming the first case that differs; CI also runs it from
+outside the checkout on the installed package, with ``PYTHONINTMAXSTRDIGITS``
+unset and set to 0.  Both also require every machine report to read back:
+``render_report(parse_report(b)) == b``, byte for byte, and to render as its
+command's text: the ``.txt`` file of the same name.
 """
 
 import io
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -69,9 +76,14 @@ ERRORS = {
     "bimatrix-bad-pair": EXIT_INPUT,
     "market-n9": EXIT_SIZE,  # a well-formed market too large for game's full enumeration
     "assign-total-past-print-limit": EXIT_INPUT,  # a total whose denominator is past the 4300-digit print limit
+    "market-not-json": EXIT_INPUT,
+    "market-empty-lists": EXIT_INPUT,
+    "assign-repeated-key": EXIT_INPUT,  # json.loads alone would answer from the second "A", with exit 0
+    "disagreement-outside-hull": EXIT_INPUT,  # the union game with a threat point off its feasible hull
 }
 READERS = {"market": ["game", "--market"], "bimatrix": ["bargain", "--game"],
-           "assign": ["assign", "--side", "workers", "--market"]}
+           "assign": ["assign", "--side", "workers", "--market"],
+           "disagreement": ["bargain", "--disagreement", "3/2", "-1/4", "--game"]}
 ERROR_CASES = [(case, mode) for case in ERRORS for mode in ("text", "machine")]
 
 
@@ -79,27 +91,45 @@ def _golden_path(name: str, mode: str) -> Path:
     return GOLDEN / f"{name}.{'json' if mode == 'machine' else 'txt'}"
 
 
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one CLI request, which must end within 1 s."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 1, (argv, time.perf_counter() - start)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _render(name: str, mode: str) -> str:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main([*COMMANDS[name], "--output", mode])
-    assert code == EXIT_OK
-    return out.getvalue()
+    code, out, err = _run([*COMMANDS[name], "--output", mode])
+    assert (code, err) == (EXIT_OK, ""), (name, mode, code)
+    return out
+
+
+def _refused_argv(case: str, mode: str) -> list[str]:
+    """The request that runs case's input file, in mode, through its kind's reader."""
+    return [*READERS[case.split("-")[0]], str(ERRORS_DIR / f"{case}.json"), "--output", mode]
 
 
 def _refuse(case: str, mode: str) -> str:
     """The stderr of the CLI on case's input file in mode, once it has exited with the case's code and no stdout."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main([*READERS[case.split("-")[0]], str(ERRORS_DIR / f"{case}.json"), "--output", mode])
-    assert (code, out.getvalue()) == (ERRORS[case], ""), (case, mode, code)
-    return err.getvalue()
+    code, out, err = _run(_refused_argv(case, mode))
+    assert (code, out) == (ERRORS[case], ""), (case, mode, code)
+    return err
+
+
+def _stray_files() -> set[Path]:
+    """The files under tests/golden/ that no table names, with the named ones that are missing.  The tables name
+    each CASES output, both files of each ERRORS case, and the two fixed markets."""
+    named = {*(_golden_path(*c) for c in CASES), *(ERRORS_DIR / f"{c}.{e}" for c in ERRORS for e in ("json", "err"))}
+    return {p for p in GOLDEN.rglob("*") if p.is_file()} ^ (named | {Path(MARKET_N5), Path(MARKET_N12)})
 
 
 def pytest_generate_tests(metafunc):  # parametrizes without importing pytest here
     if "case" in metafunc.fixturenames:
         metafunc.parametrize(("case", "mode"), ERROR_CASES)
-    else:
+    elif "name" in metafunc.fixturenames:
         metafunc.parametrize(("name", "mode"), CASES)
 
 
@@ -120,11 +150,17 @@ def test_refused_input_matches_golden(case, mode):
     assert _refuse(case, mode).encode("utf-8") == (ERRORS_DIR / f"{case}.err").read_bytes()
 
 
+def test_every_golden_file_is_named():
+    assert not _stray_files()
+
+
 if __name__ == "__main__":
     check = sys.argv[1:] == ["--check"]
     if sys.argv[1:] and not check:
         sys.exit(f"usage: {sys.argv[0]} [--check]")
     GOLDEN.mkdir(exist_ok=True)
+    if check and _stray_files():
+        sys.exit(f"tests/golden/ and the case tables differ in {sorted(map(str, _stray_files()))}")
     for name, mode in CASES:
         rendered = _render(name, mode).encode("utf-8")
         if not check:
