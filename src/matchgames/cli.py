@@ -30,7 +30,10 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        # A bad argument's ArgumentError reaches main, which prints it as parse_known_args would:
+        # on Python 3.10 parse_known_args keeps the error it catches in a frame that the error's
+        # traceback holds, a reference cycle.
+        super().__init__(*args, exit_on_error=False, **kwargs)
         # argparse takes "-1/4", "-1e0" and "-1." for options; anything that
         # starts like a negative number is a value here, and as_rational judges it.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
@@ -120,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = _PARSER.parse_args(argv, argparse.Namespace(output=RenderMode.TEXT.value, out=None))
             rendered = render_report(args.run(args), RenderMode(args.output))
-        except (_UsageError, MatchGamesError) as exc:
+        except (_UsageError, argparse.ArgumentError, MatchGamesError) as exc:
             print(f"matchgames: error: {exc}", file=sys.stderr)
             return EXIT_SIZE if isinstance(exc, SizeTooLarge) else EXIT_INPUT
         try:

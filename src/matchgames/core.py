@@ -184,9 +184,6 @@ class Matching(_Record):
     def __getitem__(self, worker: int) -> int:
         return self.image[worker]
 
-    def __iter__(self):
-        return iter(self.image)
-
     def inverse(self) -> Matching:
         """The enterprise-to-worker view: ``inverse()[m[i]] == i``."""
         inv = [0] * self.n

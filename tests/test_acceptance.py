@@ -40,6 +40,7 @@ from matchgames.datasets import (
     union_game,
 )
 from matchgames.situations import enumerate_equilibria, least_satisfied
+from test_bargaining import _swap_players
 
 F = Fraction
 
@@ -57,11 +58,6 @@ EXPECTED_TABLE = {
 }
 
 IDEAL = (94, 86, 54, 94, 85, 38)
-
-
-def _swap_players(game):
-    """The game with the players exchanged: the grid transposed and each payoff pair swapped."""
-    return BimatrixGame(payoffs=tuple(tuple((k2, k1) for k1, k2 in column) for column in zip(*game.payoffs)))
 
 
 def announce(number, text):

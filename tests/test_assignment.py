@@ -67,6 +67,10 @@ class TestWorkedExamples:
         matrix = job_market().enterprise_utilities
         assert matching_total(matrix, REPORTED_JOB_DISTRIBUTION) == 48  # 21 + 11 + 16
 
+    def test_total_of_a_matching_of_another_size_is_refused(self):
+        with pytest.raises(DimensionMismatch, match=r"^matching of size 2 on a size-3 matrix$"):
+            matching_total(job_market().enterprise_utilities, Matching((1, 0)))
+
     def test_identity_diagonal(self):
         matrix = UtilityMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         result = solve_hungarian(matrix, Objective.MAXIMIZE)

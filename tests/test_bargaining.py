@@ -9,6 +9,7 @@ from matchgames import (
     BimatrixGame,
     DisagreementOutsideHull,
     DisagreementPoint,
+    MatchGamesError,
     MixedStrategy,
     NotTwoByTwo,
     Player,
@@ -73,6 +74,11 @@ class TestMaximin:
         strategy, value = maximin_2x2(game, Player.ONE)
         assert strategy == MixedStrategy((F(1), F(0)))
         assert value == 1
+
+    def test_negative_weight_is_refused(self):
+        # The weights sum to 1, so only the sign check refuses them.
+        with pytest.raises(MatchGamesError, match=r"^negative weight in "):
+            MixedStrategy((F(3, 2), F(-1, 2)))
 
     def test_not_two_by_two(self):
         game = BimatrixGame.from_rows([[(1, 1), (2, 2), (3, 3)]])

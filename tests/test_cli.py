@@ -33,12 +33,7 @@ from matchgames import (
 from matchgames import cli
 from matchgames.cli import EXIT_INPUT, EXIT_OK, EXIT_SIZE, main
 from matchgames.core import MAX_DENOMINATOR_BITS
-from test_golden import CASES, COMMANDS, ERROR_CASES, ERRORS, UNION, _golden_path, _refused_argv
-
-
-@pytest.fixture
-def market_path(demo_data_dir):
-    return str(demo_data_dir / "labor_market.json")
+from test_golden import CASES, COMMANDS, ERROR_CASES, ERRORS, ERRORS_DIR, UNION, _golden_path, _refused_argv
 
 
 @pytest.fixture
@@ -66,74 +61,10 @@ def run_machine(args, capsys):
 
 
 class TestSubcommands:
-    def test_assign_workers(self, job_market_path, capsys):
-        code, out = run_machine(["assign", "--market", job_market_path, "--side", "workers"], capsys)
-        assert code == EXIT_OK
-        report = parse_report(out)
-        assert report.payload["total"] == 78
-        assert report.payload["matching"] == [0, 2, 1]
-        assert report.payload["assignment_grid"] == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
-
-    def test_assign_enterprises(self, job_market_path, capsys):
-        code, out = run_machine(
-            ["assign", "--market", job_market_path, "--side", "enterprises"], capsys
-        )
-        assert code == EXIT_OK
-        report = parse_report(out)
-        assert report.payload["total"] == 50
-        assert report.notes  # known-quirk note for the bundled dataset
-
-    def test_assign_minimize(self, job_market_path, capsys):
-        code, out = run_machine(
-            ["assign", "--market", job_market_path, "--side", "workers", "--minimize"], capsys
-        )
-        assert code == EXIT_OK
-        assert parse_report(out).payload["objective"] == "minimize"
-
-    def test_game(self, market_path, capsys):
-        code, out = run_machine(["game", "--market", market_path], capsys)
-        assert code == EXIT_OK
-        report = parse_report(out)
-        assert report.payload["ideal_point"] == [94, 86, 54, 94, 85, 38]
-        assert report.payload["compromise"]["members"] == [[0, 2, 1]]
-        assert report.payload["equilibria"]["equilibrium_count"] == 6
-
-    def test_bargain(self, union_path, capsys):
-        code, out = run_machine(["bargain", "--game", union_path], capsys)
-        assert code == EXIT_OK
-        report = parse_report(out)
-        assert report.payload["solution"] == [4, 4]
-
-    def test_bargain_with_override(self, union_path, capsys):
-        code, out = run_machine(
-            ["bargain", "--game", union_path, "--disagreement", "0", "0"], capsys
-        )
-        assert code == EXIT_OK
-        report = parse_report(out)
-        assert report.payload["maximin"] is None
-        assert report.payload["solution"] == [4, 4]
-
-    def test_bargain_override_allows_larger_games(self, tmp_path, capsys):
-        doc = {
-            "row_labels": ["r1", "r2", "r3"],
-            "col_labels": ["c1", "c2", "c3"],
-            "payoffs": [[[i, j] for j in range(3)] for i in range(3)],
-        }
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps(doc))
-        code, out = run_machine(["bargain", "--game", str(path), "--disagreement", "0", "0"], capsys)
-        assert code == EXIT_OK
-        code, _ = run_machine(["bargain", "--game", str(path)], capsys)
-        assert code == EXIT_INPUT  # maximin needs a 2x2 game
-
-    def test_pipeline(self, job_market_path, union_path, capsys):
-        code, out = run_machine(
-            ["pipeline", "--market", job_market_path, "--union-game", union_path], capsys
-        )
-        assert code == EXIT_OK
-        report = parse_report(out)
-        assert report.payload["mismatch"]["count"] > 0
-        assert report.payload["bargaining"]["solution"] == [4, 4]
+    def test_bargain_override_allows_larger_games(self, capsys):
+        # maximin refuses this 3x3 game (tests/golden/errors/); an override skips it.
+        game = str(ERRORS_DIR / "bimatrix-three-by-three.json")
+        assert run_machine(["bargain", "--game", game, "--disagreement", "0", "0"], capsys)[0] == EXIT_OK
 
     def test_pipeline_agreeing_market(self, tmp_path, union_path, capsys):
         # A's optimum is the identity; B's optimum selects the same pairs.
@@ -183,13 +114,6 @@ class TestSubcommands:
         code, out = run_machine(["bargain", "--game", str(path), "--disagreement", "1", literal], capsys)
         assert code == EXIT_OK
         assert parse_report(out).payload["disagreement"] == [1, value]
-
-    def test_text_output_default(self, union_path, capsys):
-        code = main(["bargain", "--game", union_path])
-        out = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert "solution: 4, 4" in out
-
 
 class TestConsecutiveCalls:
     """The parser is built once; no call's options leak into the next."""
@@ -262,30 +186,6 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["assign", "--market", "no-such.json", "--side", "workers"]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("broken", ["market", "bimatrix"])
-    def test_json_errors_name_the_file(self, tmp_path, market_path, union_path, broken, capsys):
-        # pipeline reads two files: an error in either names the one it comes from.
-        bad = tmp_path / "bad.json"
-        good = Path({"market": market_path, "bimatrix": union_path}[broken]).read_text(encoding="utf-8")
-        paths = {"market": market_path, "bimatrix": union_path, broken: str(bad)}
-        # Python's own text and position for a trailing comma differ between its versions: the error gives neither.
-        for text in ("{nope", '{"a": 1,\n}', json.dumps(json.loads(good))[:-1] + ",}"):
-            bad.write_text(text)
-            assert main(["pipeline", "--market", paths["market"], "--union-game", paths["bimatrix"]]) == EXIT_INPUT
-            assert capsys.readouterr().err == f"matchgames: error: {broken}: input is not valid JSON\n"
-        bad.write_text('{"row_labels": ["a"], "row_labels": ["b"]}')
-        assert main(["pipeline", "--market", paths["market"], "--union-game", paths["bimatrix"]]) == EXIT_INPUT
-        assert capsys.readouterr().err == f"matchgames: error: {broken}: the key 'row_labels' appears more than once in one object\n"
-
-    @pytest.mark.parametrize("broken", ["market", "bimatrix"])
-    def test_unknown_key(self, tmp_path, market_path, union_path, broken, capsys):
-        paths = {"market": market_path, "bimatrix": union_path}
-        doc = json.loads(Path(paths[broken]).read_text(encoding="utf-8"))
-        paths[broken] = str(tmp_path / "extra.json")
-        Path(paths[broken]).write_text(json.dumps({**doc, "comment": "a note"}))
-        assert main(["pipeline", "--market", paths["market"], "--union-game", paths["bimatrix"]]) == EXIT_INPUT
-        assert capsys.readouterr().err == f"matchgames: error: {broken}: unexpected key 'comment'\n"
-
     def test_one_grid_never_bounds_the_other_sides_solve(self, tmp_path, capsys):
         # A and B share one literal memo, and B holds A's literals too; only B's twelve "1/q",
         # q = 10**872 + k pairwise coprime, of 2897 bits (873 digits), pass the bound together.
@@ -306,31 +206,9 @@ class TestExitCodes:
         assert main(["assign", "--market", str(path), "--side", "enterprises"]) == EXIT_INPUT
         assert capsys.readouterr().err == f"matchgames: error: the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits\n"
 
-    def test_bad_usage(self, capsys):
-        assert main(["assign", "--side", "workers"]) == EXIT_INPUT
-        assert main(["frobnicate"]) == EXIT_INPUT
-        # no subcommand: argparse stops before any subcommand's run is looked up
-        assert main([]) == EXIT_INPUT
-        assert main(["--output", "machine"]) == EXIT_INPUT
-
-    def test_size_cap(self, tmp_path, capsys):
-        n = 9
-        doc = {
-            "workers": [f"w{i}" for i in range(n)],
-            "enterprises": [f"e{i}" for i in range(n)],
-            "A": [[1] * n for _ in range(n)],
-            "B": [[1] * n for _ in range(n)],
-        }
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps(doc))
-        assert main(["game", "--market", str(path)]) == EXIT_SIZE
-        # the assignment solver itself has no size cap
-        assert main(["assign", "--market", str(path), "--side", "workers"]) == EXIT_OK
-
-    def test_malformed_union_game_fails_before_solving(self, job_market_path, tmp_path, capsys):
-        path = tmp_path / "bad-union.json"
-        path.write_text("[1, 2]")
-        assert main(["pipeline", "--market", job_market_path, "--union-game", str(path)]) == EXIT_INPUT
+    def test_size_cap(self, capsys):
+        # game refuses this n = 9 market (tests/golden/errors/); the assignment solver itself has no size cap.
+        assert main(["assign", "--market", str(ERRORS_DIR / "market-n9.json"), "--side", "workers"]) == EXIT_OK
 
     def test_unencodable_stdout_is_an_input_error(self, tmp_path, monkeypatch):
         doc = {"workers": ["é", "w"], "enterprises": ["e", "f"], "A": [[1, 2], [3, 4]], "B": [[1, 2], [3, 4]]}
@@ -359,32 +237,9 @@ class TestExitCodes:
         assert "workers: é\nenterprises: 日\n" in out.read_bytes().decode("utf-8")
 
 
-def write_market(tmp_path, a):
-    n = len(a)
-    doc = {
-        "workers": [f"w{i}" for i in range(n)],
-        "enterprises": [f"e{i}" for i in range(n)],
-        "A": a,
-        "B": [[1] * n for _ in range(n)],
-    }
-    path = tmp_path / "market.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-def huge_total_grid():
-    """The 5x5 diagonal 1/q, q = 10**990 + k, written without converting a long int.  Each 1/q fits
-    the literal bound; the total's denominator, their product, has about 4950 digits, past the
-    4300-digit print limit."""
-    ks = (1, 3, 7, 9, 13)
-    qs = [10**990 + k for k in ks]
-    assert all(math.gcd(q, r) == 1 for i, q in enumerate(qs) for r in qs[i + 1 :])
-    return [[f"1/1{k:0990}" if i == j else 0 for j in range(5)] for i, k in enumerate(ks)]
-
-
 class TestOversizeNumbers:
-    """Numbers too large to parse or print, and input nested too deep, end in
-    exit 1, never a traceback."""
+    """Common denominators too long to form are refused, or never formed, within 1 s.  The other
+    numbers too large to parse or print are cases of tests/golden/errors/."""
 
     def assert_input_error(self, argv, capsys):
         code = main(argv)
@@ -394,52 +249,6 @@ class TestOversizeNumbers:
         assert captured.err.startswith("matchgames: error: ")
         assert captured.err.count("\n") == 1, captured.err
         return captured.err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["assign", "--side", "workers", "--output", "machine"],
-            ["game", "--output", "text"],
-        ],
-    )
-    def test_exponent_cell(self, tmp_path, argv, capsys):
-        path = write_market(tmp_path, [["1e5000", 1], [2, 3]])
-        self.assert_input_error(argv + ["--market", path], capsys)
-
-    def test_huge_exponent_cell(self, tmp_path, capsys):
-        # Fraction("1e1000000") would build a million-digit integer first.
-        path = write_market(tmp_path, [["1e1000000", 1], [2, 3]])
-        self.assert_input_error(["assign", "--market", path, "--side", "workers"], capsys)
-
-    def test_long_json_integer(self, tmp_path, capsys):
-        path = tmp_path / "market.json"
-        path.write_text('{"workers": ["w"], "enterprises": ["e"], "A": [[' + "9" * 5000 + ']], "B": [[1]]}')
-        self.assert_input_error(["assign", "--market", str(path), "--side", "workers"], capsys)
-
-    # "1_000" and "1 / 2" are refused on every Python, though Fraction reads them from 3.11 and 3.12.
-    @pytest.mark.parametrize("value", ["1e5000", "abc", "1_000", "1 / 2", "-1x"])
-    def test_bad_disagreement(self, union_path, value, capsys):
-        err = self.assert_input_error(["bargain", "--game", union_path, "--disagreement", value, "0"], capsys)
-        assert err.startswith("matchgames: error: argument --disagreement: ")  # refused as read, not as infeasible
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["assign", "--side", "workers", "--market"],
-            ["bargain", "--game"],
-        ],
-    )
-    def test_deeply_nested_json(self, tmp_path, argv, capsys):
-        path = tmp_path / "deep.json"
-        path.write_text("[" * 100_000)
-        self.assert_input_error(argv + [str(path)], capsys)
-
-    def test_total_past_print_limit(self, tmp_path, capsys):
-        path = write_market(tmp_path, huge_total_grid())
-        for mode in ("machine", "text"):
-            self.assert_input_error(
-                ["assign", "--market", path, "--side", "workers", "--output", mode], capsys
-            )
 
     def test_long_common_denominator_is_refused_fast(self, tmp_path, capsys):
         # Distinct 490-digit "p/q" cells are each within the literal bound,
@@ -481,33 +290,13 @@ class TestOversizeNumbers:
         assert time.perf_counter() - start < 1.0
         assert err.endswith("is not a feasible payoff vector\n")
 
-    def test_long_infeasible_threat_point_is_named_by_its_size(self, tmp_path, capsys):
-        # [[(1, -1), (2, -1)], [(3, 2), (3, 2)]] plus a distinct 1/q on each payoff, q about 10**494:
-        # the maximin pair is infeasible, and each of its values has a denominator of some 1640 digits.
-        qs = iter(10**494 + 2 * k + 1 for k in range(8))
-        base = [[(1, -1), (2, -1)], [(3, 2), (3, 2)]]
-        payoffs = [[[f"{v * q + 1}/{q}" for v, q in zip(pair, qs)] for pair in row] for row in base]
-        assert max(len(cell) for row in payoffs for pair in row for cell in pair) == 992
-        path = tmp_path / "game.json"
-        path.write_text(json.dumps({"row_labels": ["r1", "r2"], "col_labels": ["c1", "c2"], "payoffs": payoffs}))
-        err = self.assert_input_error(["bargain", "--game", str(path)], capsys)
-        assert err == (
-            "matchgames: error: disagreement (a rational of 3285 bits, a rational of 3284 bits) "
-            "is not a feasible payoff vector\n"
-        )
-
-    def test_long_non_number_is_echoed_in_40_characters(self, tmp_path, capsys):
-        grid = [[1, 2], [3, "x" * 999]]
-        err = self.assert_input_error(["assign", "--market", write_market(tmp_path, grid), "--side", "workers"], capsys)
-        assert err == "matchgames: error: market.A[1]: cannot interpret '" + "x" * 40 + "' as a rational\n"
-
 
 def failing_requests(tmp_path):
-    """(argv, exit code) of requests that fail past argument parsing, text and machine: every refused file of
-    tests/golden/errors/ through its reader, and a missing file, whose error text is the OS's."""
+    """(argv, exit code) of failing requests, text and machine: every case of tests/golden/errors/, a missing
+    file, whose error text is the OS's, and an unknown subcommand, whose text is argparse's."""
     missing = ["assign", "--market", str(tmp_path / "missing.json"), "--side", "workers"]
     return [(_refused_argv(case, mode), ERRORS[case]) for case, mode in ERROR_CASES] + [
-        ([*missing, "--output", mode], EXIT_INPUT) for mode in ("text", "machine")]
+        ([*argv, "--output", mode], EXIT_INPUT) for argv in (missing, ["frobnicate"]) for mode in ("text", "machine")]
 
 
 def run_quietly(argv):
@@ -545,7 +334,6 @@ class TestCollector:
         requests = [
             (["bargain", "--game", union_path], EXIT_OK),
             *failing_requests(tmp_path),
-            (["frobnicate"], EXIT_INPUT),
             (["bargain", "--game", union_path, "--out", str(tmp_path)], EXIT_INPUT),  # a write error
         ]
 
@@ -618,7 +406,7 @@ class TestIntDigitLimit:
                 b"disagreement (a rational of 2327 bits, 0) is not a feasible payoff vector\n",
             ),
             "total-past-print-limit": (
-                ["assign", "--market", write_market(tmp_path, huge_total_grid()), "--side", "workers"],
+                _refused_argv("assign-total-past-print-limit", "text"),
                 b"cannot render the assign report: it holds an integer of more than 4300 digits\n",
             ),
         }[name]

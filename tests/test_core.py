@@ -154,6 +154,10 @@ class TestMatching:
         m = Matching(tuple([0, 2, 1]))
         assert m[1] == 2 and m[2] == 1
 
+    def test_iterates_through_getitem(self):
+        assert list(Matching((2, 0, 1))) == [2, 0, 1]
+        assert 1 in Matching((1, 0))
+
     def test_duplicate_rejected(self):
         with pytest.raises(NotAPermutation, match=re.escape("index 0 appears twice in (0, 0, 1)")):
             Matching(tuple([0, 0, 1]))

@@ -869,6 +869,23 @@ class TestLayoutWriters:
             with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
                 render_report(report, mode)
 
+    @pytest.mark.parametrize(
+        "image, message",
+        [((0, 1, 2, 3), "report.payload.situations[].image: expected list, got tuple"),
+         (None, "report.payload.situations[]: missing key 'image'")],
+    )
+    def test_off_layout_record_in_a_long_list_is_refused(self, image, message):
+        # 24 situations are written a column at a time: the records' keys and images are checked together.
+        report = cmd_game(seeded_market(4, 1))
+        situation = report.payload["situations"][5]
+        if image is None:
+            del situation["image"]
+        else:
+            situation["image"] = image
+        for mode in RenderMode:
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                render_report(report, mode)
+
     def test_parsed_report_renders_as_written(self):
         # parse_report gives a payload in sorted key order; text mode follows the layout's.
         for report in TestReports()._all_reports():

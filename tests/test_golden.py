@@ -1,15 +1,26 @@
 """Byte-for-byte checks of the CLI's reports on the bundled data and on two
-fixed markets, n = 5 and n = 12, and of its errors on refused input files.
+fixed markets, n = 5 and n = 12, and of its errors on refused requests.
 
 Each file under ``tests/golden/`` is one report as ``matchgames`` writes it
 to stdout, except ``market-n5.json`` and ``market-n12.json``, the inputs.  Each
-case under ``tests/golden/errors/`` is an input file, ``<case>.json``, that the
-CLI refuses: in both output modes it exits with the case's code in ``ERRORS``,
-writes nothing to stdout and writes exactly ``<case>.err`` to stderr.  That
-directory is the one table of refused file requests: the other tests run its
-cases through ``READERS`` rather than write refused files of their own.  Every
-request must end within 1 s, which catches a parse or render that runs without
-bound, and ``tests/golden/`` must hold exactly the files these tables name.
+case under ``tests/golden/errors/`` is a request that the CLI refuses: in both
+output modes it exits with the case's code in ``ERRORS``, writes nothing to
+stdout and writes exactly ``<case>.err`` to stderr.  A case whose kind (the
+name's first word) has a reader in ``READERS`` is an input file,
+``<case>.json``, that this reader's command reads: ``pipeline`` cases are
+markets and ``union`` cases union games, each read by ``pipeline`` beside the
+bundled file of the other kind.  Any other case is an argument list,
+``<case>.argv``, a JSON list in which ``{data}`` stands for ``demos/data``.
+That directory is the one table of refused requests: the other tests run its
+cases through ``_refused_argv`` rather than build refused requests of their
+own.  A few refusals stay code in ``tests/test_cli.py``: argparse's ``invalid
+choice`` messages, whose words change between CPython patch releases, checked
+by substring; a missing file, whose text is the OS's; generated inputs too
+large to keep (long common denominators, a 200,000-digit integer); a refusal
+that must follow successes on the same file; and write errors, which depend on
+where the report goes.  Every request must end within 1 s, which catches a
+parse or render that runs without bound, and ``tests/golden/`` must hold
+exactly the files these tables name.
 After a change that is meant to alter a report or an error, regenerate the files
 with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 ``PYTHONPATH=src python tests/test_golden.py --check`` compares instead, without
@@ -21,6 +32,7 @@ command's text: the ``.txt`` file of the same name.
 """
 
 import io
+import json
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -63,7 +75,7 @@ COMMANDS = {
 CASES = [(name, mode) for name in COMMANDS for mode in ("text", "machine")]
 
 ERRORS_DIR = GOLDEN / "errors"
-# Each refused input file and its exit code; a case is read by the command its kind (the name's first word) names.
+# Each refused request and its exit code: an input file read by its kind's reader, or an argument list (see above).
 ERRORS = {
     "market-unknown-key": EXIT_INPUT,
     "market-workers-not-a-list": EXIT_INPUT,
@@ -80,10 +92,23 @@ ERRORS = {
     "market-empty-lists": EXIT_INPUT,
     "assign-repeated-key": EXIT_INPUT,  # json.loads alone would answer from the second "A", with exit 0
     "disagreement-outside-hull": EXIT_INPUT,  # the union game with a threat point off its feasible hull
+    **dict.fromkeys([
+        *(f"{kind}-{fault}" for kind in ("union", "pipeline") for fault in ("not-json", "trailing-comma", "repeated-key", "unknown-key")),
+        "union-not-an-object", "bimatrix-empty-labels", "bimatrix-three-by-three",  # maximin needs a 2x2 game
+        # numbers too large to read (Fraction would build 1e1000000 as a million-digit int) or to echo, and input nested too deep
+        "market-exponent-cell", "market-huge-exponent", "market-long-integer", "assign-long-non-number",
+        "bimatrix-long-threat-point", "market-nested-too-deeply", "bimatrix-nested-too-deeply",
+        # argument lists: usage errors, and --disagreement literals refused as read ("1_000" and "1 / 2" on every
+        # Python, though Fraction reads them from 3.11 and 3.12)
+        "usage-missing-market", "usage-no-subcommand",
+        *(f"usage-disagreement-{literal}" for literal in ("exponent", "word", "underscore", "spaces", "trailing-letter")),
+    ], EXIT_INPUT),
 }
 READERS = {"market": ["game", "--market"], "bimatrix": ["bargain", "--game"],
            "assign": ["assign", "--side", "workers", "--market"],
-           "disagreement": ["bargain", "--disagreement", "3/2", "-1/4", "--game"]}
+           "disagreement": ["bargain", "--disagreement", "3/2", "-1/4", "--game"],
+           "pipeline": ["pipeline", "--union-game", UNION, "--market"],
+           "union": ["pipeline", "--market", JOBS, "--union-game"]}
 ERROR_CASES = [(case, mode) for case in ERRORS for mode in ("text", "machine")]
 
 
@@ -107,9 +132,17 @@ def _render(name: str, mode: str) -> str:
     return out
 
 
+def _request(case: str) -> Path:
+    """The file that holds case's request: its input file if its kind has a reader, else its argument list."""
+    return ERRORS_DIR / f"{case}.{'json' if case.split('-')[0] in READERS else 'argv'}"
+
+
 def _refused_argv(case: str, mode: str) -> list[str]:
-    """The request that runs case's input file, in mode, through its kind's reader."""
-    return [*READERS[case.split("-")[0]], str(ERRORS_DIR / f"{case}.json"), "--output", mode]
+    """case's request in mode: its input file through its kind's reader, or its argument list with {data} made DATA."""
+    path = _request(case)
+    if path.suffix == ".json":
+        return [*READERS[case.split("-")[0]], str(path), "--output", mode]
+    return [*(arg.replace("{data}", str(DATA)) for arg in json.loads(path.read_bytes())), "--output", mode]
 
 
 def _refuse(case: str, mode: str) -> str:
@@ -122,7 +155,7 @@ def _refuse(case: str, mode: str) -> str:
 def _stray_files() -> set[Path]:
     """The files under tests/golden/ that no table names, with the named ones that are missing.  The tables name
     each CASES output, both files of each ERRORS case, and the two fixed markets."""
-    named = {*(_golden_path(*c) for c in CASES), *(ERRORS_DIR / f"{c}.{e}" for c in ERRORS for e in ("json", "err"))}
+    named = {*(_golden_path(*c) for c in CASES), *(ERRORS_DIR / f"{c}.err" for c in ERRORS), *map(_request, ERRORS)}
     return {p for p in GOLDEN.rglob("*") if p.is_file()} ^ (named | {Path(MARKET_N5), Path(MARKET_N12)})
 
 
