@@ -106,36 +106,23 @@ def _number_text(value: object) -> str:  # how an error names a value: repr, a F
 
 
 class _Record:
-    """The base of the value types: frozen records as @dataclass(frozen=True) makes them, with no code generated.  The
-    fields are a subclass's own annotated names, in order, a class attribute after "=" a field's default."""
+    """The base of the value types: frozen records as @dataclass(frozen=True) makes them.  The fields are a subclass's
+    own annotated names, in order, a class attribute after "=" a field's default.  A type's first record writes the
+    type's own __init__, as @dataclass does, so Python binds every later call's arguments and words its TypeErrors;
+    writing it on first use, not at class creation, keeps that cost off import for the types it does not build."""
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)  # names only: under postponed annotations no type is evaluated
-        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        if len(args) != len(fields := self._fields) or kwargs:
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
-        self.__post_init__()
-
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The field values args and kwargs give, defaults filled in, or the TypeError that Python's own __init__ raises."""
-        fields, name = self._fields, f"{type(self).__qualname__}.__init__() "
-        if (key := next((key for key in kwargs if key not in fields[len(args):]), None)) is not None:
-            problem = "got multiple values for argument" if key in fields else "got an unexpected keyword argument"
-            raise TypeError(f"{name}{problem} {key!r}")
-        if len(args) > len(fields):
-            low = f"from {len(fields) - len(self._defaults) + 1} to " if self._defaults else ""
-            raise TypeError(f"{name}takes {low}{len(fields) + 1} positional arguments but {len(args) + 1} were given")
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-        if missing := [repr(field) for field in fields if field not in values]:
-            listed = " and ".join(missing) if len(missing) < 3 else ", ".join(missing[:-1]) + ", and " + missing[-1]
-            raise TypeError(f"{name}missing {len(missing)} required positional argument{'s' * (len(missing) > 1)}: {listed}")
-        return [values[field] for field in fields]
-
-    def __post_init__(self) -> None:
-        pass
+        cls, fields = type(self), self._fields
+        scope = {name: vars(cls)[name] for name in fields if name in vars(cls)}  # the defaults, named in the source
+        params = ", ".join(f"{name}={name}" if name in scope else name for name in fields)
+        body = f"self.__dict__.update({', '.join(f'{name}={name}' for name in fields)})"
+        exec(f"def __init__(self, {params}):\n {body}\n" + " self.__post_init__()" * hasattr(cls, "__post_init__"), scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # the name Python's TypeErrors give
+        cls.__init__(self, *args, **kwargs)
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))

@@ -503,6 +503,13 @@ class TestReports:
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             parse_report(edited(report, (*path, 1), json.dumps(labels[0])))
 
+    def test_repeated_label_in_a_list_of_label_lists(self):
+        # No command's layout puts a label list inside a list, so only a direct call reaches its column's check.
+        many = formats._compile([{str}], "x")[1]
+        many([[["a", "b"]]])  # labels each once: written
+        with pytest.raises(SchemaError, match=r"^x\[\]: label 'a' appears more than once$"):
+            many([[["a", "b"], ["a", "a"]]])
+
     @pytest.mark.parametrize("n", [1, 6])
     def test_game_round_trip_at_the_edges(self, n):
         # n = 1: one situation, always an equilibrium; n = 6: equilibria not enumerated, with a reason.

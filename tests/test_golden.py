@@ -1,8 +1,10 @@
-"""Byte-for-byte checks of the CLI's reports on the bundled data and on two
-fixed markets, n = 5 and n = 12, and of its errors on refused requests.
+"""Byte-for-byte checks of the CLI's reports on the bundled data, on two
+fixed markets, n = 5 and n = 12, and on one degenerate bimatrix game, and of
+its errors on refused requests.
 
 Each file under ``tests/golden/`` is one report as ``matchgames`` writes it
-to stdout, except ``market-n5.json`` and ``market-n12.json``, the inputs.  Each
+to stdout, except ``market-n5.json``, ``market-n12.json`` and
+``bimatrix-degenerate.json``, the inputs.  Each
 case under ``tests/golden/errors/`` is a request that the CLI refuses: in both
 output modes it exits with the case's code in ``ERRORS``, writes nothing to
 stdout and writes exactly ``<case>.err`` to stderr.  A case whose kind (the
@@ -54,6 +56,9 @@ MARKET_N5 = str(GOLDEN / "market-n5.json")
 # objective has many optimal matchings, so the lex-smallest tie-break rotates
 # the first one found.
 MARKET_N12 = str(GOLDEN / "market-n12.json")
+# A 2x2 game whose outcomes lie on one line: the feasible hull is the segment (1, 1)-(3, 3), and the Pareto
+# frontier is the one point (3, 3), the bargaining solution.
+DEGENERATE = str(GOLDEN / "bimatrix-degenerate.json")
 
 COMMANDS = {
     **{
@@ -70,6 +75,7 @@ COMMANDS = {
     "game-n5": ["game", "--market", MARKET_N5],
     "bargain": ["bargain", "--game", UNION],
     "bargain-disagreement": ["bargain", "--game", UNION, "--disagreement", "3/2", "3/2"],
+    "bargain-degenerate": ["bargain", "--game", DEGENERATE],
     "pipeline": ["pipeline", "--market", LABOR, "--union-game", UNION],
 }
 CASES = [(name, mode) for name in COMMANDS for mode in ("text", "machine")]
@@ -89,6 +95,7 @@ ERRORS = {
     "market-n9": EXIT_SIZE,  # a well-formed market too large for game's full enumeration
     "assign-total-past-print-limit": EXIT_INPUT,  # a total whose denominator is past the 4300-digit print limit
     "market-not-json": EXIT_INPUT,
+    "market-not-utf8": EXIT_INPUT,  # a label holding the byte 0xff
     "market-empty-lists": EXIT_INPUT,
     "assign-repeated-key": EXIT_INPUT,  # json.loads alone would answer from the second "A", with exit 0
     "disagreement-outside-hull": EXIT_INPUT,  # the union game with a threat point off its feasible hull
@@ -154,9 +161,9 @@ def _refuse(case: str, mode: str) -> str:
 
 def _stray_files() -> set[Path]:
     """The files under tests/golden/ that no table names, with the named ones that are missing.  The tables name
-    each CASES output, both files of each ERRORS case, and the two fixed markets."""
+    each CASES output, both files of each ERRORS case, and the three fixed inputs."""
     named = {*(_golden_path(*c) for c in CASES), *(ERRORS_DIR / f"{c}.err" for c in ERRORS), *map(_request, ERRORS)}
-    return {p for p in GOLDEN.rglob("*") if p.is_file()} ^ (named | {Path(MARKET_N5), Path(MARKET_N12)})
+    return {p for p in GOLDEN.rglob("*") if p.is_file()} ^ (named | {Path(MARKET_N5), Path(MARKET_N12), Path(DEGENERATE)})
 
 
 def pytest_generate_tests(metafunc):  # parametrizes without importing pytest here

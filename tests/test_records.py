@@ -1,16 +1,16 @@
 """The package's value types against @dataclass(frozen=True), what importing the package loads, and
-that no request builds a record from anything but a full positional call.
+how each type's first record writes the type's __init__.
 
 Each of the 14 types is a subclass of core._Record.  Its twin here is a frozen dataclass with the
 same field names and defaults and the type's own __post_init__: built from the same arguments, the
-two must agree on equality, hash, repr, defaults, frozenness and the errors they raise.
+two must agree on equality, hash, repr, defaults, frozenness and the errors they raise.  A type's
+first record writes its __init__, so that call, whatever its arguments, must agree with the twin too.
 """
 
 import dataclasses
-import io
+import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,11 +36,7 @@ from matchgames import (
     StrategyProfile,
     UtilityMatrix,
     core,
-    parse_market,
-    verify_nash,
 )
-from matchgames.cli import EXIT_OK, main
-from test_golden import COMMANDS
 
 # Each type's fields, in order, and the defaults of those that have one.
 FIELDS = {
@@ -207,18 +203,66 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     assert done.stdout == "[]\n"
 
 
-def test_no_request_binds_arguments(monkeypatch):
-    # Every record the package builds gets all its fields by position, so none pays _bind's
-    # default and keyword handling: each subcommand in both modes, and both Nash verdicts.
-    def refuse(self, args, kwargs):
-        raise AssertionError(f"{type(self).__name__} built through _bind: {args} {kwargs}")
+# Each type's first call, a keyword call or one that Python refuses, then a valid call, as source in which C is the type.
+FIRST_CALLS = {
+    Matching: ("C(image=(1, 0))", "C((0,))"),
+    UtilityMatrix: ("C(((1,),), ('r',))", "C(((1,),), ('r',), ('c',))"),
+    GameInstance: ("C(0, 0, 0)", "C(*[UtilityMatrix.from_rows([[1]])] * 2)"),
+    AssignmentResult: ("C(0, 0, 0, unknown=0)", "C(0, 0, 0)"),
+    BimatrixGame: ("C(0, payoffs=0)", "C((((1, 2),),))"),
+    MixedStrategy: ("C(weights=(Fraction(1, 2), Fraction(1, 2)))", "C((1,))"),
+    DisagreementPoint: ("C(1, 2)", "C(1, 2, 3, 4)"),
+    BargainingOutcome: ("C()", "C(0, 0, 0, 0, 0)"),
+    SituationTable: ("C(rows=())", "C(0, 0)"),
+    CompromiseResult: ("C(0, 0, 0, 0, 0, 0, least_satisfied=0)", "C(0, 0, 0, 0, 0)"),
+    StrategyProfile: ("C(enterprise_choices=(0,), worker_choices=(1,))", "C(0, 0)"),
+    NashVerdict: ("C(False, better_choice=1)", "C(True, None, None)"),
+    BimatrixFile: ("C(unknown=0)", "C(0, 0, 0)"),
+    Report: ("C('game', {}, (), ())", "C('game', {})"),
+}
+# Run in a fresh interpreter: which types importing the package wrote an __init__ for; then, each type's __init__
+# deleted so that its next record is its first again, each call of FIRST_CALLS shown as its repr or its error.
+PROBE = """
+import json, sys
+from fractions import Fraction
+import matchgames
+from matchgames.core import _Record
+types = {cls.__name__: cls for cls in _Record.__subclasses__()}
+written = sorted(name for name, cls in types.items() if "__init__" in vars(cls))
+for cls in types.values():
+    if "__init__" in vars(cls):
+        del cls.__init__
+def shown(call, C):
+    try:
+        return "made", repr(eval(call, {"C": C, "Fraction": Fraction, "UtilityMatrix": matchgames.UtilityMatrix}))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+calls = json.loads(sys.argv[1])
+print(json.dumps([written, {name: [shown(call, types[name]) for call in calls[name]] for name in calls}]))
+"""
 
-    monkeypatch.setattr(core._Record, "_bind", refuse)
-    for argv in COMMANDS.values():
-        for mode in ("text", "machine"):
-            with redirect_stdout(io.StringIO()):
-                assert main([*argv, "--output", mode]) == EXIT_OK
-    market = parse_market('{"workers": ["w0", "w1"], "enterprises": ["e0", "e1"], "A": [[-1, 2], [3, 4]], "B": [[1, 1], [1, 1]]}')
-    # Worker 0 is paid -1 in the identity situation and gains by leaving it; the swap pays everyone 1 or more.
-    assert verify_nash(market, StrategyProfile.from_matching(Matching((0, 1)))) == NashVerdict(False, 0, 1)
-    assert verify_nash(market, StrategyProfile.from_matching(Matching((1, 0)))) == NashVerdict(True, None, None)
+
+def test_first_record_of_each_type_agrees_with_its_twin():
+    src = str(Path(__file__).parents[1] / "src")
+    calls = {cls.__name__: first for cls, first in FIRST_CALLS.items()}
+    done = subprocess.run([sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r})\n{PROBE}", json.dumps(calls)],
+                          capture_output=True, text=True, check=True)
+    written, shown_first = json.loads(done.stdout)
+    assert set(written) <= {"Matching", "UtilityMatrix", "GameInstance"}  # the types that importing builds
+    for cls, (first, second) in FIRST_CALLS.items():
+        scope = {"C": TWINS[cls], "Fraction": Fraction, "UtilityMatrix": UtilityMatrix}
+        twin = [shown(lambda: eval(call, scope)) for call in (first, second)]
+        assert shown_first[cls.__name__] == [[getattr(kind, "__name__", kind), text] for kind, text in twin], cls
+        assert twin[1][0] == "made"
+
+
+def test_default_before_a_required_field_fails_loudly():
+    # @dataclass refuses such a class; here the written __init__ does not compile, on every call, so no default
+    # moves to another field.
+    class Shifted(core._Record):
+        first: int = 0
+        second: int
+
+    for _ in range(2):
+        with pytest.raises(SyntaxError):
+            Shifted(1, 2)
