@@ -12,7 +12,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 from operator import getitem, sub
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     SizeTooLarge,
     UtilityMatrix,
     _Record,
+    _scaled,
 )
 
 
@@ -48,19 +48,12 @@ def matching_total(matrix: UtilityMatrix, matching: Matching) -> Fraction:
 
 
 def _integer_costs(matrix: UtilityMatrix, objective: Objective) -> tuple[list[list[int]], int]:
-    """Entries times their common denominator, negated to maximize, and that denominator; DenominatorTooLarge
-    as soon as the lcm passes MAX_DENOMINATOR_BITS.  Each distinct entry object in matrix._distinct (parse_market's,
-    from its literal memo, or else found in the entries on first solve) is scaled once, one division per distinct
-    denominator, and keyed by its id(), unique while the matrix holds it; each cost row is one map over its cells."""
-    denominators = {v.denominator for v in matrix._distinct}
-    den = 1
-    for q in denominators:
-        if (den := lcm(den, q)).bit_length() > MAX_DENOMINATOR_BITS:
-            raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")
-    sign = -1 if objective is Objective.MAXIMIZE else 1
-    factor = {q: sign * (den // q) for q in denominators}
-    scaled = {id(v): v.numerator * factor[v.denominator] for v in matrix._distinct}
-    return [list(map(scaled.__getitem__, map(id, row))) for row in matrix.entries], den
+    """Entries times their common denominator, negated to maximize, and that denominator; DenominatorTooLarge past
+    MAX_DENOMINATOR_BITS.  core._scaled scales each object of matrix._distinct (parse_market's, from its literal memo,
+    or else found in the entries on first solve) once, by id(); each cost row is one map over its cells."""
+    if (scaled := _scaled(matrix._distinct, -1 if objective is Objective.MAXIMIZE else 1)) is None:
+        raise DenominatorTooLarge(f"the entries' common denominator has more than {MAX_DENOMINATOR_BITS} bits")
+    return [list(map(scaled[1].__getitem__, map(id, row))) for row in matrix.entries], scaled[0]
 
 
 def _shortest_path_assignment(costs: list[list[int]]) -> tuple[list[int], list[int], list[int]]:

@@ -25,7 +25,7 @@ ENUMERATION_CAP = 8
 MAX_LITERAL_LENGTH = 1000
 MAX_LITERAL_EXPONENT = 1000
 
-# The assignment solvers scale a matrix by its entries' common denominator, where distinct denominators' bits add up.
+# _scaled's bound on a common denominator: past it assign refuses, and game ranks the Fractions themselves instead.
 MAX_DENOMINATOR_BITS = 32768
 
 
@@ -47,6 +47,16 @@ class DimensionMismatch(MatchGamesError):
 
 class DenominatorTooLarge(MatchGamesError):
     """A utility matrix's entries have a common denominator longer than MAX_DENOMINATOR_BITS."""
+
+
+def _scaled(values: list[Fraction], sign: int) -> tuple[int, dict[int, int]] | None:
+    """The values' common denominator and {id(v): sign * v * it}, one division per denominator; None past the bound."""
+    denominators, den = {v.denominator for v in values}, 1
+    for q in denominators:  # distinct denominators' bits add up
+        if (den := math.lcm(den, q)).bit_length() > MAX_DENOMINATOR_BITS:
+            return None
+    factor = {q: sign * (den // q) for q in denominators}
+    return den, {id(v): v.numerator * factor[v.denominator] for v in values}
 
 
 class _LiteralError(ValueError):

@@ -11,6 +11,7 @@ B[e][chosen worker]).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from operator import getitem
 
 from .core import (
@@ -21,6 +22,7 @@ from .core import (
     SizeTooLarge,
     _number_text,
     _Record,
+    _scaled,
     all_matchings,
 )
 
@@ -52,9 +54,16 @@ class SituationTable(_Record):
         payoffs is below 0, or n = 1 and nobody has a choice to change.
         Worker i and the enterprise matched to i are paid from lines i and n + i.
         """
-        lines, n = _payoff_lines(self.instance), self.n
-        ok = [[min(x, y) >= 0 for x, y in zip(lines[i], lines[n + i])] for i in range(n)]
+        keys, n = self._keys, self.n
+        ok = [[min(x, y) >= 0 for x, y in zip(keys[i], keys[n + i])] for i in range(n)]
         return tuple(m for m, _ in self.rows if n == 1 or all(map(list.__getitem__, ok, m.image)))
+
+    @cached_property
+    def _keys(self) -> list[list[int]] | tuple[tuple[Fraction, ...], ...]:
+        """_payoff_lines as _scaled's ints, which order and sign like them, or past its bound as the entries themselves."""
+        a, b, lines = self.instance.worker_utilities, self.instance.enterprise_utilities, _payoff_lines(self.instance)
+        scaled = _scaled([*a._distinct, *b._distinct], 1)  # one denominator for A and B: pairs compare their regrets
+        return lines if scaled is None else [list(map(scaled[1].__getitem__, map(id, line))) for line in lines]
 
 
 def _payoff_lines(instance: GameInstance) -> tuple[tuple[Fraction, ...], ...]:
@@ -76,9 +85,9 @@ def ideal_point(table: SituationTable) -> tuple[Fraction, ...]:
 
     Every pair (i, j) lies in some perfect matching, so the maxima are the
     row maxima of A (workers) followed by the column maxima of B (the
-    enterprise matched to worker k earns B[e][k]).
+    enterprise matched to worker k earns B[e][k]), each read at its line's first largest key.
     """
-    return tuple(map(max, _payoff_lines(table.instance)))
+    return tuple(line[keys.index(max(keys))] for line, keys in zip(_payoff_lines(table.instance), table._keys))
 
 
 class CompromiseResult(_Record):
@@ -91,26 +100,26 @@ class CompromiseResult(_Record):
     least_satisfied: tuple[tuple[int, Fraction], ...]  # (player, payoff) per member
 
 
+def _regret_ranks(keys: list[list[int]]) -> tuple[list[tuple[int, int]], list[list[int]], list[list[int]]]:
+    """The distinct player regrets on 2n key lines, ranked: a (line, index) cell holding each, in ascending order; the
+    lines' regrets as ranks; and pair[i][j], the larger of worker i's and enterprise j's when they are matched."""
+    regrets = [[best - k for k in line] for line in keys for best in (max(line),)]
+    cells = {v: (t, j) for t, line in enumerate(regrets) for j, v in enumerate(line)}
+    rank = dict(zip(values := sorted(cells), range(len(cells))))
+    ranks = [list(map(rank.__getitem__, line)) for line in regrets]
+    return [cells[v] for v in values], ranks, [list(map(max, w, e)) for w, e in zip(ranks, ranks[len(ranks) // 2 :])]
+
+
 def compromise_set(table: SituationTable) -> CompromiseResult:
     """Situations minimizing max_i (ideal_i - payoff_i); all ties included."""
-    ideal = ideal_point(table)
-    n = table.n
-    # Worker i and the enterprise matched to i are paid from lines i and
-    # n + i at p(i), so the 2n^2 player regrets cover every situation.  Rows
-    # are scanned on the ranks of their distinct values, as ints.
-    regrets = [[best - paid for paid in line] for best, line in zip(ideal, _payoff_lines(table.instance))]
-    values = sorted(set().union(*regrets))
-    rank = {value: r for r, value in enumerate(values)}
-    ranks = [[rank[value] for value in line] for line in regrets]
-    pair = [list(map(max, ranks[i], ranks[n + i])) for i in range(n)]
-    max_ranks = [max(map(list.__getitem__, pair, m.image)) for m, _ in table.rows]
-    optimum = min(max_ranks)
-    members = tuple(m for (m, _), r in zip(table.rows, max_ranks) if r == optimum)
-    # A member's worst regret is the optimum, so its least-satisfied player
-    # is the lowest-index player at that rank, paid their ideal minus it.
-    players = [[line[j] for line, j in zip(ranks, m.image * 2)].index(optimum) for m in members]
-    least = tuple((p, ideal[p] - values[optimum]) for p in players)
-    return CompromiseResult(ideal, values[optimum], members, tuple(values[r] for r in max_ranks), least)
+    ideal, lines = ideal_point(table), _payoff_lines(table.instance)
+    cells, ranks, pair = _regret_ranks(table._keys)
+    optimum = min(max_ranks := [max(map(list.__getitem__, pair, m.image)) for m, _ in table.rows])
+    rows = [row for row, r in zip(table.rows, max_ranks) if r == optimum]
+    # A member's worst regret is the optimum, so its least-satisfied player is the lowest-index one at that rank.
+    least = tuple((p, profile[p]) for m, profile in rows for p in (list(map(getitem, ranks, m.image * 2)).index(optimum),))
+    regret = {r: ideal[t] - lines[t][j] for r in set(max_ranks) for t, j in (cells[r],)}  # each reported value once
+    return CompromiseResult(ideal, regret[optimum], tuple(m for m, _ in rows), tuple(map(regret.__getitem__, max_ranks)), least)
 
 
 def least_satisfied(table: SituationTable, matching: Matching) -> tuple[int, Fraction]:

@@ -1,10 +1,10 @@
-"""Byte-for-byte checks of the CLI's reports on the bundled data, on two
-fixed markets, n = 5 and n = 12, and on one degenerate bimatrix game, and of
-its errors on refused requests.
+"""Byte-for-byte checks of the CLI's reports on the bundled data, on three
+fixed markets, n = 5, n = 6 and n = 12, and on one degenerate bimatrix game,
+and of its errors on refused requests.
 
 Each file under ``tests/golden/`` is one report as ``matchgames`` writes it
-to stdout, except ``market-n5.json``, ``market-n12.json`` and
-``bimatrix-degenerate.json``, the inputs.  Each
+to stdout, except ``market-n5.json``, ``market-n6.json``, ``market-n12.json``
+and ``bimatrix-degenerate.json``, the inputs.  Each
 case under ``tests/golden/errors/`` is a request that the CLI refuses: in both
 output modes it exits with the case's code in ``ERRORS``, writes nothing to
 stdout and writes exactly ``<case>.err`` to stderr.  A case whose kind (the
@@ -51,6 +51,9 @@ UNION = str(DATA / "union_game.json")
 # A fixed n = 5 market (negative, zero and p/q cells, 8 compromise members):
 # its situations and least_satisfied lists are long enough for the record template.
 MARKET_N5 = str(GOLDEN / "market-n5.json")
+# A fixed n = 6 market (negative, zero, p/q and decimal cells, 10 compromise members): above the equilibrium
+# enumeration cap, so its game report says "enumerated": false.
+MARKET_N6 = str(GOLDEN / "market-n6.json")
 # A fixed tie-heavy n = 12 market (int cells 0..3): its assignment grids have
 # rows long enough to be written a column at a time, and every side and
 # objective has many optimal matchings, so the lex-smallest tie-break rotates
@@ -73,6 +76,7 @@ COMMANDS = {
     "game-labor": ["game", "--market", LABOR],
     "game-jobs": ["game", "--market", JOBS],
     "game-n5": ["game", "--market", MARKET_N5],
+    "game-n6": ["game", "--market", MARKET_N6],
     "bargain": ["bargain", "--game", UNION],
     "bargain-disagreement": ["bargain", "--game", UNION, "--disagreement", "3/2", "3/2"],
     "bargain-degenerate": ["bargain", "--game", DEGENERATE],
@@ -161,9 +165,9 @@ def _refuse(case: str, mode: str) -> str:
 
 def _stray_files() -> set[Path]:
     """The files under tests/golden/ that no table names, with the named ones that are missing.  The tables name
-    each CASES output, both files of each ERRORS case, and the three fixed inputs."""
+    each CASES output, both files of each ERRORS case, and the four fixed inputs."""
     named = {*(_golden_path(*c) for c in CASES), *(ERRORS_DIR / f"{c}.err" for c in ERRORS), *map(_request, ERRORS)}
-    return {p for p in GOLDEN.rglob("*") if p.is_file()} ^ (named | {Path(MARKET_N5), Path(MARKET_N12), Path(DEGENERATE)})
+    return {p for p in GOLDEN.rglob("*") if p.is_file()} ^ (named | {*map(Path, (MARKET_N5, MARKET_N6, MARKET_N12, DEGENERATE))})
 
 
 def pytest_generate_tests(metafunc):  # parametrizes without importing pytest here

@@ -1,6 +1,8 @@
+import math
 import random
+import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from matchgames import (
     EQUILIBRIUM_ENUMERATION_CAP,
+    CompromiseResult,
     DimensionMismatch,
     GameInstance,
     MalformedProfile,
@@ -23,8 +26,9 @@ from matchgames import (
     profile_payoffs,
     verify_nash,
 )
+from matchgames.core import MAX_DENOMINATOR_BITS, _scaled
 from matchgames.datasets import labor_market
-from matchgames.situations import enumerate_equilibria, least_satisfied
+from matchgames.situations import _payoff_lines, enumerate_equilibria, least_satisfied
 
 # Expected payoff table for the bundled labor market, keyed by matching image.
 # The row for [2,0,1] carries 59 = B[2][0] in its fourth slot; the reference
@@ -350,9 +354,55 @@ class TestEnumerateEquilibria:
             enumerate_equilibria(random_instance(rng, 6))
 
 
-# Small numerators over small denominators: negatives, zeros, "p/q" values
-# and frequent ties.
-entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+def fraction_compromise_set(table):
+    """compromise_set as it was before it ranked integer keys: the same scan on the Fraction regrets, kept as its oracle."""
+    lines, n = _payoff_lines(table.instance), table.n
+    ideal = tuple(map(max, lines))
+    regrets = [[best - paid for paid in line] for best, line in zip(ideal, lines)]
+    values = sorted(set().union(*regrets))
+    rank = {value: r for r, value in enumerate(values)}
+    ranks = [[rank[value] for value in line] for line in regrets]
+    pair = [list(map(max, ranks[i], ranks[n + i])) for i in range(n)]
+    max_ranks = [max(map(list.__getitem__, pair, m.image)) for m, _ in table.rows]
+    optimum = min(max_ranks)
+    members = tuple(m for (m, _), r in zip(table.rows, max_ranks) if r == optimum)
+    players = [[line[j] for line, j in zip(ranks, m.image * 2)].index(optimum) for m in members]
+    least = tuple((p, ideal[p] - values[optimum]) for p in players)
+    return CompromiseResult(ideal, values[optimum], members, tuple(values[r] for r in max_ranks), least)
+
+
+def long_denominators(how_many):
+    """Pairwise coprime denominators 10**989 + k of 3286 bits each, built from ints: no digit string is converted."""
+    found = []
+    for k in count(1):
+        if all(math.gcd(10**989 + k, q) == 1 for q in found):
+            found.append(10**989 + k)
+            if len(found) == how_many:
+                return found
+
+
+def long_denominator_market(n, how_many, seed):
+    """An n x n market whose cells include ``how_many`` values over distinct ~990-digit denominators, the rest small."""
+    rng = random.Random(seed)
+    cells = [Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), q) for q in long_denominators(how_many)]
+    cells += [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2 * n * n - how_many)]
+    rng.shuffle(cells)
+    return GameInstance(UtilityMatrix.from_rows([cells[i : i + n] for i in range(0, n * n, n)]),
+                        UtilityMatrix.from_rows([cells[i : i + n] for i in range(n * n, 2 * n * n, n)]))
+
+
+# Fixed markets for the closed forms: ints only (each key is the entry itself), nine long denominators whose lcm
+# of about 29,600 bits is just under MAX_DENOMINATOR_BITS (int keys), and ten, whose lcm passes it (Fraction keys).
+# Only the first is a hypothesis example: hypothesis prints its examples, and the digit limit CI sets
+# (PYTHONINTMAXSTRDIGITS=640) refuses to print the others, which test_long_denominators runs instead.
+INT_MARKET = random_instance(random.Random(10), 4, -5, 5)
+UNDER_BOUND_MARKET = long_denominator_market(3, 9, seed=11)
+PAST_BOUND_MARKET = long_denominator_market(3, 10, seed=12)
+
+
+# Small numerators over denominators up to 12, and ints: negatives, zeros,
+# "p/q" values and frequent ties.
+entries = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)))
 
 
 @st.composite
@@ -370,6 +420,7 @@ class TestClosedFormsAgainstTable:
 
     @settings(max_examples=60, deadline=None)
     @given(instances(max_n=6))
+    @example(INT_MARKET)
     def test_ideal_point_is_coordinatewise_table_max(self, instance):
         table = build_table(instance)
         profiles = [profile for _, profile in table.rows]
@@ -377,6 +428,7 @@ class TestClosedFormsAgainstTable:
 
     @settings(max_examples=60, deadline=None)
     @given(instances(max_n=6))
+    @example(INT_MARKET)
     def test_regret_by_situation_is_the_per_player_max(self, instance):
         table = build_table(instance)
         ideal = ideal_point(table)
@@ -403,6 +455,7 @@ class TestClosedFormsAgainstTable:
 
     @settings(max_examples=100, deadline=None)
     @given(instances(max_n=4))
+    @example(INT_MARKET)
     @example(
         GameInstance(
             worker_utilities=UtilityMatrix.from_rows([[-1]]),
@@ -422,6 +475,7 @@ class TestClosedFormsAgainstTable:
 
     @settings(max_examples=60, deadline=None)
     @given(instances(max_n=6))
+    @example(INT_MARKET)
     def test_least_satisfied_per_member_is_the_per_situation_scan(self, instance):
         table = build_table(instance)
         result = compromise_set(table)
@@ -436,6 +490,23 @@ class TestClosedFormsAgainstTable:
         else:
             assert summary["equilibrium_count"] == len(enumerate_equilibria(instance))
 
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_n=6))
+    @example(INT_MARKET)
+    def test_compromise_set_is_the_fraction_scan(self, instance):
+        assert compromise_set(build_table(instance)) == fraction_compromise_set(build_table(instance))
+
+    @pytest.mark.parametrize("instance", [UNDER_BOUND_MARKET, PAST_BOUND_MARKET], ids=["under-bound", "past-bound"])
+    def test_long_denominators(self, instance):
+        for test in (
+            self.test_ideal_point_is_coordinatewise_table_max,
+            self.test_regret_by_situation_is_the_per_player_max,
+            self.test_equilibria_are_the_profiles_passing_the_deviation_scan,
+            self.test_least_satisfied_per_member_is_the_per_situation_scan,
+            self.test_compromise_set_is_the_fraction_scan,
+        ):
+            test.hypothesis.inner_test(self, instance)
+
     def test_all_equal_market_names_worker_zero_in_every_member(self):
         v = Fraction(7, 2)
         grid = [[v] * 4 for _ in range(4)]
@@ -445,3 +516,88 @@ class TestClosedFormsAgainstTable:
         result = compromise_set(table)
         assert result.members == tuple(all_matchings(4))
         assert result.least_satisfied == ((0, v),) * 24
+
+
+class TestIntegerKeys:
+    """The table's keys: each payoff line scaled to ints by A's and B's one common denominator, up to
+    MAX_DENOMINATOR_BITS, and the Fractions themselves past it, where game still answers."""
+
+    @staticmethod
+    def key_types(instance):
+        return {type(key) for line in build_table(instance)._keys for key in line}
+
+    def test_an_int_market_keys_its_entries(self):
+        table = build_table(INT_MARKET)
+        assert table._keys == [list(line) for line in _payoff_lines(INT_MARKET)]
+        assert self.key_types(INT_MARKET) == {int}
+
+    def test_keys_are_ints_up_to_the_bound(self):
+        at_bound = Fraction(1, 2 ** (MAX_DENOMINATOR_BITS - 1))
+        b = UtilityMatrix.from_rows([[1, -1], [0, 2]])
+        for cells, kind in (([at_bound, 1], int), ([at_bound, Fraction(1, 3)], Fraction)):  # the lcm, 3 * 2**32767, passes
+            instance = GameInstance(UtilityMatrix.from_rows([cells, cells[::-1]]), b)
+            assert self.key_types(instance) == {kind}
+            assert compromise_set(build_table(instance)) == fraction_compromise_set(build_table(instance))
+        assert self.key_types(UNDER_BOUND_MARKET) == {int}
+        assert self.key_types(PAST_BOUND_MARKET) == {Fraction}
+
+    def test_many_long_denominators_stop_the_scaling(self):
+        # 72 distinct ~990-digit denominators, one per cell of an n = 6 market: scaling them all would make every key
+        # a number of about 237,000 bits, so _scaled stops at the bound and the game ranks the Fractions.
+        instance = long_denominator_market(6, 72, seed=13)
+        a, b = instance.worker_utilities, instance.enterprise_utilities
+        assert _scaled([*a._distinct, *b._distinct], 1) is None
+        assert compromise_set(build_table(instance)) == fraction_compromise_set(build_table(instance))
+        times = []
+        for _ in range(3):
+            table = build_table(instance)
+            start = time.perf_counter()
+            compromise_set(table)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1, times
+
+
+def scaled_market(instance, k):
+    return GameInstance(*(UtilityMatrix.from_rows([[k * v for v in row] for row in m.entries])
+                          for m in (instance.worker_utilities, instance.enterprise_utilities)))
+
+
+def shifted_line(instance, line, c):
+    """instance with c added to payoff line ``line``: a row of A, or for line n + k the column k of B, which pays
+    whichever enterprise is matched to worker k."""
+    n = instance.n
+    a = [[v + c * (line == i) for v in row] for i, row in enumerate(instance.worker_utilities.entries)]
+    b = [[v + c * (line == n + k) for k, v in enumerate(row)] for row in instance.enterprise_utilities.entries]
+    return GameInstance(UtilityMatrix.from_rows(a), UtilityMatrix.from_rows(b))
+
+
+N7_MARKET = random_instance(random.Random(14), 7, -3, 9)
+positive = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+
+
+class TestGameRelations:
+    """Relations between two answers of the game, which need no oracle: they hold at any n, past the table's cap too."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(max_n=6), positive)
+    @example(N7_MARKET, Fraction(7, 3))
+    def test_scaling_both_grids(self, instance, k):
+        base_table, table = build_table(instance), build_table(scaled_market(instance, k))
+        base, result = compromise_set(base_table), compromise_set(table)
+        assert result.members == base.members
+        assert [p for p, _ in result.least_satisfied] == [p for p, _ in base.least_satisfied]
+        assert table.equilibria() == base_table.equilibria()
+        assert result.optimal_regret == k * base.optimal_regret
+        assert result.regret_by_situation == tuple(k * r for r in base.regret_by_situation)
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(max_n=6), st.integers(0, 13), entries)
+    @example(N7_MARKET, 3, Fraction(-5, 2))
+    @example(N7_MARKET, 10, Fraction(11, 4))
+    def test_shifting_one_payoff_line(self, instance, line, c):
+        line %= 2 * instance.n
+        base, result = compromise_set(build_table(instance)), compromise_set(build_table(shifted_line(instance, line, c)))
+        assert result.members == base.members
+        assert result.optimal_regret == base.optimal_regret
+        assert result.regret_by_situation == base.regret_by_situation
+        assert result.least_satisfied == tuple((p, v + c * (p == line)) for p, v in base.least_satisfied)
