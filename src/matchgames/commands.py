@@ -36,21 +36,6 @@ class Side(Enum):
     ENTERPRISES = "enterprises"
 
 
-# Built once: each report compares its market against both bundled ones.
-_BUNDLED_NOTES = (
-    (datasets.labor_market(), datasets.LABOR_MARKET_NOTES),
-    (datasets.job_market(), datasets.JOB_MARKET_NOTES),
-)
-
-
-def _dataset_notes(market: GameInstance) -> tuple[str, ...]:
-    grids = (market.worker_utilities.entries, market.enterprise_utilities.entries)
-    for instance, notes in _BUNDLED_NOTES:
-        if grids == (instance.worker_utilities.entries, instance.enterprise_utilities.entries):
-            return notes
-    return ()
-
-
 def _assignment_grid(result: AssignmentResult) -> list[list[int]]:
     n = result.matching.n
     grid = [[0] * n for _ in range(n)]
@@ -83,7 +68,7 @@ def cmd_assign(
         matrix = market.enterprise_utilities
     result = solve_hungarian(matrix, objective)
     payload = _assignment_payload(side, matrix, result)
-    return Report("assign", payload, _dataset_notes(market))
+    return Report("assign", payload, datasets._notes(market))
 
 
 def cmd_game(market: GameInstance) -> Report:
@@ -126,7 +111,7 @@ def cmd_game(market: GameInstance) -> Report:
         "least_satisfied": least,
         "equilibria": equilibrium_summary,
     }
-    return Report("game", payload, _dataset_notes(market))
+    return Report("game", payload, datasets._notes(market))
 
 
 def _bargain_payload(bimatrix: BimatrixFile, outcome: BargainingOutcome) -> dict:
@@ -189,4 +174,4 @@ def cmd_pipeline(market: GameInstance, union_game: BimatrixFile) -> Report:
         },
         "bargaining": bargain_report.payload,
     }
-    return Report("pipeline", payload, _dataset_notes(market))
+    return Report("pipeline", payload, datasets._notes(market))

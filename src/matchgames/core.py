@@ -75,9 +75,7 @@ def as_rational(value: RationalLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise TypeError(f"cannot interpret {value!r} as a rational")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):  # a bool falls through to the final TypeError
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()

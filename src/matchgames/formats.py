@@ -82,7 +82,8 @@ def _load_json(data: str | bytes, kind: str, decode: Callable[[object], object] 
         raise ParseError(f"{kind}: input is nested too deeply") from exc
     except ValueError as exc:
         # A decimal past as_rational's bounds, or an integer (a report's "p/q" parts too) past the int-digit limit.
-        problem = exc if isinstance(exc, _LiteralError) else f"an integer of more than {sys.get_int_max_str_digits()} digits"
+        # problem is text: the exception itself would stay in this frame, which its traceback holds, a cycle.
+        problem = str(exc) if isinstance(exc, _LiteralError) else f"an integer of more than {sys.get_int_max_str_digits()} digits"
         raise ParseError(f"{kind}: input has an oversize number: {problem}") from exc
 
 
@@ -151,27 +152,23 @@ def parse_bimatrix(data: str | bytes) -> BimatrixFile:
     return BimatrixFile(row_labels, col_labels, BimatrixGame(tuple(tuple(zip(row[::2], row[1::2])) for row in grid)))
 
 
-def _json_fraction(value: Fraction) -> str:
-    p, q = value.as_integer_ratio()
-    return f"{p}" if q == 1 else f'"{p}/{q}"'
+def _json_fraction(value: Fraction) -> str:  # format_rational's text, quoted when it is "p/q"
+    return f'"{text}"' if "/" in (text := format_rational(value)) else text
 
 
 _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, Fraction: _json_fraction,
                  bool: {True: "true", False: "false"}.get, NoneType: {None: "null"}.get}
 _TEXT_SCALARS = {str: str, int: int.__repr__, Fraction: format_rational, bool: {True: "yes", False: "no"}.get, NoneType: str}
-# Lists this long format each distinct object once (_texts) and are written a column at a time (_each);
-# 8, 16 and 32 time the same.
+# Lists this long are written a column at a time (_each); 8, 16 and 32 time the same.
 _LONG = 8
 
 
 def _texts(scalars: dict, values: list) -> list[str]:
-    """The text of each scalar in values, through its type in scalars.  In a _LONG list each distinct object
-    is formatted once: its id() stays unique while values holds it, which is for the whole call."""
-    if len(values) >= _LONG:
-        ids = list(map(id, values))
-        texts = {key: scalars[type(v)](v) for key, v in dict(zip(ids, values)).items()}
-        return list(map(texts.__getitem__, ids))
-    return [scalars[type(v)](v) for v in values]
+    """The text of each scalar in values, through its type in scalars, each distinct object formatted once:
+    its id() stays unique while values holds it, which is for the whole call."""
+    ids = list(map(id, values))
+    texts = {key: scalars[type(v)](v) for key, v in dict(zip(ids, values)).items()}
+    return list(map(texts.__getitem__, ids))
 
 
 def _filled(slot: str, cells: list[list]) -> list[str]:

@@ -56,6 +56,19 @@ class TestReportNotes:
     def test_game_on_labor_market_notes(self, demo_data_dir):
         assert cmd_game(read_market(demo_data_dir, "labor_market")).notes == LABOR_MARKET_NOTES
 
+    @pytest.mark.parametrize("cell", ["152/2", 76.0])  # the quirky 76 as a "p/q" string and as a decimal
+    def test_value_equal_labor_market_keeps_notes(self, demo_data_dir, cell):
+        doc = json.loads((demo_data_dir / "labor_market.json").read_text())
+        doc["A"][0][0], doc["workers"] = cell, ["ann", "bob", "cy"]
+        market = parse_market(json.dumps(doc))
+        assert cmd_game(market).notes == LABOR_MARKET_NOTES
+        assert cmd_assign(market, Side.ENTERPRISES).notes == LABOR_MARKET_NOTES
+
+    def test_job_market_with_one_b_cell_changed_has_no_notes(self, demo_data_dir):
+        doc = json.loads((demo_data_dir / "job_market.json").read_text())
+        doc["B"][2][2] += 1
+        assert cmd_assign(parse_market(json.dumps(doc)), Side.WORKERS).notes == ()
+
 
 @pytest.mark.parametrize("name", ["labor_market", "job_market"])
 class TestOneMarketType:

@@ -18,11 +18,12 @@ cases through ``_refused_argv`` rather than build refused requests of their
 own.  A few refusals stay code in ``tests/test_cli.py``: argparse's ``invalid
 choice`` messages, whose words change between CPython patch releases, checked
 by substring; a missing file, whose text is the OS's; generated inputs too
-large to keep (long common denominators, a 200,000-digit integer); a refusal
-that must follow successes on the same file; and write errors, which depend on
-where the report goes.  Every request must end within 1 s, which catches a
-parse or render that runs without bound, and ``tests/golden/`` must hold
-exactly the files these tables name.
+large to keep (hundreds of long denominators, a 200,000-digit integer; ten of
+them, a 10 KB market, are the kept case ``assign-denominator-too-large``); a
+refusal that must follow successes on the same file; and write errors, which
+depend on where the report goes.  Every request must end within 1 s, which
+catches a parse or render that runs without bound, and ``tests/golden/`` must
+hold exactly the files these tables name.
 After a change that is meant to alter a report or an error, regenerate the files
 with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 ``PYTHONPATH=src python tests/test_golden.py --check`` compares instead, without
@@ -103,11 +104,15 @@ ERRORS = {
     "market-empty-lists": EXIT_INPUT,
     "assign-repeated-key": EXIT_INPUT,  # json.loads alone would answer from the second "A", with exit 0
     "disagreement-outside-hull": EXIT_INPUT,  # the union game with a threat point off its feasible hull
+    # ten A cells "1/q", q = 10**989 + k pairwise coprime: each literal is in bounds, their lcm is 32,854 bits
+    "assign-denominator-too-large": EXIT_INPUT,
     **dict.fromkeys([
         *(f"{kind}-{fault}" for kind in ("union", "pipeline") for fault in ("not-json", "trailing-comma", "repeated-key", "unknown-key")),
         "union-not-an-object", "bimatrix-empty-labels", "bimatrix-three-by-three",  # maximin needs a 2x2 game
+        "market-missing-row", "bimatrix-row-count", "bimatrix-short-row", "market-bad-exponent",
         # numbers too large to read (Fraction would build 1e1000000 as a million-digit int) or to echo, and input nested too deep
         "market-exponent-cell", "market-huge-exponent", "market-long-integer", "assign-long-non-number",
+        "market-long-literal", "market-long-decimal",  # a string cell and a JSON decimal past the 1000-character bound
         "bimatrix-long-threat-point", "market-nested-too-deeply", "bimatrix-nested-too-deeply",
         # argument lists: usage errors, and --disagreement literals refused as read ("1_000" and "1 / 2" on every
         # Python, though Fraction reads them from 3.11 and 3.12)

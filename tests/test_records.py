@@ -248,7 +248,7 @@ def test_first_record_of_each_type_agrees_with_its_twin():
     done = subprocess.run([sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r})\n{PROBE}", json.dumps(calls)],
                           capture_output=True, text=True, check=True)
     written, shown_first = json.loads(done.stdout)
-    assert set(written) <= {"Matching", "UtilityMatrix", "GameInstance"}  # the types that importing builds
+    assert set(written) == {"Matching"}  # datasets.REPORTED_JOB_DISTRIBUTION: importing builds no market
     for cls, (first, second) in FIRST_CALLS.items():
         scope = {"C": TWINS[cls], "Fraction": Fraction, "UtilityMatrix": UtilityMatrix}
         twin = [shown(lambda: eval(call, scope)) for call in (first, second)]
