@@ -66,9 +66,9 @@ class MixedStrategy(_Record):
 
     def __post_init__(self) -> None:
         if any(w < 0 for w in self.weights):
-            raise MatchGamesError(f"negative weight in {self.weights}")
+            raise MatchGamesError(f"negative weight in ({', '.join(map(_number_text, self.weights))})")
         if sum(self.weights) != 1:
-            raise MatchGamesError(f"weights {self.weights} do not sum to 1")
+            raise MatchGamesError(f"weights ({', '.join(map(_number_text, self.weights))}) do not sum to 1")
 
 
 class DisagreementPoint(_Record):
@@ -92,44 +92,23 @@ class BargainingOutcome(_Record):
     nash_product: Fraction
 
 
-def _maximin_own_rows(own: list[list[Fraction]]) -> tuple[Fraction, Fraction]:
-    """Maximin over a 2x2 payoff table oriented so the player picks rows.
-
-    Returns (weight on row 0, guaranteed value).  The guaranteed value
-    min(L1(x), L2(x)) is piecewise-linear concave, so the maximum sits at a
-    pure strategy or at the crossing of the two opponent-column lines; a pure
-    optimum is preferred when it ties the interior candidate.
-    """
-    (k11, k12), (k21, k22) = own
-    candidates = [
-        (Fraction(1), min(k11, k12)),  # pure row 0
-        (Fraction(0), min(k21, k22)),  # pure row 1
-    ]
-    # max() keeps the first maximum, so pure row 0 wins ties.
-    best_weight, best_value = max(candidates, key=lambda c: c[1])
-    denominator = k11 - k12 - k21 + k22
-    if denominator != 0:
-        crossing = Fraction(k22 - k21, 1) / denominator
-        if 0 < crossing < 1:
-            value = min(
-                crossing * k11 + (1 - crossing) * k21,
-                crossing * k12 + (1 - crossing) * k22,
-            )
-            if value > best_value:
-                best_weight, best_value = crossing, value
-    return best_weight, best_value
-
-
 def maximin_2x2(game: BimatrixGame, player: Player) -> tuple[MixedStrategy, Fraction]:
-    """Mixed maximin strategy and guaranteed value for one player of a 2x2 game."""
+    """Mixed maximin strategy and guaranteed value for one player of a 2x2 game.
+
+    The chooser's first strategy pays a or b against the opponent's two, its second c or d.  With weight x on
+    the first, the guarantee min(xa + (1-x)c, xb + (1-x)d) is concave, so its maximum sits at the better pure
+    strategy, the first on a tie, or where the two lines cross: x = (d - c)/D, D = a - b - c + d, worth (ad - bc)/D,
+    taken only when strictly better.  Quotients are Fractions, so int payoffs keep exact weights.
+    """
     if game.rows != 2 or game.cols != 2:
         raise NotTwoByTwo(f"maximin needs a 2x2 game, got {game.rows}x{game.cols}")
-    if player is Player.ONE:
-        own = [[game.payoffs[r][c][0] for c in range(2)] for r in range(2)]
-    else:
-        # Player Two picks columns; transpose so the chooser indexes rows.
-        own = [[game.payoffs[r][c][1] for r in range(2)] for c in range(2)]
-    weight, value = _maximin_own_rows(own)
+    (p, q), (r, s) = game.payoffs
+    a, b, c, d = (p[0], q[0], r[0], s[0]) if player is Player.ONE else (p[1], r[1], q[1], s[1])
+    first, second = min(a, b), min(c, d)
+    weight, value = (Fraction(1), first) if first >= second else (Fraction(0), second)
+    den = a - b - c + d
+    if den != 0 and 0 < (x := Fraction(d - c, den)) < 1 and (cross := Fraction(a * d - b * c, den)) > value:
+        weight, value = x, cross
     return MixedStrategy((weight, 1 - weight)), value
 
 
@@ -217,7 +196,7 @@ def _segment_best(
         # Frontier segments run strictly east and south (pareto_frontier drops
         # horizontal and vertical edges).
         assert b1 > 0 > b2, "frontier segment is not strictly northeast-oriented"
-        t = min(Fraction(1), max(Fraction(0), -(b1 * gain2 + gain1 * b2) / (2 * b1 * b2)))
+        t = min(Fraction(1), max(Fraction(0), Fraction(-(b1 * gain2 + gain1 * b2), 2 * b1 * b2)))
         gain1, gain2 = gain1 + t * b1, gain2 + t * b2
     return (gain1 * gain2, (d1 + gain1, d2 + gain2)) if gain1 >= 0 and gain2 >= 0 else None
 

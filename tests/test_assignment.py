@@ -491,3 +491,58 @@ class TestDualCertificate:
     def test_large_matrices(self, n, kind, objective):
         rng = random.Random(n)
         certify_solve(UtilityMatrix.from_rows([[CERTIFIED[kind](rng, i, j) for j in range(n)] for i in range(n)]), objective)
+
+
+# Metamorphic relations: above n = 8 no oracle gives the lex-smallest matching, but transforming
+# a market in a way whose effect on the optimum is known must move the answer exactly so.
+# Tie-heavy cells 0..3 give many optimal matchings, so the tie-break is what is tested.
+def tie_heavy_rows(rng: random.Random, n: int) -> list[list[int]]:
+    return [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+
+
+above_the_oracle = dict(n=st.integers(9, 120), seed=st.integers(0, 2**32 - 1), objective=st.sampled_from(list(Objective)))
+
+
+class TestMetamorphicRelations:
+    @settings(max_examples=30, deadline=None)
+    @given(**above_the_oracle)
+    def test_scale_and_shift_keep_the_lex_smallest_matching(self, n, seed, objective):
+        # k*A[i][j] + c_i + d_j, k > 0, adds sum(c) + sum(d) to every matching's total and scales the rest
+        # by k, so the optimal set, and its lex-smallest member, stay.
+        rng = random.Random(seed)
+        rows = tie_heavy_rows(rng, n)
+        k = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        c, d = ([Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)] for _ in range(2))
+        base = solve_hungarian(UtilityMatrix.from_rows(rows), objective)
+        moved = solve_hungarian(UtilityMatrix.from_rows([[k * v + c[i] + d[j] for j, v in enumerate(row)] for i, row in enumerate(rows)]), objective)
+        assert moved.matching == base.matching
+        assert moved.total_value == k * base.total_value + sum(c) + sum(d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**above_the_oracle)
+    def test_maximizing_is_minimizing_the_negation(self, n, seed, objective):
+        rows = tie_heavy_rows(random.Random(seed), n)
+        other = Objective.MINIMIZE if objective is Objective.MAXIMIZE else Objective.MAXIMIZE
+        base = solve_hungarian(UtilityMatrix.from_rows(rows), objective)
+        negated = solve_hungarian(UtilityMatrix.from_rows([[-v for v in row] for row in rows]), other)
+        assert negated.matching == base.matching
+        assert negated.total_value == -base.total_value
+
+    @settings(max_examples=30, deadline=None)
+    @given(**above_the_oracle)
+    def test_relabelling_keeps_the_optimal_total(self, n, seed, objective):
+        # Worker i becomes sigma[i] and enterprise j becomes tau[j].  The lex order is not relabelling-
+        # invariant, so only the total must stay, and the returned matching, mapped back, must reach it.
+        rng = random.Random(seed)
+        rows = tie_heavy_rows(rng, n)
+        sigma, tau = rng.sample(range(n), n), rng.sample(range(n), n)
+        relabelled = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                relabelled[sigma[i]][tau[j]] = v
+        matrix = UtilityMatrix.from_rows(rows)
+        base = solve_hungarian(matrix, objective)
+        moved = solve_hungarian(UtilityMatrix.from_rows(relabelled), objective)
+        assert moved.total_value == base.total_value
+        back = Matching(tuple(tau.index(moved.matching[sigma[i]]) for i in range(n)))
+        assert matching_total(matrix, back) == base.total_value

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -75,10 +76,20 @@ class TestMaximin:
         assert strategy == MixedStrategy((F(1), F(0)))
         assert value == 1
 
-    def test_negative_weight_is_refused(self):
-        # The weights sum to 1, so only the sign check refuses them.
-        with pytest.raises(MatchGamesError, match=r"^negative weight in "):
-            MixedStrategy((F(3, 2), F(-1, 2)))
+    @pytest.mark.parametrize(
+        ("weights", "text"),
+        [
+            ((F(-1, 2), F(3, 2)), "negative weight in (-1/2, 3/2)"),  # sums to 1, so only the sign check refuses it
+            ((F(1, 3), F(1, 3)), "weights (1/3, 1/3) do not sum to 1"),
+            # Past the default int-digit limit: named by size, so building the message converts no long int.
+            ((F(10**5000 + 1, 10**5000), F(-1, 10**5000)), "negative weight in (a rational of 33220 bits, a rational of 16611 bits)"),
+            ((F(1, 10**5000), F(1, 2)), "weights (a rational of 16611 bits, 1/2) do not sum to 1"),
+        ],
+    )
+    def test_refused_weights_are_named_as_numbers(self, weights, text):
+        with pytest.raises(MatchGamesError) as info:
+            MixedStrategy(weights)
+        assert str(info.value) == text
 
     def test_not_two_by_two(self):
         game = BimatrixGame.from_rows([[(1, 1), (2, 2), (3, 3)]])
@@ -552,3 +563,177 @@ class TestAgainstOldSearch:
         outcome = nash_solution(game, DisagreementPoint(*d))
         assert outcome.solution[0] >= d[0] and outcome.solution[1] >= d[1]
         assert outcome.nash_product >= 0
+
+
+# The maximin that maximin_2x2 replaced by one closed form, kept verbatim as its oracle: a
+# transposed table for player two, and both opponent lines evaluated at the crossing.
+def old_maximin_own_rows(own: list[list[Fraction]]) -> tuple[Fraction, Fraction]:
+    """Maximin over a 2x2 payoff table oriented so the player picks rows.
+
+    Returns (weight on row 0, guaranteed value).  The guaranteed value
+    min(L1(x), L2(x)) is piecewise-linear concave, so the maximum sits at a
+    pure strategy or at the crossing of the two opponent-column lines; a pure
+    optimum is preferred when it ties the interior candidate.
+    """
+    (k11, k12), (k21, k22) = own
+    candidates = [
+        (Fraction(1), min(k11, k12)),  # pure row 0
+        (Fraction(0), min(k21, k22)),  # pure row 1
+    ]
+    # max() keeps the first maximum, so pure row 0 wins ties.
+    best_weight, best_value = max(candidates, key=lambda c: c[1])
+    denominator = k11 - k12 - k21 + k22
+    if denominator != 0:
+        crossing = Fraction(k22 - k21, 1) / denominator
+        if 0 < crossing < 1:
+            value = min(
+                crossing * k11 + (1 - crossing) * k21,
+                crossing * k12 + (1 - crossing) * k22,
+            )
+            if value > best_value:
+                best_weight, best_value = crossing, value
+    return best_weight, best_value
+
+
+def old_maximin_2x2(game: BimatrixGame, player: Player) -> tuple[MixedStrategy, Fraction]:
+    """Mixed maximin strategy and guaranteed value for one player of a 2x2 game."""
+    if game.rows != 2 or game.cols != 2:
+        raise NotTwoByTwo(f"maximin needs a 2x2 game, got {game.rows}x{game.cols}")
+    if player is Player.ONE:
+        own = [[game.payoffs[r][c][0] for c in range(2)] for r in range(2)]
+    else:
+        # Player Two picks columns; transpose so the chooser indexes rows.
+        own = [[game.payoffs[r][c][1] for r in range(2)] for c in range(2)]
+    weight, value = old_maximin_own_rows(own)
+    return MixedStrategy((weight, 1 - weight)), value
+
+
+# The chooser's own payoffs a, b (first strategy against the opponent's two) and c, d (second),
+# bent into the ties the closed form must break as the old code did.  The crossing sits at
+# x = (d - c)/D, D = a - b - c + d: d = c puts it at 0, and a = b (so D = d - c) at 1.
+TIES = {
+    "free": lambda a, b, c, d: (a, b, c, d),
+    "equal rows": lambda a, b, c, d: (a, b, a, b),
+    "equal columns": lambda a, b, c, d: (a, a, c, c),
+    "D = 0": lambda a, b, c, d: (a, b, c, b + c - a),
+    "crossing at 0": lambda a, b, c, d: (a, b, c, c),
+    "crossing at 1": lambda a, b, c, d: (a, a, c, d),
+    # The first line is flat at a = min(a, b), so the crossing, wherever it is, is worth the pure value.
+    "crossing worth the pure value": lambda a, b, c, d: (a, max(a, b), a, d),
+}
+MAXIMIN_CELLS = {
+    "int": st.integers(-4, 4),
+    "p/q": st.fractions(-4, 4, max_denominator=3),
+    "raw int": st.integers(-4, 4),
+    "raw mixed": st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=3),
+}
+
+
+def game_with_own_payoffs(player, own, other, raw):
+    """The 2x2 game where ``player`` gets own = (a, b, c, d) as maximin_2x2 reads them and the opponent ``other``."""
+    a, b, c, d = own
+    grid = [[a, b], [c, d]] if player is Player.ONE else [[a, c], [b, d]]
+    others = iter(other)
+    rows = [[(k, next(others)) if player is Player.ONE else (next(others), k) for k in row] for row in grid]
+    return BimatrixGame(tuple(map(tuple, rows))) if raw else BimatrixGame.from_rows(rows)
+
+
+@st.composite
+def maximin_games(draw):
+    """A 2x2 game of int, p/q, raw int or raw mixed cells, one player's own payoffs bent into a tie shape."""
+    kind = draw(st.sampled_from(sorted(MAXIMIN_CELLS)))
+    cells = st.tuples(*[MAXIMIN_CELLS[kind]] * 4)
+    own = TIES[draw(st.sampled_from(sorted(TIES)))](*draw(cells))
+    return game_with_own_payoffs(draw(st.sampled_from(list(Player))), own, draw(cells), kind.startswith("raw"))
+
+
+class TestAgainstTwoFunctionMaximin:
+    """maximin_2x2 against the two-function maximin it replaced: same weights, same value, same types."""
+
+    @staticmethod
+    def assert_same_as_old(game):
+        for player in Player:
+            (strategy, value), (old_strategy, old_value) = maximin_2x2(game, player), old_maximin_2x2(game, player)
+            assert (strategy, value) == (old_strategy, old_value)
+            assert [type(w) for w in strategy.weights] == [type(w) for w in old_strategy.weights]
+            assert type(value) is type(old_value)
+
+    @settings(max_examples=600, deadline=None)
+    @given(game=maximin_games())
+    def test_drawn_games(self, game):
+        self.assert_same_as_old(game)
+
+    @pytest.mark.parametrize(
+        ("own", "weight", "value"),
+        [
+            ((1, 2, 1, 0), 1, 1),  # crossing at x = 1/2, worth 1 = min(1, 2): the pure strategy keeps it
+            ((1, 3, 1, 3), 1, 1),  # equal rows: the first
+            ((0, 3, 2, 0), F(2, 5), F(6, 5)),  # strictly better crossing, (ad - bc)/D = -6/-5
+            ((2, 2, 3, 3), 0, 3),  # D = 0
+        ],
+    )
+    @pytest.mark.parametrize("player", list(Player))
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_fixed_games(self, own, weight, value, player, raw):
+        game = game_with_own_payoffs(player, own, (0, 0, 0, 0), raw)
+        self.assert_same_as_old(game)
+        assert maximin_2x2(game, player) == (MixedStrategy((F(weight), 1 - F(weight))), value)
+
+
+def outcome_numbers(outcome):
+    """Every number an outcome holds."""
+    d = outcome.disagreement
+    yield from (k for point in outcome.feasible_hull for k in point)
+    yield from (k for segment in outcome.pareto_frontier for point in segment for k in point)
+    yield from (d.v1, d.v2, *outcome.solution, outcome.nash_product)
+    for strategy in (d.x0, d.y0):
+        yield from strategy.weights if strategy else ()
+
+
+def raw_int_games(sizes):
+    """n x n games built without from_rows, so every payoff stays a plain int."""
+    def game(n):
+        pairs = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+        rows = st.lists(st.lists(pairs, min_size=n, max_size=n).map(tuple), min_size=n, max_size=n)
+        return rows.map(lambda grid: BimatrixGame(tuple(grid)))
+    return st.sampled_from(sizes).flatmap(game)
+
+
+class TestIntRecords:
+    """A BimatrixGame of plain ints bargains as its from_rows twin does, with no float in the outcome."""
+
+    @staticmethod
+    def assert_exact(outcome, twin):
+        assert outcome == twin
+        assert all(type(k) in (int, Fraction) for k in outcome_numbers(outcome))
+
+    @settings(max_examples=300, deadline=None)
+    @given(game=raw_int_games((2,)))
+    def test_bargain(self, game):
+        twin = BimatrixGame.from_rows(game.payoffs)
+        try:
+            outcome = bargain(game)
+        except DisagreementOutsideHull:
+            with pytest.raises(DisagreementOutsideHull):
+                bargain(twin)
+            return
+        self.assert_exact(outcome, bargain(twin))
+
+    @settings(max_examples=300, deadline=None)
+    @given(game=raw_int_games((2, 3)), data=st.data())
+    def test_nash_solution_at_an_int_point(self, game, data):
+        hull = feasible_hull(game)
+        box = [range(min(p[i] for p in hull), max(p[i] for p in hull) + 1) for i in (0, 1)]
+        d1, d2 = data.draw(st.sampled_from([p for p in product(*box) if hull_contains(hull, p)]))
+        twin = nash_solution(BimatrixGame.from_rows(game.payoffs), DisagreementPoint(F(d1), F(d2)))
+        self.assert_exact(nash_solution(game, DisagreementPoint(d1, d2)), twin)
+
+    def test_bargain_of_an_int_game_keeps_fractions(self):
+        outcome = bargain(BimatrixGame((((2, 7), (2, 2)), ((5, 1), (7, -2)))))
+        assert outcome.solution == (F(31, 6), F(13, 10)) and outcome.nash_product == F(1, 20)
+        assert all(type(k) in (int, Fraction) for k in outcome_numbers(outcome))
+
+    def test_nash_solution_of_an_int_game_keeps_fractions(self):
+        outcome = nash_solution(BimatrixGame((((6, 2), (0, 0)), ((0, 0), (2, 6)))), DisagreementPoint(0, 0))
+        assert outcome.solution == (4, 4) and outcome.nash_product == 16
+        assert all(type(k) in (int, Fraction) for k in outcome_numbers(outcome))
